@@ -26,6 +26,7 @@ from .control import (
     DegenerateSteeringError,
     EmissionEstimate,
     InfeasibleError,
+    RegionArrays,
     RegionPoint,
     SingularSystemError,
     SteeringSolution,
@@ -33,6 +34,7 @@ from .control import (
     feasible,
     infer_ndelta,
     infer_parameters,
+    region_arrays,
     region_grid,
     solve_ndelta,
 )

@@ -41,7 +41,7 @@ from .characterize import (
     sample_histogram,
     species_moments,
 )
-from .control import ControlError, infer_parameters, region_grid, solve_ndelta
+from .control import ControlError, infer_parameters, region_arrays, solve_ndelta
 from .distortion import ControlKnob, FieldParams, controlled_emission
 from .source import DegenerateSourceError, SourceSpec
 
@@ -261,22 +261,27 @@ def sample(config_path: str, shots: int | None, seed: int | None) -> None:
 @click.option("--resolution", type=int, default=101, show_default=True, help="Grid points per axis.")
 def region(gamma: float, resolution: int) -> None:
     """Scan steering feasibility over the (f00, f11) grid and print CSV."""
-    if resolution < 2:
-        click.echo(f"resolution must be >= 2, got {resolution}", err=True)
+    try:
+        scan = region_arrays(gamma, resolution)
+    except ValueError as exc:
+        click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
-    if not 0.0 < gamma <= math.pi / 2:
-        click.echo(f"gamma must lie in (0, pi/2], got {gamma!r}", err=True)
-        sys.exit(EXIT_CONFIG)
-    click.echo("f00,f11,feasible,s_squared,ndelta")
-    for point in region_grid(gamma, resolution):
-        if point.solution is None:
-            click.echo(f"{point.f00_target!r},{point.f11_target!r},0,,")
-        else:
-            sol = point.solution
-            click.echo(
-                f"{point.f00_target!r},{point.f11_target!r},1,"
-                f"{sol.s_squared!r},{sol.ndelta_principal!r}"
-            )
+    # One write per f00 row: per-line echo calls cost more than the scan, and
+    # one write for the whole CSV would hold all of it in memory.
+    stdout = click.get_text_stream("stdout")
+    stdout.write("f00,f11,feasible,s_squared,ndelta\n")
+    labels = [f"{value!r}," for value in scan.axis.tolist()]
+    infeasible_cells = [f"{label}0,,\n" for label in labels]
+    for i, head in enumerate(labels):
+        cells = infeasible_cells.copy()
+        columns = np.flatnonzero(scan.feasible[i])
+        solved = zip(
+            columns.tolist(), scan.s_squared[i, columns].tolist(), scan.ndelta[i, columns].tolist()
+        )
+        for j, s_squared, ndelta in solved:
+            cells[j] = f"{labels[j]}1,{s_squared!r},{ndelta!r}\n"
+        stdout.write(head + head.join(cells))
+    stdout.flush()
 
 
 @main.command()

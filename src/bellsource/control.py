@@ -20,20 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .characterize import table_populations
+import numpy as np
 
 __all__ = [
     "ControlError",
     "DegenerateSteeringError",
     "EmissionEstimate",
     "InfeasibleError",
+    "RegionArrays",
     "RegionPoint",
     "SingularSystemError",
     "SteeringSolution",
     "UnidentifiableSourceError",
     "solve_ndelta",
     "feasible",
+    "region_arrays",
     "region_grid",
     "infer_parameters",
     "infer_ndelta",
@@ -112,40 +115,70 @@ class RegionPoint:
             raise ValueError("feasible flag must match solution presence")
 
 
+def _steering_terms(gamma, f00, f11):
+    """(required S^2, denominator, numerator) of the steering closed form.
+
+    The one place the formula lives: solve_ndelta passes Python floats and
+    region_arrays broadcasts arrays, both in this operation order, so the two
+    paths round identically. sin^2(2 pi n delta) = numerator / denominator.
+    """
+    s_req = (1.0 - f00 - f11) / math.sin(gamma) ** 2
+    denom = math.cos(2.0 * gamma) + 1.0 - f00 - f11
+    return s_req, denom, math.cos(gamma) ** 2 - f00
+
+
+def _clamp01(value: float) -> float:
+    return min(max(value, 0.0), 1.0)
+
+
+def _ndelta_of(s_squared: float) -> float:
+    return math.asin(math.sqrt(s_squared)) / (2.0 * math.pi)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= math.pi / 2:
+        raise ValueError(f"gamma must lie in (0, pi/2], got {gamma!r}")
+
+
 def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     """Control value realizing target populations (f00, f11) at mixing angle gamma.
 
     sin^2(2 pi n delta) = (cos^2 g - f00) / (cos 2g + 1 - f00 - f11) and the
     source moments must satisfy S^2 = (1 - f00 - f11) / sin^2 g. Raises
-    InfeasibleError when a bound fails by more than 1e-12 (closer counts as
-    on the boundary), DegenerateSteeringError when the denominator vanishes.
+    ValueError for gamma outside (0, pi/2] or a negative or non-finite
+    target, InfeasibleError when a bound fails by more than 1e-12 (closer
+    counts as on the boundary), DegenerateSteeringError when the denominator
+    or sin^2 gamma vanishes.
     """
-    if not 0.0 < gamma <= math.pi / 2:
-        raise ValueError(f"gamma must lie in (0, pi/2], got {gamma!r}")
+    _check_gamma(gamma)
+    if not (math.isfinite(f00) and math.isfinite(f11)):
+        raise ValueError(f"target populations must be finite, got ({f00!r}, {f11!r})")
     if f00 < 0.0 or f11 < 0.0:
         raise ValueError(f"target populations must be non-negative, got ({f00!r}, {f11!r})")
     if f00 + f11 > 1.0 + _BOUND_TOL:
         raise InfeasibleError("f00 + f11 <= 1", f"got {f00 + f11!r}")
-
-    sin2_g = math.sin(gamma) ** 2
-    s_req = (1.0 - f00 - f11) / sin2_g
+    try:
+        s_req, denom, numer = _steering_terms(gamma, f00, f11)
+    except ZeroDivisionError:
+        raise DegenerateSteeringError(
+            f"sin^2 gamma underflows to 0 at gamma={gamma!r}; the required S^2 is undetermined"
+        ) from None
     if not -_BOUND_TOL <= s_req <= 1.0 + _BOUND_TOL:
         raise InfeasibleError("required_S_squared in [0, 1]", f"got {s_req!r}")
-    s_req = min(max(s_req, 0.0), 1.0)
+    s_req = _clamp01(s_req)
 
-    denom = math.cos(2.0 * gamma) + 1.0 - f00 - f11
     if denom == 0.0:
         raise DegenerateSteeringError(
             f"cos(2 gamma) + 1 - f00 - f11 = 0 at gamma={gamma!r}, f00={f00!r}, f11={f11!r}"
         )
-    s_squared = (math.cos(gamma) ** 2 - f00) / denom
+    s_squared = numer / denom
     if not -_BOUND_TOL <= s_squared <= 1.0 + _BOUND_TOL:
         raise InfeasibleError("sin^2(2 pi n delta) in [0, 1]", f"got {s_squared!r}")
-    s_squared = min(max(s_squared, 0.0), 1.0)
+    s_squared = _clamp01(s_squared)
 
     return SteeringSolution(
         s_squared=s_squared,
-        ndelta_principal=math.asin(math.sqrt(s_squared)) / (2.0 * math.pi),
+        ndelta_principal=_ndelta_of(s_squared),
         required_C_squared=1.0 - s_req,
         required_S_squared=s_req,
     )
@@ -160,16 +193,89 @@ def feasible(gamma: float, f00: float, f11: float) -> RegionPoint:
     return RegionPoint(f00_target=f00, f11_target=f11, feasible=True, solution=solution)
 
 
-def region_grid(gamma: float, resolution: int) -> list[RegionPoint]:
-    """Feasibility over the uniform resolution x resolution grid on [0,1]^2.
+class RegionArrays(NamedTuple):
+    """The steering region on a uniform grid, as arrays indexed [i, j].
 
-    Row-major: f00 varies slowest. Suitable for plotting the steering
-    region slice at the given gamma.
+    Entry [i, j] is the target (f00, f11) = (axis[i], axis[j]). Where
+    ``feasible`` is set, ``s_squared`` and ``ndelta`` hold exactly the
+    s_squared and ndelta_principal that solve_ndelta returns for that
+    target; elsewhere they hold NaN.
+    """
+
+    axis: np.ndarray
+    feasible: np.ndarray
+    s_squared: np.ndarray
+    ndelta: np.ndarray
+
+
+def _grid_terms(gamma: float, axis: np.ndarray):
+    """_steering_terms broadcast over the grid (f00 down, f11 across)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _steering_terms(gamma, axis[:, None], axis[None, :])
+
+
+def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feasibility mask and unclamped sin^2(2 pi n delta) over the grid.
+
+    The mask applies solve_ndelta's bounds with the same slack, and counts a
+    vanishing denominator as infeasible, as feasible() does.
+    """
+    s_req, denom, numer = _grid_terms(gamma, axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = numer / denom
+    ok = axis[:, None] + axis[None, :] <= 1.0 + _BOUND_TOL
+    ok &= (-_BOUND_TOL <= s_req) & (s_req <= 1.0 + _BOUND_TOL)
+    ok &= denom != 0.0
+    ok &= (-_BOUND_TOL <= quotient) & (quotient <= 1.0 + _BOUND_TOL)
+    return ok, quotient
+
+
+def region_arrays(gamma: float, resolution: int) -> RegionArrays:
+    """Steering solutions over the uniform resolution x resolution grid on [0,1]^2.
+
+    The array-native kernel behind region_grid and the region command. The
+    grid axis is arange(resolution) / (resolution - 1). The closed form is
+    broadcast over the whole grid and masked with solve_ndelta's bounds; the
+    clamp and asin(sqrt) then run on Python floats for the feasible entries
+    only, so every value, -0.0 included, is bit for bit what solve_ndelta
+    returns. Raises ValueError for resolution < 2 or gamma outside (0, pi/2].
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    values = [i / (resolution - 1) for i in range(resolution)]
-    return [feasible(gamma, f00, f11) for f00 in values for f11 in values]
+    _check_gamma(gamma)
+    axis = np.arange(resolution) / (resolution - 1)
+    ok, quotient = _grid_quotient(gamma, axis)
+    clamped = [_clamp01(v) for v in quotient[ok].tolist()]
+    s_squared = np.full_like(quotient, np.nan)
+    s_squared[ok] = clamped
+    ndelta = np.full_like(quotient, np.nan)
+    ndelta[ok] = np.fromiter(map(_ndelta_of, clamped), float, len(clamped))
+    return RegionArrays(axis, ok, s_squared, ndelta)
+
+
+def region_grid(gamma: float, resolution: int) -> list[RegionPoint]:
+    """Feasibility over the uniform resolution x resolution grid on [0,1]^2.
+
+    Row-major: f00 varies slowest. A view of region_arrays as RegionPoints
+    (plus the required moments, from the same closed form), each equal field
+    for field to feasible(gamma, f00, f11); suitable for plotting the
+    steering region slice at the given gamma.
+    """
+    scan = region_arrays(gamma, resolution)
+    s_req = _grid_terms(gamma, scan.axis)[0]
+    axis = scan.axis.tolist()
+    rows = zip(
+        scan.feasible.tolist(), scan.s_squared.tolist(), scan.ndelta.tolist(), s_req.tolist()
+    )
+    grid = []
+    for f00, (oks, s_row, nd_row, req_row) in zip(axis, rows):
+        for f11, ok, s_squared, ndelta, s_req_ij in zip(axis, oks, s_row, nd_row, req_row):
+            solution = None
+            if ok:
+                req = _clamp01(s_req_ij)
+                solution = SteeringSolution(s_squared, ndelta, 1.0 - req, req)
+            grid.append(RegionPoint(f00, f11, ok, solution))
+    return grid
 
 
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:
@@ -177,8 +283,15 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
 
     Solves f00 = a c^2 + b s^2, f11 = a s^2 + b c^2 for a = cos^2 gamma and
     b = sin^2 gamma C^2, where c^2, s^2 are cos^2/sin^2 of 2 pi n delta.
-    The system determinant is cos(4 pi n delta).
+    The system determinant is cos(4 pi n delta). Raises ValueError for a
+    non-finite argument or frequencies that do not sum to 1.
     """
+    if not (
+        math.isfinite(f00) and math.isfinite(f01) and math.isfinite(f11) and math.isfinite(ndelta)
+    ):
+        raise ValueError(
+            f"frequencies and ndelta must be finite, got ({f00!r}, {f01!r}, {f11!r}, {ndelta!r})"
+        )
     if abs(f00 + f01 + f11 - 1.0) > _FREQ_SUM_TOL:
         raise ValueError(
             f"frequencies must be normalized: f00 + f01 + f11 = {f00 + f01 + f11!r}"
@@ -218,12 +331,3 @@ def infer_ndelta(f00: float, f11: float, gamma: float) -> float:
     solution = solve_ndelta(gamma, f00, f11)
     return solution.ndelta_principal
 
-
-def forward_populations(gamma: float, solution: SteeringSolution):
-    """Closed-form populations at a steering solution (round-trip check helper)."""
-    return table_populations(
-        gamma,
-        solution.required_C_squared,
-        solution.required_S_squared,
-        solution.ndelta_principal,
-    )

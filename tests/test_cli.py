@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -177,7 +178,23 @@ class TestSample:
         assert result.exit_code == 2
 
 
+# SHA-256 of `region --resolution 101` stdout as the first release printed it
+# (perfbench/golden_region_digests.json).
+REGION_101_DIGESTS = {
+    0.3: "873601116a09bab0e28f5d373be5223bfe221a463991523e6af20a9ddaeff11f",
+    math.pi / 4: "2654a59fd2e53bad22fc7a51d7523690687fe507a42d740f795a8fc905e1bef9",
+    1.2: "d16b706075a356466060ae4486fc062ae4dd4b1093e02a9c16c64bf478a31041",
+    math.pi / 2: "189e36a96550f6979daddb487477aac2e158d43f06d1e551b983fe5a451b2568",
+}
+
+
 class TestRegion:
+    @pytest.mark.parametrize("gamma", sorted(REGION_101_DIGESTS))
+    def test_stdout_bytes_unchanged(self, runner, gamma):
+        result = runner.invoke(main, ["region", "--gamma", repr(gamma), "--resolution", "101"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == REGION_101_DIGESTS[gamma]
+
     def test_csv_shape_and_worked_row(self, runner):
         result = runner.invoke(
             main, ["region", "--gamma", str(math.pi / 4), "--resolution", "101"]
@@ -210,10 +227,12 @@ class TestRegion:
     def test_bad_resolution_exit_2(self, runner):
         result = runner.invoke(main, ["region", "--gamma", "0.5", "--resolution", "1"])
         assert result.exit_code == 2
+        assert result.stderr == "resolution must be >= 2, got 1\n"
 
     def test_bad_gamma_exit_2(self, runner):
         result = runner.invoke(main, ["region", "--gamma", "3.0"])
         assert result.exit_code == 2
+        assert result.stderr == "gamma must lie in (0, pi/2], got 3.0\n"
 
 
 class TestSolve:
@@ -246,6 +265,12 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--gamma", "0.0", "--f00", "0.3", "--f11", "0.3"])
         assert result.exit_code == 3
 
+    def test_nan_target_exit_3(self, runner):
+        result = runner.invoke(main, ["solve", "--gamma", "0.7", "--f00", "nan", "--f11", "0.2"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "finite" in result.stderr
+
 
 class TestInfer:
     def test_worked_point(self, runner):
@@ -271,6 +296,14 @@ class TestInfer:
             main, ["infer", "--f00", "0.5", "--f01", "0.5", "--f11", "0.2", "--ndelta", "0.05"]
         )
         assert result.exit_code == 3
+
+    def test_nan_frequency_exit_3(self, runner):
+        result = runner.invoke(
+            main, ["infer", "--f00", "nan", "--f01", "0.4", "--f11", "0.2", "--ndelta", "0.05"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "finite" in result.stderr
 
     def test_estimates_from_large_sample(self, runner, tmp_path):
         # gamma = pi/4 single species with C^2 = 0.2 at n delta = 1/12.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bellsource import (
+    ControlError,
     ControlKnob,
     DegenerateSteeringError,
     InfeasibleError,
@@ -19,11 +20,21 @@ from bellsource import (
     infer_ndelta,
     infer_parameters,
     populations_exact,
+    region_arrays,
     region_grid,
     solve_ndelta,
     table_populations,
 )
-from bellsource.control import forward_populations
+
+
+def forward_populations(gamma, solution):
+    """Closed-form populations at a steering solution (round-trip check helper)."""
+    return table_populations(
+        gamma,
+        solution.required_C_squared,
+        solution.required_S_squared,
+        solution.ndelta_principal,
+    )
 
 
 class TestSolveNdelta:
@@ -93,6 +104,13 @@ class TestSolveNdelta:
         with pytest.raises(ValueError, match="non-negative"):
             solve_ndelta(math.pi / 4, -0.1, 0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_bad_input(self, bad):
+        for f00, f11 in ((bad, 0.2), (0.2, bad)):
+            with pytest.raises(ValueError, match="finite") as info:
+                solve_ndelta(0.7, f00, f11)
+            assert not isinstance(info.value, ControlError)
+
 
 class TestFeasible:
     def test_feasible_point_embeds_solution(self):
@@ -139,6 +157,18 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="resolution"):
             region_grid(math.pi / 4, 1)
 
+    def test_arrays_layout_and_preconditions(self):
+        scan = region_arrays(math.pi / 4, 5)
+        assert scan.axis.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert scan.feasible.shape == scan.s_squared.shape == (5, 5)
+        for values in (scan.s_squared, scan.ndelta):
+            assert np.isnan(values[~scan.feasible]).all()
+            assert not np.isnan(values[scan.feasible]).any()
+        with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
+            region_arrays(0.5, 1)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, pi/2\], got 3.0"):
+            region_arrays(3.0, 11)
+
     def test_row_major_layout(self):
         grid = region_grid(math.pi / 4, 3)
         assert len(grid) == 9
@@ -170,6 +200,27 @@ class TestRegionGrid:
         direct = [feasible(1.0, f00, f11) for f00 in values for f11 in values]
         assert [p.feasible for p in grid] == [p.feasible for p in direct]
 
+    @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2])
+    def test_grid_bitwise_equals_per_point_calls(self, gamma, resolution):
+        values = [i / (resolution - 1) for i in range(resolution)]
+        direct = [feasible(gamma, f00, f11) for f00 in values for f11 in values]
+        grid = region_grid(gamma, resolution)
+        assert len(grid) == len(direct)
+        for point, expected in zip(grid, direct):
+            assert point == expected
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(point) == repr(expected)
+
+    def test_underflowing_sin_gamma_is_infeasible_not_a_crash(self):
+        # sin(1e-200)**2 underflows to 0; the required S^2 is then undetermined.
+        with pytest.raises(DegenerateSteeringError, match="underflows"):
+            solve_ndelta(1e-200, 0.3, 0.3)
+        grid = region_grid(1e-200, 3)
+        assert not any(p.feasible for p in grid)
+        values = [0.0, 0.5, 1.0]
+        assert grid == [feasible(1e-200, f00, f11) for f00 in values for f11 in values]
+
 
 class TestInferParameters:
     def test_worked_point(self):
@@ -197,6 +248,13 @@ class TestInferParameters:
     def test_frequency_sum_precondition(self):
         with pytest.raises(ValueError, match="normalized"):
             infer_parameters(0.5, 0.5, 0.2, 0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_is_bad_input(self, bad):
+        for args in ((bad, 0.4, 0.2, 0.05), (0.4, 0.4, bad, 0.05), (0.4, 0.4, 0.2, bad)):
+            with pytest.raises(ValueError, match="finite") as info:
+                infer_parameters(*args)
+            assert not isinstance(info.value, ControlError)
 
     def test_unidentifiable_weight_out_of_range(self):
         with pytest.raises(UnidentifiableSourceError, match="outside"):
