@@ -229,8 +229,11 @@ def circuit_realization(
     return _GATES, dict(_RELABEL)
 
 
+_ANCILLAS = basis_state("00")
+
+
 def _run_gates(state12: PureState) -> PureState:
-    psi = tensor(state12, basis_state("00"))
+    psi = tensor(state12, _ANCILLAS)
     amps = psi.amplitudes
     for gate in _GATES:
         amps = gate.entries @ amps

@@ -15,8 +15,8 @@ The config file is a flat JSON object:
       "theta1": 1.5707963267948966,   // theta2 derived as pi/2 - theta1
       "theta2": 0.0,                  // optional; validated if present
       "knob": {"n": 1, "delta": 0.125},
-      "shots": 100000,                // optional
-      "seed": 0                       // optional
+      "shots": 100000,                // optional; at most 2**63 - 1
+      "seed": 0                       // optional; non-negative
     }
 
 The knob takes exactly one of two forms: {"n", "delta"} directly, or
@@ -48,6 +48,8 @@ from .source import DegenerateSourceError, SourceSpec
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
+# numpy draws the shot counts as int64.
+_MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -83,8 +85,8 @@ def _resolve_p2(cfg: dict, p1: float) -> float:
         if "p2_negative" in cfg and negative != (p2 < 0):
             raise ConfigError(f"p2_negative={negative} contradicts explicit p2={p2!r}")
         return p2
-    if abs(p1) > 1.0:
-        raise ConfigError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} > 1")
+    if not abs(p1) <= 1.0:
+        raise ConfigError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} is not at most 1")
     magnitude = math.sqrt(max(0.0, 1.0 - p1**2))
     return -magnitude if negative else magnitude
 
@@ -150,11 +152,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     knob, knob_echo = _resolve_knob(cfg)
 
     shots = cfg.get("shots")
-    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, int) or shots < 1):
-        raise ConfigError(f"field 'shots' must be a positive integer, got {shots!r}")
+    if shots is not None and (
+        isinstance(shots, bool) or not isinstance(shots, int) or not 1 <= shots <= _MAX_SHOTS
+    ):
+        raise ConfigError(f"field 'shots' must be an integer in [1, 2**63 - 1], got {shots!r}")
     seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"field 'seed' must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}")
 
     return ExperimentConfig(spec=spec, knob=knob, knob_echo=knob_echo, shots=shots, seed=seed)
 
@@ -203,6 +207,16 @@ def _fail_config(message: str) -> None:
     sys.exit(EXIT_CONFIG)
 
 
+def _resolve_seed(flag: int | None, config: ExperimentConfig) -> int:
+    """The --seed flag if given, else the config's; a negative flag exits 2."""
+    if flag is None:
+        return config.seed
+    if flag < 0:
+        click.echo(f"--seed must be a non-negative integer, got {flag}", err=True)
+        sys.exit(EXIT_CONFIG)
+    return flag
+
+
 @click.group()
 def main() -> None:
     """Entangled-pair source simulator: populations, sampling, steering."""
@@ -217,7 +231,7 @@ def simulate(config_path: str, seed: int | None) -> None:
         config = load_config(config_path)
     except ConfigError as exc:
         _fail_config(str(exc))
-    effective_seed = seed if seed is not None else config.seed
+    effective_seed = _resolve_seed(seed, config)
     try:
         report = build_report(config, histogram=None, shots=None, seed=effective_seed)
     except DegenerateSourceError as exc:
@@ -242,7 +256,10 @@ def sample(config_path: str, shots: int | None, seed: int | None) -> None:
     if effective_shots < 1:
         click.echo(f"shots must be >= 1, got {effective_shots}", err=True)
         sys.exit(EXIT_PRECONDITION)
-    effective_seed = seed if seed is not None else config.seed
+    if effective_shots > _MAX_SHOTS:
+        click.echo(f"shots must be at most 2**63 - 1, got {effective_shots}", err=True)
+        sys.exit(EXIT_CONFIG)
+    effective_seed = _resolve_seed(seed, config)
     rng = np.random.default_rng(effective_seed)
     try:
         state, _ = controlled_emission(config.spec, config.knob)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -172,7 +173,8 @@ class ControlKnob:
 
     All post-control formulas depend on n and delta only through the
     product n*delta. The optional provenance records the (j, Q) pair the
-    mismatch was derived from.
+    mismatch was derived from. A bool ``n``, an ``n`` beyond the float
+    range and a NaN or infinite ``n`` or ``delta`` are rejected.
     """
 
     n: int
@@ -181,9 +183,11 @@ class ControlKnob:
     ndelta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        if abs(self.delta) > 0.5:
+        n = self.n
+        # The upper bound keeps n * delta a finite float; NaN fails it.
+        if isinstance(n, bool) or not 0 <= n <= sys.float_info.max or n != int(n):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        if not abs(self.delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")
         if self.provenance is not None:
             j, num, den = self.provenance

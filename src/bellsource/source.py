@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import PureState, tensor
+from .statevec import PureState
 
 __all__ = [
     "ComponentStates",
@@ -41,7 +41,8 @@ class SourceSpec:
     """Emission parameters: mixing angle gamma, species weights, species angles.
 
     Invariants checked on construction: p1^2 + p2^2 = 1 and
-    theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2].
+    theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2]; a NaN or
+    infinite parameter fails them.
     The state amplitudes are alpha1 = cos(gamma), alpha2 = sin(gamma).
     """
 
@@ -53,10 +54,10 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         weight = self.p1**2 + self.p2**2
-        if abs(weight - 1.0) > _SPEC_TOL:
+        if not abs(weight - 1.0) <= _SPEC_TOL:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
         angle_sum = self.theta1 + self.theta2
-        if abs(angle_sum - math.pi / 2) > _SPEC_TOL:
+        if not abs(angle_sum - math.pi / 2) <= _SPEC_TOL:
             raise ValueError(f"theta1 + theta2 = pi/2 violated: got {angle_sum!r}")
         if not 0.0 <= self.gamma <= math.pi / 2:
             raise ValueError(f"gamma in [0, pi/2] violated: got {self.gamma!r}")
@@ -74,8 +75,8 @@ class SourceSpec:
         cls, gamma: float, p1: float, theta1: float, p2_negative: bool = False
     ) -> "SourceSpec":
         """Complete a spec from (gamma, p1, theta1); p2 and theta2 are derived."""
-        if abs(p1) > 1.0:
-            raise ValueError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} > 1")
+        if not abs(p1) <= 1.0:
+            raise ValueError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} is not at most 1")
         p2 = math.sqrt(max(0.0, 1.0 - p1**2))
         if p2_negative:
             p2 = -p2
@@ -92,25 +93,41 @@ class ComponentStates:
     mu: PureState
 
 
-def component_states(theta: float) -> ComponentStates:
-    """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
+def _component_amplitudes(theta: float) -> tuple[np.ndarray, ...]:
+    """Amplitudes of phi, eta, varphi and mu at angle theta."""
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
-    return ComponentStates(
-        phi=PureState(np.array([c, s])),
-        eta=PureState(np.array([s, -c])),
-        varphi=PureState(np.array([s, c])),
-        mu=PureState(np.array([c, -s])),
-    )
+    return tuple(np.array(v, dtype=complex) for v in ([c, s], [s, -c], [s, c], [c, -s]))
+
+
+def component_states(theta: float) -> ComponentStates:
+    """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
+    return ComponentStates(*(PureState(amps) for amps in _component_amplitudes(theta)))
+
+
+def _square(v: np.ndarray) -> np.ndarray:
+    """Amplitudes of v (x) v, formed as ``statevec.tensor`` forms them."""
+    return np.outer(v, v).reshape(-1)
+
+
+def _psi1(theta: float) -> PureState:
+    phi, eta, _, _ = _component_amplitudes(theta)
+    return PureState((_square(phi) + _square(eta)) / math.sqrt(2))
+
+
+_PSI1 = _psi1(0.0)
 
 
 def psi1(theta: float = 0.0) -> PureState:
-    """First species (phi phi + eta eta)/sqrt2; identical for every theta."""
-    parts = component_states(theta)
-    amps = (
-        tensor(parts.phi, parts.phi).amplitudes + tensor(parts.eta, parts.eta).amplitudes
-    ) / math.sqrt(2)
-    return PureState(amps)
+    """First species (phi phi + eta eta)/sqrt2; identical for every theta.
+
+    At the default theta = 0.0 it is built once, at import, and every call
+    returns that shared immutable instance (``psi1() is psi1()``). Other
+    angles agree with it only up to rounding, so they are built afresh.
+    """
+    if theta == 0.0 and math.copysign(1.0, theta) > 0.0:
+        return _PSI1
+    return _psi1(theta)
 
 
 def psi2(theta: float) -> PureState:
@@ -119,11 +136,8 @@ def psi2(theta: float) -> PureState:
     Its Bell coefficients are (0, sin theta, -cos theta, 0), so it is
     orthogonal to psi1 for every theta.
     """
-    parts = component_states(theta)
-    amps = (
-        tensor(parts.varphi, parts.varphi).amplitudes - tensor(parts.mu, parts.mu).amplitudes
-    ) / math.sqrt(2)
-    return PureState(amps)
+    _, _, varphi, mu = _component_amplitudes(theta)
+    return PureState((_square(varphi) - _square(mu)) / math.sqrt(2))
 
 
 def superpose_species(

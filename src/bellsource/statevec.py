@@ -52,8 +52,9 @@ class ZeroProbabilityError(ValueError):
 class PureState:
     """Normalized amplitude vector over 1..4 qubits.
 
-    Input whose norm deviates from 1 by more than 1e-9 is rejected unless
-    ``normalize=True`` is passed; silent rescaling would hide unnormalized
+    Input whose norm deviates from 1 by more than 1e-9, or is NaN, is
+    rejected unless ``normalize=True`` is passed, which rescales any input
+    of finite nonzero norm; silent rescaling would hide unnormalized
     superpositions that callers need to account for explicitly.
     """
 
@@ -68,16 +69,22 @@ class PureState:
             raise ValueError(
                 f"amplitude vector of length {amps.size} is not a 1..{MAX_QUBITS} qubit state"
             )
-        norm = float(np.linalg.norm(amps))
         if normalize:
+            # The norm divides the amplitudes here, so it decides their bits.
+            norm = float(np.linalg.norm(amps))
+            if not math.isfinite(norm):
+                raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
             if norm < 1e-12:
                 raise ValueError("cannot normalize a zero vector")
             amps = amps / norm
-        elif abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(
-                f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
-                "pass normalize=True to rescale"
-            )
+        else:
+            # Only a check, so one pass suffices; a NaN norm fails it.
+            norm = math.sqrt(np.vdot(amps, amps).real)
+            if not abs(norm - 1.0) <= _NORM_TOL:
+                raise ValueError(
+                    f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
+                    "pass normalize=True to rescale"
+                )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
@@ -108,7 +115,7 @@ class UnitaryMatrix:
         if m.shape[0] not in (2, 4, 16):
             raise ValueError(f"unitary dim must be 2, 4, or 16, got {m.shape[0]}")
         defect = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-        if defect > _UNITARY_TOL:
+        if not defect <= _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (U U+ deviates from I by {defect!r})")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -160,11 +167,17 @@ def basis_state(bits: str | Sequence[int]) -> PureState:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product with a's qubits first; at most 4 qubits total."""
+    """Kronecker product with a's qubits first; at most 4 qubits total.
+
+    Formed as an outer product, whose amplitudes equal ``np.kron``'s bit for
+    bit at a fraction of the cost. The result is a new state even when a
+    factor is a cached constant such as ``bell_state(l)`` or ``psi1()``;
+    those are shared immutable instances.
+    """
     total = a.num_qubits + b.num_qubits
     if total > MAX_QUBITS:
         raise ValueError(f"tensor product would have {total} qubits (max {MAX_QUBITS})")
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
+    return PureState(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def _check_targets(targets: Sequence[int], num_qubits: int) -> list[int]:
@@ -180,6 +193,10 @@ def _check_targets(targets: Sequence[int], num_qubits: int) -> list[int]:
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: list[int], n: int) -> np.ndarray:
     t = len(axes)
+    if axes == list(range(n)):
+        # Whole register in order: the permutation is the identity. Same
+        # (2**t, 1) operand as the general path, so the same matmul bits.
+        return (matrix @ amps.reshape(2**t, -1)).reshape(-1)
     rest = [i for i in range(n) if i not in axes]
     psi = amps.reshape([2] * n).transpose(axes + rest).reshape(2**t, -1)
     psi = matrix @ psi
@@ -209,19 +226,30 @@ def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) ->
     return UnitaryMatrix(full)
 
 
+def _build_bell_state(a: int, b: int) -> PureState:
+    amps = np.zeros(4, dtype=complex)
+    amps[b] = 1.0 / math.sqrt(2)
+    amps[2 + (1 - b)] = (-1.0) ** a / math.sqrt(2)
+    return PureState(amps)
+
+
+_BELL_STATES = {label: _build_bell_state(*label) for label in BELL_LABELS}
+
+
 def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
     """Bell state with the fixed sign convention.
 
     (0,0) -> (|00>+|11>)/sqrt2   (0,1) -> (|01>+|10>)/sqrt2
     (1,0) -> (|00>-|11>)/sqrt2   (1,1) -> (|01>-|10>)/sqrt2
+
+    The four states are built once, at import; a call validates the label
+    and returns the shared immutable instance, so
+    ``bell_state(l) is bell_state(l)``.
     """
     a, b = label
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError(f"Bell label bits must be 0/1, got {label!r}")
-    amps = np.zeros(4, dtype=complex)
-    amps[b] = 1.0 / math.sqrt(2)
-    amps[2 + (1 - b)] = (-1.0) ** a / math.sqrt(2)
-    return PureState(amps)
+    return _BELL_STATES[a, b]
 
 
 _BELL_AMPS = np.stack([bell_state(lbl).amplitudes for lbl in BELL_LABELS])

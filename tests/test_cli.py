@@ -125,6 +125,30 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", path])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("field", ["p1", "theta1", "gamma"])
+    def test_nan_parameter_exit_2(self, runner, tmp_path, field):
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path, **{field: math.nan})])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: ")
+
+    def test_nan_delta_exit_2(self, runner, tmp_path):
+        path = worked_config(tmp_path, knob={"n": 1, "delta": math.nan})
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: ")
+
+    def test_knob_n_beyond_float_range_exit_2(self, runner, tmp_path):
+        path = worked_config(tmp_path, knob={"n": 10**400, "delta": 0.1})
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: n must")
+
+    def test_negative_seed_flag_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path), "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.stderr == "--seed must be a non-negative integer, got -1\n"
+
     def test_config_echo_round_trip(self, runner, tmp_path):
         first = runner.invoke(main, ["simulate", worked_config(tmp_path)])
         report = json.loads(first.output)
@@ -134,6 +158,111 @@ class TestSimulate:
         rerun = json.loads(second.output)
         for key in ("populations_raw", "populations_normalized", "populations_exact"):
             assert rerun[key] == report[key]
+
+
+# Configs spanning both knob forms, both signs of p2, gamma near 0, at pi/4
+# and at pi/2, and n*delta next to the 1/8 singularity.
+DIGEST_CONFIGS = {
+    "worked": {"gamma": math.pi / 4, "p1": 1.0, "theta1": math.pi / 2,
+               "knob": {"n": 1, "delta": 0.125}},
+    "field": {"gamma": 0.7, "p1": 0.6, "theta1": 0.4,
+              "knob": {"J": 0.7, "B1": 0.3, "B2": -0.2, "max_den": 16, "n": 3}},
+    "p2_negative": {"gamma": math.pi / 4, "p1": 0.8, "p2_negative": True, "theta1": 1.1,
+                    "knob": {"n": 5, "delta": -0.031}},
+    "gamma_small": {"gamma": 0.05, "p1": -0.35, "theta1": 2.6,
+                    "knob": {"n": 7, "delta": 0.0123}},
+    "gamma_half_pi": {"gamma": math.pi / 2, "p1": 0.3, "theta1": -0.7,
+                      "knob": {"n": 2, "delta": 0.2}},
+    "near_eighth": {"gamma": 1.0, "p1": 0.5, "theta1": 0.25,
+                    "knob": {"n": 4, "delta": 0.03125 + 1e-12}},
+    "field_half_pi": {"gamma": math.pi / 2, "p1": -0.9, "p2_negative": True, "theta1": -2.0,
+                      "knob": {"J": -1.3, "B1": 0.05, "B2": 1.9, "max_den": 40}},
+    "field_small": {"gamma": 0.05, "p1": 0.1, "theta1": 0.9,
+                    "knob": {"J": 0.4, "B1": -0.8, "B2": 0.8, "max_den": 3, "n": 11}},
+}
+
+# SHA-256 of stdout for each config and seed, frozen from the code before the
+# state-vector fast paths: (simulate, sample --shots 100000).
+STDOUT_DIGESTS = {
+    ('field', 0): (
+        'c80b28574f6a29e0b85d904c9162e0cfadf79b277a0b88059ea71ef468877c8b',
+        '51a7abc50d8376d660a59a81f7736b87e421c51ede8a6f1fe94a37d3a1c3ff53',
+    ),
+    ('field', 7): (
+        '51dac9ebf171b042601888ae30b216a6536cfbd45e8f950dbb1a6edbe8f7f9a6',
+        '4150df695a24720dd4fa9bdccc632d6b98f4bb8eadbe512c8c3de1771c8c2d3c',
+    ),
+    ('field_half_pi', 0): (
+        '11790e95168b84c7fa24e91cc8ba55e2cd1e502c3d733c5d61cb06ab1788470b',
+        'd91ba55a3e9242648279ad9e9e049309be878cd1ed3d13a2fe5c8e93b7d7422e',
+    ),
+    ('field_half_pi', 7): (
+        '8ec4409f77291a5584412b6d26db1f6769170e0d24db8fcee6fb187fea7a3a37',
+        '0946861a46abf41dd2536037b3cebaea00c3f48c96d1de5d7bcc8e96cc588671',
+    ),
+    ('field_small', 0): (
+        '512b6ac6c4d9c5e499946dbecc2c29ae9641fffee1b85a9752bfe87b846a5154',
+        'bc14364d97cdbb88a4e4274199b50650b635ad9008e9cfaaa3367c6483703769',
+    ),
+    ('field_small', 7): (
+        '8c39c844071e9d1f5c0bcdf7c9163a26bfbee3a1482417f09dae16db62524ff8',
+        '91b8b55c8c897d8576fdecf120ff4a7a4ddcd8d8c916b276734ee0b6be5337bd',
+    ),
+    ('gamma_half_pi', 0): (
+        '2be3aff620a38601ed0c6958cfbf846f2c00c6cc1e52a1eefe1a911af4fb686d',
+        '81b92545467dbdc3e815ca2083534c7f4a1221d943f66fff6fd9628aa232c31b',
+    ),
+    ('gamma_half_pi', 7): (
+        '2cdcbd052e6cf595c293103556c084e2b11527aa5da954adda7d824515498643',
+        'c2ef1cf732bab860d9a054697bc9018faea0f5a67625a2381617198e7f6e1118',
+    ),
+    ('gamma_small', 0): (
+        'df6930ec323b3fd6fe3ccff091a5d240f439fb55c8cd691e19bcbf7087d924bf',
+        'cc53e7f305c1650e29b0b37aeefbba9b3edd5f0cafa188974981764c4de3232a',
+    ),
+    ('gamma_small', 7): (
+        'd321d639af4c8582b570113a3ffcd52ead65d78863387b4c11557e3d3b1a97c8',
+        '62a641118213861a5119ca6a4b95daa4fba0ecca38003817784da1e87928e4fb',
+    ),
+    ('near_eighth', 0): (
+        '4213b3605d1d13b3ce46c8b3bd2faa77b5691683c8c620e807ed2dff13d09afd',
+        '3a046918205a05cf3f1cedff927234f7bc58b45591f9d59b425e73c7e75e7c53',
+    ),
+    ('near_eighth', 7): (
+        '7d36b3097426912b4d6b79ce5784e890aa06423cefbb1e475ffcd25770d3fb5b',
+        'e57f1ed3504f4bbc3a73f45d1925d0d2d79a322d183b3d1951e81f7990c45bd1',
+    ),
+    ('p2_negative', 0): (
+        '600df25528d0f926a9fd9810bde295320ffd204c1c947ea79c127d5c57b44efd',
+        'b2eae75ca30c83abc227fe0693bd474121f90613459c1fa3880339189b0ba487',
+    ),
+    ('p2_negative', 7): (
+        '723ec27e908196a89357596d956b77b5825e580c882cd2a428bca7319068ab11',
+        'f020adb81ed89cfc140bcd0cf75850f6621532505d566f89f3f06ce77a51fa47',
+    ),
+    ('worked', 0): (
+        '0d9a46d6c6715cef07d1f79f7771d9b9192d1f76f19ebd007d7381595a56253a',
+        '431ee5f9fcb8a4f445db255e4bc382c9942d9ab288b56ed82b60896e100b6080',
+    ),
+    ('worked', 7): (
+        '46f1cda15c2ecd00162b103179842cc39b2cfbd0687a4a6e40eef3185731b5fc',
+        '590a32284bd327cc93cfeb8ee2f2f2c5acd8cab833798cffee76daf682f2a68c',
+    ),
+}
+
+
+class TestStdoutDigests:
+    @pytest.mark.parametrize("key", sorted(STDOUT_DIGESTS))
+    def test_simulate_and_sample_bytes_unchanged(self, runner, tmp_path, key):
+        name, seed = key
+        path = write_config(tmp_path, DIGEST_CONFIGS[name])
+        simulated = runner.invoke(main, ["simulate", path, "--seed", str(seed)])
+        sampled = runner.invoke(main, ["sample", path, "--shots", "100000", "--seed", str(seed)])
+        assert simulated.exit_code == 0 and sampled.exit_code == 0
+        digests = tuple(
+            hashlib.sha256(r.stdout_bytes).hexdigest() for r in (simulated, sampled)
+        )
+        assert digests == STDOUT_DIGESTS[key]
 
 
 class TestSample:
@@ -176,6 +305,37 @@ class TestSample:
     def test_missing_shots_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["sample", worked_config(tmp_path)])
         assert result.exit_code == 2
+
+    def test_negative_seed_flag_exit_2(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["sample", worked_config(tmp_path), "--shots", "1000", "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "--seed must be a non-negative integer, got -1\n"
+
+    def test_negative_seed_in_config_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["sample", worked_config(tmp_path, seed=-1), "--shots", "10"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: field 'seed'")
+
+    def test_shots_beyond_int64_exit_2(self, runner, tmp_path):
+        shots = "100000000000000000000"
+        result = runner.invoke(main, ["sample", worked_config(tmp_path), "--shots", shots])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"shots must be at most 2**63 - 1, got {shots}\n"
+
+    def test_shots_beyond_int64_in_config_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["sample", worked_config(tmp_path, shots=2**63)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: field 'shots'")
+
+    def test_largest_shot_count_accepted(self, runner, tmp_path):
+        shots = 2**63 - 1
+        result = runner.invoke(main, ["sample", worked_config(tmp_path), "--shots", str(shots)])
+        assert result.exit_code == 0
+        assert sum(json.loads(result.output)["histogram"].values()) == shots
 
 
 # SHA-256 of `region --resolution 101` stdout as the first release printed it

@@ -239,6 +239,20 @@ class TestControlKnob:
         with pytest.raises(ValueError, match="delta"):
             ControlKnob(n=1, delta=0.6)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            ControlKnob(n=1, delta=delta)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 10**400])
+    def test_rejects_non_finite_n(self, n):
+        with pytest.raises(ValueError, match="n must"):
+            ControlKnob(n=n, delta=0.1)
+
+    def test_rejects_bool_n(self):
+        with pytest.raises(ValueError, match="n must"):
+            ControlKnob(n=True, delta=0.1)
+
     def test_provenance_consistency(self):
         j = 0.41
         num, den, delta = rational_approx(j, 7)

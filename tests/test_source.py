@@ -50,6 +50,22 @@ class TestSourceSpec:
         with pytest.raises(ValueError):
             SourceSpec.from_p1_theta1(0.4, 1.2, 0.1)
 
+    def test_from_p1_theta1_rejects_nan_p1(self):
+        with pytest.raises(ValueError, match=r"p1\^2 \+ p2\^2 = 1"):
+            SourceSpec.from_p1_theta1(0.3, math.nan, 0.2)
+
+    def test_from_p1_theta1_rejects_nan_theta1(self):
+        with pytest.raises(ValueError, match=r"theta1 \+ theta2 = pi/2"):
+            SourceSpec.from_p1_theta1(0.3, 0.6, math.nan)
+
+    @pytest.mark.parametrize("field", ["p1", "p2", "theta1", "theta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameter(self, field, value):
+        params = dict(gamma=0.3, p1=0.6, p2=0.8, theta1=0.2, theta2=math.pi / 2 - 0.2)
+        params[field] = value
+        with pytest.raises(ValueError, match="violated"):
+            SourceSpec(**params)
+
 
 class TestComponentStates:
     def test_theta_zero_endpoints(self):
@@ -82,6 +98,15 @@ class TestSpecies:
         np.testing.assert_allclose(psi1(1.2345).amplitudes, reference, atol=1e-12)
         for _ in range(50):
             np.testing.assert_allclose(psi1(rng.uniform(-5, 5)).amplitudes, reference, atol=1e-12)
+
+    def test_psi1_default_is_shared_instance(self):
+        assert psi1() is psi1()
+        assert psi1(0.0) is psi1()
+
+    def test_psi1_other_angles_built_afresh(self):
+        # psi1(-0.0) differs from psi1() in the sign of a zero imaginary part.
+        assert psi1(0.3) is not psi1(0.3)
+        assert psi1(-0.0) is not psi1()
 
     def test_psi2_endpoints(self):
         np.testing.assert_allclose(

@@ -31,6 +31,17 @@ from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 SQRT2 = math.sqrt(2.0)
 
 
+def reference_apply(amps: np.ndarray, matrix: np.ndarray, targets, n: int) -> np.ndarray:
+    """Gate on the targets by moving their axes to the front, one matmul on
+    the (2**t, rest) operand, and moving them back; written out in full for
+    any targets, with no shortcut."""
+    axes = [q - 1 for q in targets]
+    rest = [i for i in range(n) if i not in axes]
+    psi = amps.reshape([2] * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
+    psi = matrix @ psi
+    return psi.reshape([2] * n).transpose(np.argsort(axes + rest)).reshape(-1)
+
+
 class TestPureState:
     def test_rejects_non_normalized(self):
         with pytest.raises(ValueError, match="normalize=True"):
@@ -64,6 +75,16 @@ class TestPureState:
     def test_tolerates_tiny_norm_error(self):
         PureState(np.array([1.0 + 3e-10, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            PureState(np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_normalize_rejects_non_finite_norm(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(np.array([bad, 0.0]), normalize=True)
+
 
 class TestUnitaryMatrix:
     def test_rejects_non_unitary(self):
@@ -73,6 +94,10 @@ class TestUnitaryMatrix:
     def test_rejects_unsupported_dim(self):
         with pytest.raises(ValueError, match="dim"):
             UnitaryMatrix(np.eye(8))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     def test_gate_constants_are_unitary(self):
         assert CNOT.dim == 4
@@ -98,6 +123,14 @@ class TestTensor:
     def test_dimension_overflow(self):
         with pytest.raises(ValueError, match="qubits"):
             tensor(random_state(np.random.default_rng(0), 3), basis_state("00"))
+
+    @pytest.mark.parametrize("left, right", [(1, 1), (2, 2), (1, 3), (3, 1)])
+    def test_bytes_equal_kron(self, left, right):
+        rng = np.random.default_rng(7100 + 10 * left + right)
+        for _ in range(50):
+            a, b = random_state(rng, left), random_state(rng, right)
+            expected = np.kron(a.amplitudes, b.amplitudes)
+            assert tensor(a, b).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestApplyUnitary:
@@ -151,6 +184,36 @@ class TestApplyUnitary:
             out = apply_unitary(state, u, targets)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_whole_register_bytes_equal_reference(self, n):
+        rng = np.random.default_rng(7200 + n)
+        targets = tuple(range(1, n + 1))
+        for _ in range(50):
+            state = random_state(rng, n)
+            u = UnitaryMatrix(random_unitary(2**n, rng))
+            expected = reference_apply(state.amplitudes, u.entries, targets, n)
+            assert apply_unitary(state, u, targets).amplitudes.tobytes() == expected.tobytes()
+
+    def test_whole_register_circuit_gates_bytes_equal_reference(self):
+        rng = np.random.default_rng(7300)
+        gates = [expand_unitary(CNOT, (1, 2), 4), expand_unitary(HADAMARD, (1,), 4),
+                 expand_unitary(CNOT, (2, 4), 4)]
+        for _ in range(50):
+            state = tensor(random_state(rng, 2), basis_state("00"))
+            for gate in gates:
+                expected = reference_apply(state.amplitudes, gate.entries, (1, 2, 3, 4), 4)
+                state = apply_unitary(state, gate, (1, 2, 3, 4))
+                assert state.amplitudes.tobytes() == expected.tobytes()
+
+    def test_permuted_targets_bytes_equal_reference(self):
+        rng = np.random.default_rng(7400)
+        for targets in [(2, 1), (4, 3, 2, 1), (1, 2, 4, 3), (3, 1)]:
+            n = max(targets)
+            state = random_state(rng, n)
+            u = UnitaryMatrix(random_unitary(2 ** len(targets), rng))
+            expected = reference_apply(state.amplitudes, u.entries, targets, n)
+            assert apply_unitary(state, u, targets).amplitudes.tobytes() == expected.tobytes()
+
     def test_expand_unitary_matches_apply(self, rng):
         state = random_state(rng, 4)
         full = expand_unitary(CNOT, (2, 4), 4)
@@ -174,6 +237,11 @@ class TestBellBasis:
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             bell_state((0, 2))
+
+    def test_bell_states_are_shared_instances(self):
+        for label in BELL_LABELS:
+            assert bell_state(label) is bell_state(tuple(label))
+            assert not bell_state(label).amplitudes.flags.writeable
 
     def test_coefficients_of_bell_state(self):
         np.testing.assert_allclose(bell_coefficients(bell_state((0, 1))), [0, 1, 0, 0], atol=1e-15)
