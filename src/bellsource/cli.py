@@ -50,6 +50,8 @@ EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
 # numpy draws the shot counts as int64.
 _MAX_SHOTS = 2**63 - 1
+# CSV cells the region command formats per write.
+_REGION_BLOCK_CELLS = 8192
 
 
 class ConfigError(ValueError):
@@ -128,10 +130,14 @@ def _resolve_knob(cfg: dict) -> tuple[ControlKnob, dict]:
     )
 
 
+def _reject_constant(name: str) -> float:
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on any violation."""
     try:
-        cfg = json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -199,7 +205,7 @@ def build_report(
 
 
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _fail_config(message: str) -> None:
@@ -283,21 +289,32 @@ def region(gamma: float, resolution: int) -> None:
     except ValueError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
-    # One write per f00 row: per-line echo calls cost more than the scan, and
-    # one write for the whole CSV would hold all of it in memory.
+    # One write per block of rows: per-line echo calls cost more than the scan,
+    # and one write for the whole CSV would hold all of it in memory.
     stdout = click.get_text_stream("stdout")
     stdout.write("f00,f11,feasible,s_squared,ndelta\n")
     labels = [f"{value!r}," for value in scan.axis.tolist()]
     infeasible_cells = [f"{label}0,,\n" for label in labels]
-    for i, head in enumerate(labels):
-        cells = infeasible_cells.copy()
-        columns = np.flatnonzero(scan.feasible[i])
+    rows_per_block = max(1, _REGION_BLOCK_CELLS // resolution)
+    for top in range(0, resolution, rows_per_block):
+        block = slice(top, top + rows_per_block)
+        heads = labels[block]
+        cells = infeasible_cells * len(heads)
+        flat = np.flatnonzero(scan.feasible[block])
         solved = zip(
-            columns.tolist(), scan.s_squared[i, columns].tolist(), scan.ndelta[i, columns].tolist()
+            flat.tolist(),
+            (flat % resolution).tolist(),
+            scan.s_squared[block].ravel()[flat].tolist(),
+            scan.ndelta[block].ravel()[flat].tolist(),
         )
-        for j, s_squared, ndelta in solved:
-            cells[j] = f"{labels[j]}1,{s_squared!r},{ndelta!r}\n"
-        stdout.write(head + head.join(cells))
+        for k, j, s_squared, ndelta in solved:
+            cells[k] = f"{labels[j]}1,{s_squared!r},{ndelta!r}\n"
+        stdout.write(
+            "".join(
+                head + head.join(cells[i * resolution : (i + 1) * resolution])
+                for i, head in enumerate(heads)
+            )
+        )
     stdout.flush()
 
 

@@ -47,6 +47,9 @@ _FREQ_SUM_TOL = 1e-6
 # Targets this close to a feasibility bound count as on the boundary; without
 # the slack, exact boundary points flip on 1-ulp rounding (e.g. sin^2(pi/4)).
 _BOUND_TOL = 1e-12
+# Feasible points per math.asin pass in region_arrays: bounds the Python floats
+# alive at once.
+_ASIN_CHUNK = 8192
 
 
 class ControlError(ValueError):
@@ -236,20 +239,33 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     The array-native kernel behind region_grid and the region command. The
     grid axis is arange(resolution) / (resolution - 1). The closed form is
     broadcast over the whole grid and masked with solve_ndelta's bounds; the
-    clamp and asin(sqrt) then run on Python floats for the feasible entries
-    only, so every value, -0.0 included, is bit for bit what solve_ndelta
-    returns. Raises ValueError for resolution < 2 or gamma outside (0, pi/2].
+    clamp, sqrt and division then run in place on the feasible entries only,
+    with math.asin mapped over them in chunks, so every value, -0.0 included,
+    is bit for bit what solve_ndelta returns. Raises ValueError for
+    resolution < 2 or gamma outside (0, pi/2].
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     _check_gamma(gamma)
     axis = np.arange(resolution) / (resolution - 1)
     ok, quotient = _grid_quotient(gamma, axis)
-    clamped = [_clamp01(v) for v in quotient[ok].tolist()]
-    s_squared = np.full_like(quotient, np.nan)
-    s_squared[ok] = clamped
-    ndelta = np.full_like(quotient, np.nan)
-    ndelta[ok] = np.fromiter(map(_ndelta_of, clamped), float, len(clamped))
+    picked = quotient[ok]
+    del quotient
+    # _clamp01 as array ops: -0.0 passes both tests and stays -0.0, as in min/max.
+    picked[picked < 0.0] = 0.0
+    picked[picked > 1.0] = 1.0
+    s_squared = np.full(ok.shape, np.nan)
+    s_squared[ok] = picked
+    # _ndelta_of in place. np.sqrt and the division round like math.sqrt and
+    # the float division; np.arcsin can differ from math.asin by 2 ulp, so
+    # asin runs on Python floats, one chunk at a time.
+    np.sqrt(picked, out=picked)
+    for start in range(0, picked.size, _ASIN_CHUNK):
+        chunk = picked[start : start + _ASIN_CHUNK]
+        chunk[:] = np.fromiter(map(math.asin, chunk.tolist()), float, chunk.size)
+    picked /= 2.0 * math.pi
+    ndelta = np.full(ok.shape, np.nan)
+    ndelta[ok] = picked
     return RegionArrays(axis, ok, s_squared, ndelta)
 
 

@@ -121,7 +121,14 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
 
 
 def j_parameter(fp: FieldParams) -> float:
-    """Interaction ratio J / sqrt(B-^2 + 4 J^2), in (-1/2, 1/2]."""
+    """Interaction ratio J / sqrt(B-^2 + 4 J^2), in (-1/2, 1/2].
+
+    Raises ValueError for a NaN or infinite J, B1 or B2, or a zero denominator.
+    """
+    if not (math.isfinite(fp.J) and math.isfinite(fp.B1) and math.isfinite(fp.B2)):
+        raise ValueError(
+            f"J, B1 and B2 must be finite, got J={fp.J!r}, B1={fp.B1!r}, B2={fp.B2!r}"
+        )
     denom = math.hypot(fp.b_minus, 2.0 * fp.J)
     if denom == 0.0:
         raise ValueError("j is undefined for J = 0 and B1 = B2 (zero denominator)")
@@ -174,7 +181,8 @@ class ControlKnob:
     All post-control formulas depend on n and delta only through the
     product n*delta. The optional provenance records the (j, Q) pair the
     mismatch was derived from. A bool ``n``, an ``n`` beyond the float
-    range and a NaN or infinite ``n`` or ``delta`` are rejected.
+    range and a NaN or infinite ``n``, ``delta`` or provenance ``j`` are
+    rejected.
     """
 
     n: int
@@ -191,6 +199,8 @@ class ControlKnob:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")
         if self.provenance is not None:
             j, num, den = self.provenance
+            if not math.isfinite(j):
+                raise ValueError(f"provenance j must be finite, got {j!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
             implied = float(Fraction(j) - Fraction(num, den))

@@ -9,6 +9,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from bellsource import cli
 from bellsource.cli import main
 from oracles import binomial_4sigma
 
@@ -143,6 +144,40 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", path])
         assert result.exit_code == 2
         assert result.stderr.startswith("config error: n must")
+
+    def test_infinite_field_knob_exit_2(self, runner, tmp_path):
+        # JSON reads 1e309 as inf.
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"gamma": 0.7853981633974483, "p1": 1.0, "theta1": 1.5707963267948966,'
+            ' "knob": {"J": 1e309, "B1": 0.0, "B2": 0.0, "max_den": 9}}'
+        )
+        result = runner.invoke(main, ["simulate", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "config error: J, B1 and B2 must be finite, got J=inf, B1=0.0, B2=0.0\n"
+        )
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_json_constant_exit_2(self, runner, tmp_path, constant):
+        path = tmp_path / "config.json"
+        path.write_text(
+            f'{{"gamma": 0.7853981633974483, "p1": 1.0, "theta1": 1.5707963267948966,'
+            f' "knob": {{"J": {constant}, "B1": 0.0, "B2": 0.0, "max_den": 9}}}}'
+        )
+        result = runner.invoke(main, ["simulate", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"config error: config is not valid JSON: {constant} is not a JSON number\n"
+        )
+
+    def test_non_finite_report_value_is_never_printed(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: {"raw_norm": math.nan})
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path)])
+        assert isinstance(result.exception, ValueError)
+        assert result.stdout == ""
 
     def test_negative_seed_flag_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", worked_config(tmp_path), "--seed", "-1"])
@@ -347,6 +382,18 @@ REGION_101_DIGESTS = {
     math.pi / 2: "189e36a96550f6979daddb487477aac2e158d43f06d1e551b983fe5a451b2568",
 }
 
+# The same digest at two gamma where cos^2 gamma is exactly 0.36 and 0.1: the
+# row f00 = cos^2 gamma prints 29 and 81 cells as -0.0, which pins the sign of
+# a zero through the clamp. Frozen from the output of commit 169b803.
+SIGNED_ZERO_REGION_101_DIGESTS = {
+    0.9272952180016123: (
+        "d9940119a885916ec4f9eaac87490e7f1c8283f2eb736ee8eb12b1dc97f27e23", 29
+    ),
+    1.2490457723982544: (
+        "3469f202e039a4bd0415e6f040293c9609a9f9ed28857981e8418209c6c54902", 81
+    ),
+}
+
 
 class TestRegion:
     @pytest.mark.parametrize("gamma", sorted(REGION_101_DIGESTS))
@@ -354,6 +401,14 @@ class TestRegion:
         result = runner.invoke(main, ["region", "--gamma", repr(gamma), "--resolution", "101"])
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == REGION_101_DIGESTS[gamma]
+
+    @pytest.mark.parametrize("gamma", sorted(SIGNED_ZERO_REGION_101_DIGESTS))
+    def test_signed_zero_stdout_bytes_unchanged(self, runner, gamma):
+        digest, negative_zero_cells = SIGNED_ZERO_REGION_101_DIGESTS[gamma]
+        result = runner.invoke(main, ["region", "--gamma", repr(gamma), "--resolution", "101"])
+        assert result.exit_code == 0
+        assert result.output.count(",1,-0.0,-0.0\n") == negative_zero_cells
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
     def test_csv_shape_and_worked_row(self, runner):
         result = runner.invoke(

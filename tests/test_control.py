@@ -152,6 +152,12 @@ class TestFeasible:
             assert pops.f11 == pytest.approx(f11, abs=1e-12)
 
 
+# cos^2 gamma is exactly 0.36 and 0.1 at these gamma, so on the grid row f00 =
+# cos^2 gamma the steering numerator is +0.0; over a negative denominator the
+# quotient is -0.0, and the scan prints -0.0 cells (29 and 81 at resolution 101).
+SIGNED_ZERO_GAMMAS = [0.9272952180016123, 1.2490457723982544]
+
+
 class TestRegionGrid:
     def test_resolution_precondition(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -201,7 +207,9 @@ class TestRegionGrid:
         assert [p.feasible for p in grid] == [p.feasible for p in direct]
 
     @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
-    @pytest.mark.parametrize("gamma", [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2])
+    @pytest.mark.parametrize(
+        "gamma", [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2, *SIGNED_ZERO_GAMMAS]
+    )
     def test_grid_bitwise_equals_per_point_calls(self, gamma, resolution):
         values = [i / (resolution - 1) for i in range(resolution)]
         direct = [feasible(gamma, f00, f11) for f00 in values for f11 in values]

@@ -159,6 +159,13 @@ class TestInteractionRatio:
         with pytest.raises(ValueError, match="undefined"):
             j_parameter(FieldParams(J=0.0, B1=1.0, B2=1.0))
 
+    @pytest.mark.parametrize("field", ["J", "B1", "B2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, bad):
+        values = {"J": 1.0, "B1": 0.5, "B2": 0.1, field: bad}
+        with pytest.raises(ValueError, match="J, B1 and B2 must be finite"):
+            j_parameter(FieldParams(**values))
+
 
 class TestRationalApprox:
     def test_exact_half(self):
@@ -259,6 +266,11 @@ class TestControlKnob:
         ControlKnob(n=2, delta=delta, provenance=RationalProvenance(j, num, den))
         with pytest.raises(ValueError, match="provenance"):
             ControlKnob(n=2, delta=delta + 1e-12, provenance=RationalProvenance(j, num, den))
+
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_provenance_j(self, j):
+        with pytest.raises(ValueError, match="provenance j must be finite"):
+            ControlKnob(1, 0.0, RationalProvenance(j, 0, 1))
 
     def test_from_field_params(self):
         fp = FieldParams(J=1.0, B1=0.9, B2=0.1)
