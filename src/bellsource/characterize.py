@@ -152,11 +152,14 @@ def populations_analytic(spec: SourceSpec, knob: ControlKnob) -> PopulationTable
     return PopulationTable.from_raw(raw)
 
 
-def _outcome_probabilities(state12: PureState) -> dict[tuple[int, int], float]:
-    coeffs = bell_coefficients(state12)
-    return {
-        label_to_outcome(label): abs(c) ** 2 for label, c in zip(BELL_LABELS, coeffs)
-    }
+def _readout_weights(state12: PureState) -> tuple[float, float, float, float]:
+    """Born weights of the readouts 00, 01, 10, 11: entry k is readout k = 2*i3 + j4.
+
+    Readout (a, a XOR b) reports Bell label (a, b), so readouts 10 and 11
+    carry the weights of labels (1, 1) and (1, 0).
+    """
+    c00, c01, c10, c11 = bell_coefficients(state12)
+    return (abs(c00) ** 2, abs(c01) ** 2, abs(c11) ** 2, abs(c10) ** 2)
 
 
 def populations_exact(state12: PureState) -> PopulationTable:
@@ -164,10 +167,7 @@ def populations_exact(state12: PureState) -> PopulationTable:
 
     Raw and normalized views coincide because the input is already physical.
     """
-    probs = _outcome_probabilities(state12)
-    pops = Populations(
-        f00=probs[(0, 0)], f01=probs[(0, 1)], f10=probs[(1, 0)], f11=probs[(1, 1)]
-    )
+    pops = Populations(*_readout_weights(state12))
     return PopulationTable(raw=pops, normalized=pops)
 
 
@@ -295,7 +295,6 @@ def sample_histogram(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = _outcome_probabilities(state12)
-    ordered = np.array([probs[(int(k[0]), int(k[1]))] for k in OUTCOME_KEYS])
+    ordered = np.array(_readout_weights(state12))
     counts = rng.multinomial(shots, ordered / ordered.sum())
     return {key: int(c) for key, c in zip(OUTCOME_KEYS, counts)}

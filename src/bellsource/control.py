@@ -213,7 +213,7 @@ class RegionArrays(NamedTuple):
 
 def _grid_terms(gamma: float, axis: np.ndarray):
     """_steering_terms broadcast over the grid (f00 down, f11 across)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _steering_terms(gamma, axis[:, None], axis[None, :])
 
 
@@ -224,7 +224,7 @@ def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarr
     vanishing denominator as infeasible, as feasible() does.
     """
     s_req, denom, numer = _grid_terms(gamma, axis)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         quotient = numer / denom
     ok = axis[:, None] + axis[None, :] <= 1.0 + _BOUND_TOL
     ok &= (-_BOUND_TOL <= s_req) & (s_req <= 1.0 + _BOUND_TOL)

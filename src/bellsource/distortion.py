@@ -14,12 +14,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .source import SourceSpec, superpose_species
+from .source import SourceSpec, _superpose
 from .statevec import PureState, bell_state
 
 __all__ = [
@@ -141,19 +140,49 @@ class BestRational(NamedTuple):
     delta: float
 
 
+def _gap(j: float, num: int, den: int) -> float:
+    """j - num/den, correctly rounded: ``float(Fraction(j) - Fraction(num, den))``.
+
+    Python's int true division is correctly rounded, so the exact integer
+    difference over the exact common denominator gives the same bits.
+    """
+    a, b = j.as_integer_ratio()
+    return (a * den - num * b) / (b * den)
+
+
 def rational_approx(j: float, max_den: int) -> BestRational:
     """Best rational approximation num/den to j with den <= max_den.
 
     Continued-fraction convergent semantics (no fraction with denominator
-    at most max_den lies strictly closer); delta = j - num/den.
+    at most max_den lies strictly closer); delta = j - num/den. This is
+    ``Fraction(j).limit_denominator(max_den)``, same loop and tie rule, on
+    the integer ratio of j.
     """
     if max_den < 1:
         raise ValueError(f"max_den must be >= 1, got {max_den}")
     if abs(j) > 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    best = Fraction(j).limit_denominator(max_den)
-    delta = float(Fraction(j) - best)
-    return BestRational(best.numerator, best.denominator, delta)
+    a, b = j.as_integer_ratio()
+    if b <= max_den:
+        return BestRational(a, b, 0.0)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = a, b
+    while True:
+        q = n // d
+        q2 = q0 + q * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + q * p1, q2
+        n, d = d, n - q * d
+    k = (max_den - q0) // q1
+    pk, qk = p0 + k * p1, q0 + k * q1
+    # Both bounds are in lowest terms. Compare |p1/q1 - a/b| with
+    # |pk/qk - a/b| over integers; p1/q1 wins a tie.
+    if abs(p1 * b - a * q1) * qk <= abs(pk * b - a * qk) * q1:
+        num, den = p1, q1
+    else:
+        num, den = pk, qk
+    return BestRational(num, den, _gap(j, num, den))
 
 
 def small_mismatch_estimate(fp: FieldParams) -> float:
@@ -203,7 +232,7 @@ class ControlKnob:
                 raise ValueError(f"provenance j must be finite, got {j!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
-            implied = float(Fraction(j) - Fraction(num, den))
+            implied = _gap(j, num, den)
             if abs(self.delta - implied) > _PROVENANCE_TOL:
                 raise ValueError(
                     f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"
@@ -218,16 +247,31 @@ class ControlKnob:
         return cls(n=n, delta=delta, provenance=RationalProvenance(j, num, den))
 
 
+def _cpsi1(ndelta: float) -> np.ndarray:
+    """Amplitudes of controlled_psi1 at control value n*delta."""
+    x = 2.0 * math.pi * ndelta
+    phase = cmath.exp(1j * x)
+    return (1.0 + 1j * phase * math.sin(x)) * _B00 - 1j * phase * math.sin(x) * _B10
+
+
+def _cpsi2(theta: float, ndelta: float) -> np.ndarray:
+    """Amplitudes of controlled_psi2 at angle theta and control value n*delta."""
+    x = 2.0 * math.pi * ndelta
+    phase = cmath.exp(1j * x)
+    return (
+        math.sin(theta) * _B01
+        - phase * math.cos(x) * math.cos(theta) * _B10
+        + 1j * phase * math.sin(x) * math.cos(theta) * _B00
+    )
+
+
 def controlled_psi1(knob: ControlKnob) -> PureState:
     """Post-control first species.
 
     (1 + i e^{ix} sin x) b00 - i e^{ix} sin x b10 with x = 2 pi n delta;
     algebraically e^{ix}(cos x b00 - i sin x b10), so the norm is exactly 1.
     """
-    x = 2.0 * math.pi * knob.ndelta
-    phase = cmath.exp(1j * x)
-    amps = (1.0 + 1j * phase * math.sin(x)) * _B00 - 1j * phase * math.sin(x) * _B10
-    return PureState(amps)
+    return PureState(_cpsi1(knob.ndelta))
 
 
 def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
@@ -236,14 +280,7 @@ def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
     sin(theta) b01 - e^{ix} cos x cos(theta) b10 + i e^{ix} sin x cos(theta) b00;
     unit norm, orthogonal to controlled_psi1 at the same knob.
     """
-    x = 2.0 * math.pi * knob.ndelta
-    phase = cmath.exp(1j * x)
-    amps = (
-        math.sin(theta) * _B01
-        - phase * math.cos(x) * math.cos(theta) * _B10
-        + 1j * phase * math.sin(x) * math.cos(theta) * _B00
-    )
-    return PureState(amps)
+    return PureState(_cpsi2(theta, knob.ndelta))
 
 
 def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState, float]:
@@ -253,9 +290,9 @@ def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState,
     norm equals the undistorted value 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1)
     for every knob.
     """
-    return superpose_species(
+    return _superpose(
         spec,
-        controlled_psi1(knob),
-        controlled_psi2(spec.theta1, knob),
-        controlled_psi2(spec.theta2, knob),
+        _cpsi1(knob.ndelta),
+        _cpsi2(spec.theta1, knob.ndelta),
+        _cpsi2(spec.theta2, knob.ndelta),
     )

@@ -106,8 +106,12 @@ def component_states(theta: float) -> ComponentStates:
 
 
 def _square(v: np.ndarray) -> np.ndarray:
-    """Amplitudes of v (x) v, formed as ``statevec.tensor`` forms them."""
-    return np.outer(v, v).reshape(-1)
+    """Amplitudes of v (x) v, bit for bit as ``statevec.tensor`` forms them.
+
+    Broadcasting ``v[:, None] * v`` runs the same ``multiply`` ufunc that
+    ``np.outer`` calls, without its Python overhead.
+    """
+    return (v[:, None] * v).reshape(-1)
 
 
 def _psi1(theta: float) -> PureState:
@@ -130,14 +134,39 @@ def psi1(theta: float = 0.0) -> PureState:
     return _psi1(theta)
 
 
+def _psi2_amplitudes(theta: float) -> np.ndarray:
+    """Amplitudes of psi2(theta), built from varphi and mu only."""
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    varphi = np.array([s, c], dtype=complex)
+    mu = np.array([c, -s], dtype=complex)
+    return (_square(varphi) - _square(mu)) / math.sqrt(2)
+
+
 def psi2(theta: float) -> PureState:
     """Second species (varphi varphi - mu mu)/sqrt2.
 
     Its Bell coefficients are (0, sin theta, -cos theta, 0), so it is
     orthogonal to psi1 for every theta.
     """
-    _, _, varphi, mu = _component_amplitudes(theta)
-    return PureState((_square(varphi) - _square(mu)) / math.sqrt(2))
+    return PureState(_psi2_amplitudes(theta))
+
+
+def _superpose(
+    spec: SourceSpec, species1: np.ndarray, species2_first: np.ndarray, species2_second: np.ndarray
+) -> tuple[PureState, float]:
+    """superpose_species on raw species amplitudes.
+
+    The species are unit vectors by construction, so only the returned state
+    goes through the norm check of ``PureState``.
+    """
+    raw = spec.alpha1 * species1 + spec.alpha2 * (
+        spec.p1 * species2_first + spec.p2 * species2_second
+    )
+    raw_norm = float(np.vdot(raw, raw).real)
+    if raw_norm < _DEGENERATE_NORM:
+        raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
+    return PureState(raw / math.sqrt(raw_norm)), raw_norm
 
 
 def superpose_species(
@@ -149,15 +178,16 @@ def superpose_species(
     unnormalized combination, which equals
     1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
     """
-    raw = spec.alpha1 * species1.amplitudes + spec.alpha2 * (
-        spec.p1 * species2_first.amplitudes + spec.p2 * species2_second.amplitudes
+    return _superpose(
+        spec, species1.amplitudes, species2_first.amplitudes, species2_second.amplitudes
     )
-    raw_norm = float(np.vdot(raw, raw).real)
-    if raw_norm < _DEGENERATE_NORM:
-        raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return PureState(raw / math.sqrt(raw_norm)), raw_norm
 
 
 def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:
     """Undistorted source output and the raw squared norm of its superposition."""
-    return superpose_species(spec, psi1(), psi2(spec.theta1), psi2(spec.theta2))
+    return _superpose(
+        spec,
+        _PSI1.amplitudes,
+        _psi2_amplitudes(spec.theta1),
+        _psi2_amplitudes(spec.theta2),
+    )

@@ -170,7 +170,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product with a's qubits first; at most 4 qubits total.
 
     Formed as an outer product, whose amplitudes equal ``np.kron``'s bit for
-    bit at a fraction of the cost. The result is a new state even when a
+    bit at a fraction of the cost; ``source._square`` forms the species'
+    products by broadcasting the same ``multiply`` ufunc, on raw amplitudes
+    that are not validated states. The result is a new state even when a
     factor is a cached constant such as ``bell_state(l)`` or ``psi1()``;
     those are shared immutable instances.
     """

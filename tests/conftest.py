@@ -36,3 +36,26 @@ def random_knob(rng: np.random.Generator) -> ControlKnob:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+def edge_specs() -> list[SourceSpec]:
+    """Seeded specs plus the domain edges: gamma at pi/2 and 1e-3, p1 at +-1
+    and 0, theta1 at 0 and +-pi, and both signs of p2."""
+    specs = [
+        SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative)
+        for gamma in (math.pi / 2, 1e-3)
+        for p1 in (1.0, -1.0, 0.0, 0.6)
+        for theta1 in (0.0, math.pi, -math.pi, 0.7)
+        for p2_negative in (False, True)
+    ]
+    rng = np.random.default_rng(5)
+    return specs + [random_spec(rng) for _ in range(100)]
+
+
+def edge_knobs() -> list[ControlKnob]:
+    """Seeded knobs plus n*delta = 0 and n*delta at and next to 1/8."""
+    knobs = [ControlKnob(0, 0.0)] + [
+        ControlKnob(1, 0.125 + step) for step in (-1e-12, 0.0, 1e-12)
+    ]
+    rng = np.random.default_rng(6)
+    return knobs + [random_knob(rng) for _ in range(20)]

@@ -439,6 +439,16 @@ class TestRegion:
             if float(f00) + float(f11) > 1.0:
                 assert flag == "0" and s2 == "" and nd == ""
 
+    def test_tiny_gamma_overflow_is_silent(self, runner):
+        # S^2 = (1 - f00 - f11) / sin^2 gamma overflows to inf in most cells; they
+        # are infeasible, and the overflow must not reach stderr as a warning.
+        result = runner.invoke(main, ["region", "--gamma", "1e-160", "--resolution", "11"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "e1b724d16ad2a021cfe83a921e6b5de2813d4ca3d9599287891d668bfd839179"
+        )
+
     def test_bad_resolution_exit_2(self, runner):
         result = runner.invoke(main, ["region", "--gamma", "0.5", "--resolution", "1"])
         assert result.exit_code == 2

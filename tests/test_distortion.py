@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from bellsource import (
     psi2,
     rational_approx,
     small_mismatch_estimate,
+    superpose_species,
 )
-from conftest import random_knob, random_spec, random_state
+from conftest import edge_knobs, edge_specs, random_knob, random_spec, random_state
 from oracles import (
     BELL_VECTORS,
     best_rational_bruteforce,
@@ -203,6 +205,36 @@ class TestRationalApprox:
             assert den <= max_den
             assert abs(delta) <= 1.0 / (max_den + 1)
 
+    @pytest.mark.parametrize(
+        "j, max_den",
+        [
+            (0.0, 1),
+            (0.0, 2**60),
+            (0.5, 1),
+            (-0.5, 1),
+            (0.5, 2**60),
+            (-0.5, 2**60),
+            (2.0**-1074, 1),
+            (-(2.0**-1074), 1),
+            (2.0**-1074, 2**60),
+            (-(2.0**-1074), 2**60),
+            (0.25, 4),
+            (0.25, 3),
+            (0.3, 1),
+            (-0.3, 1),
+            (-0.41, 7),
+            (-1 / math.pi, 2**60),
+            (1 / 3, 2**60),
+            (-0.2, 2**60),
+        ],
+    )
+    def test_matches_fraction_semantics_at_edges(self, j, max_den):
+        # m = 1 at j = +-1/2 is a tie between two integers.
+        best = Fraction(j).limit_denominator(max_den)
+        num, den, delta = rational_approx(j, max_den)
+        assert (num, den) == (best.numerator, best.denominator)
+        assert delta.hex() == float(Fraction(j) - best).hex()
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="max_den"):
             rational_approx(0.3, 0)
@@ -266,6 +298,16 @@ class TestControlKnob:
         ControlKnob(n=2, delta=delta, provenance=RationalProvenance(j, num, den))
         with pytest.raises(ValueError, match="provenance"):
             ControlKnob(n=2, delta=delta + 1e-12, provenance=RationalProvenance(j, num, den))
+
+    def test_provenance_gap_rejects_inconsistent_delta(self):
+        # 1/4 - 1/3 = -1/12; 2**-1074 - 0/2**60 is the smallest subnormal.
+        ControlKnob(1, -1 / 12, RationalProvenance(0.25, 1, 3))
+        ControlKnob(1, 2.0**-1074, RationalProvenance(2.0**-1074, 0, 2**60))
+        for delta in (1 / 12, -1 / 12 + 1e-14, 0.0):
+            with pytest.raises(ValueError, match="disagrees with provenance"):
+                ControlKnob(1, delta, RationalProvenance(0.25, 1, 3))
+        with pytest.raises(ValueError, match="disagrees with provenance"):
+            ControlKnob(1, 3e-15, RationalProvenance(2.0**-1074, 0, 2**60))
 
     @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_provenance_j(self, j):
@@ -362,6 +404,20 @@ class TestControlledEmission:
         assert abs(c01) ** 2 == pytest.approx(0.5, abs=1e-12)
         assert abs(c10) ** 2 == pytest.approx(0.25, abs=1e-12)
         assert abs(c11) ** 2 == pytest.approx(0.0, abs=1e-15)
+
+    def test_bits_equal_superposed_public_species(self):
+        knobs = edge_knobs()
+        for spec in edge_specs():
+            for knob in knobs:
+                state, raw_norm = controlled_emission(spec, knob)
+                ref, ref_norm = superpose_species(
+                    spec,
+                    controlled_psi1(knob),
+                    controlled_psi2(spec.theta1, knob),
+                    controlled_psi2(spec.theta2, knob),
+                )
+                assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+                assert raw_norm.hex() == ref_norm.hex()
 
     def test_raw_norm_knob_independent(self, rng):
         spec = random_spec(rng)

@@ -18,7 +18,9 @@ from bellsource import (
     fidelity_up_to_phase,
     psi1,
     psi2,
+    superpose_species,
 )
+from conftest import edge_specs
 
 
 class TestSourceSpec:
@@ -154,6 +156,15 @@ class TestEmittedState:
         spec = SourceSpec.from_p1_theta1(math.pi / 4, 1 / math.sqrt(2), math.pi / 4)
         _, raw_norm = emitted_state(spec)
         assert raw_norm == pytest.approx(1.5, abs=1e-12)
+
+    def test_bits_equal_superposed_public_species(self):
+        for spec in edge_specs():
+            state, raw_norm = emitted_state(spec)
+            ref, ref_norm = superpose_species(
+                spec, psi1(), psi2(spec.theta1), psi2(spec.theta2)
+            )
+            assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+            assert raw_norm.hex() == ref_norm.hex()
 
     def test_raw_norm_formula_1000_random(self):
         rng = np.random.default_rng(99)
