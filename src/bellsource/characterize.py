@@ -25,11 +25,12 @@ from .statevec import (
     BellLabel,
     PureState,
     UnitaryMatrix,
+    _born_index,
+    _draw,
     basis_state,
     bell_coefficients,
     bell_state,
     expand_unitary,
-    measure_qubits,
     tensor,
 )
 
@@ -186,32 +187,24 @@ def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> M
     The Bell label is drawn by the Born rule, reported through the readout
     labeling, and the pair is left in the identified Bell state.
     """
-    coeffs = bell_coefficients(state12)
-    probs = np.array([abs(c) ** 2 for c in coeffs])
-    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    k = min(k, 3)
+    probs = [abs(c) ** 2 for c in bell_coefficients(state12)]
+    k = _born_index(probs, rng)
     label = BELL_LABELS[k]
     return MeasurementRecord(
-        outcome=label_to_outcome(label),
-        post_state=bell_state(label),
-        probability=float(probs[k]),
+        outcome=label_to_outcome(label), post_state=bell_state(label), probability=probs[k]
     )
 
 
-def _circuit_gates() -> tuple[UnitaryMatrix, ...]:
-    # Map the pair to its label bits, copy them onto the ancillas, map back.
-    return (
-        expand_unitary(CNOT, (1, 2), 4),
-        expand_unitary(HADAMARD, (1,), 4),
-        expand_unitary(CNOT, (1, 3), 4),
-        expand_unitary(CNOT, (2, 4), 4),
-        expand_unitary(HADAMARD, (1,), 4),
-        expand_unitary(CNOT, (1, 2), 4),
-    )
-
-
-_GATES = _circuit_gates()
-_RELABEL = {(a, b): (a, a ^ b) for a in (0, 1) for b in (0, 1)}
+# Map the pair to its label bits (a, b), copy them onto the ancillas, map back.
+_GATES = (
+    expand_unitary(CNOT, (1, 2), 4),
+    expand_unitary(HADAMARD, (1,), 4),
+    expand_unitary(CNOT, (1, 3), 4),
+    expand_unitary(CNOT, (2, 4), 4),
+    expand_unitary(HADAMARD, (1,), 4),
+    expand_unitary(CNOT, (1, 2), 4),
+)
+_RELABEL = {(a, b): label_to_outcome((a, b)) for a, b in BELL_LABELS}
 
 
 def circuit_realization(
@@ -233,16 +226,11 @@ _ANCILLAS = basis_state("00")
 
 
 def _run_gates(state12: PureState) -> PureState:
-    psi = tensor(state12, _ANCILLAS)
-    amps = psi.amplitudes
-    for gate in _GATES:
+    gates, _ = circuit_realization(state12)
+    amps = tensor(state12, _ANCILLAS).amplitudes
+    for gate in gates:
         amps = gate.entries @ amps
     return PureState(amps)
-
-
-def _pair_state(state4: PureState, raw_bits: tuple[int, int]) -> PureState:
-    block = state4.amplitudes.reshape(2, 2, 2, 2)[:, :, raw_bits[0], raw_bits[1]]
-    return PureState(block.reshape(-1))
 
 
 def run_characterization_circuit(
@@ -250,16 +238,17 @@ def run_characterization_circuit(
 ) -> MeasurementRecord:
     """Execute the ancilla circuit and measure qubits 3, 4.
 
-    Independent of :func:`nonlocal_bell_measurement`: the outcome is read
-    off the ancillas and the surviving pair state is extracted from the
-    collapsed register, not constructed.
+    Independent of :func:`nonlocal_bell_measurement`: the outcome is drawn
+    from the ancillas' Born weights in the final register, and the surviving
+    pair state is that register's selected block over the root of its weight
+    (the division a collapse makes), not constructed.
     """
-    gates, relabel = circuit_realization(state12)
     final = _run_gates(state12)
-    raw_bits, collapsed, prob = measure_qubits(final, (3, 4), rng)
+    (i, j), prob = _draw(final, [2, 3], rng)
+    block = final.amplitudes.reshape(2, 2, 2, 2)[:, :, i, j]
     return MeasurementRecord(
-        outcome=relabel[raw_bits],
-        post_state=_pair_state(collapsed, raw_bits),
+        outcome=_RELABEL[i, j],
+        post_state=PureState((block / math.sqrt(prob)).reshape(-1)),
         probability=prob,
     )
 
@@ -272,11 +261,9 @@ def circuit_outcome_distribution(
     Maps each relabeled outcome to (probability, surviving pair state);
     the state is None for outcomes of zero weight.
     """
-    _, relabel = circuit_realization(state12)
-    final = _run_gates(state12)
-    blocks = final.amplitudes.reshape(2, 2, 2, 2)
+    blocks = _run_gates(state12).amplitudes.reshape(2, 2, 2, 2)
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
-    for raw, outcome in relabel.items():
+    for raw, outcome in _RELABEL.items():
         block = blocks[:, :, raw[0], raw[1]].reshape(-1)
         prob = float(np.vdot(block, block).real)
         post = PureState(block / math.sqrt(prob)) if prob > 1e-12 else None

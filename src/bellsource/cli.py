@@ -75,7 +75,12 @@ def _require_number(cfg: dict, key: str) -> float:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"field '{key}' is a {value.bit_length()}-bit integer, beyond the float range"
+        ) from None
 
 
 def _resolve_p2(cfg: dict, p1: float) -> float:
@@ -137,10 +142,15 @@ def _reject_constant(name: str) -> float:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on any violation."""
     try:
-        cfg = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        text = Path(path).read_text(encoding="utf-8")
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -300,7 +300,8 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     Solves f00 = a c^2 + b s^2, f11 = a s^2 + b c^2 for a = cos^2 gamma and
     b = sin^2 gamma C^2, where c^2, s^2 are cos^2/sin^2 of 2 pi n delta.
     The system determinant is cos(4 pi n delta). Raises ValueError for a
-    non-finite argument or frequencies that do not sum to 1.
+    non-finite argument, an ndelta whose 4 pi ndelta overflows, or
+    frequencies that do not sum to 1.
     """
     if not (
         math.isfinite(f00) and math.isfinite(f01) and math.isfinite(f11) and math.isfinite(ndelta)
@@ -313,6 +314,8 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
             f"frequencies must be normalized: f00 + f01 + f11 = {f00 + f01 + f11!r}"
         )
     x = 2.0 * math.pi * ndelta
+    if not math.isfinite(2.0 * x):
+        raise ValueError(f"ndelta={ndelta!r} is too large: 4 pi ndelta overflows")
     det = math.cos(2.0 * x)
     if abs(det) <= _SINGULAR_TOL:
         raise SingularSystemError(

@@ -210,8 +210,8 @@ class ControlKnob:
     All post-control formulas depend on n and delta only through the
     product n*delta. The optional provenance records the (j, Q) pair the
     mismatch was derived from. A bool ``n``, an ``n`` beyond the float
-    range and a NaN or infinite ``n``, ``delta`` or provenance ``j`` are
-    rejected.
+    range, an ``n * delta`` whose control angle 2 pi n delta overflows, and a
+    NaN or infinite ``n``, ``delta`` or provenance ``j`` are rejected.
     """
 
     n: int
@@ -237,7 +237,10 @@ class ControlKnob:
                 raise ValueError(
                     f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"
                 )
-        object.__setattr__(self, "ndelta", self.n * self.delta)
+        ndelta = self.n * self.delta
+        if not math.isfinite(2.0 * math.pi * ndelta):
+            raise ValueError(f"2 pi n delta overflows: n * delta = {ndelta!r}")
+        object.__setattr__(self, "ndelta", ndelta)
 
     @classmethod
     def from_field_params(cls, fp: FieldParams, max_den: int, n: int = 1) -> "ControlKnob":

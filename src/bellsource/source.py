@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import PureState
+from .statevec import PureState, _kron
 
 __all__ = [
     "ComponentStates",
@@ -105,18 +105,9 @@ def component_states(theta: float) -> ComponentStates:
     return ComponentStates(*(PureState(amps) for amps in _component_amplitudes(theta)))
 
 
-def _square(v: np.ndarray) -> np.ndarray:
-    """Amplitudes of v (x) v, bit for bit as ``statevec.tensor`` forms them.
-
-    Broadcasting ``v[:, None] * v`` runs the same ``multiply`` ufunc that
-    ``np.outer`` calls, without its Python overhead.
-    """
-    return (v[:, None] * v).reshape(-1)
-
-
 def _psi1(theta: float) -> PureState:
     phi, eta, _, _ = _component_amplitudes(theta)
-    return PureState((_square(phi) + _square(eta)) / math.sqrt(2))
+    return PureState((_kron(phi, phi) + _kron(eta, eta)) / math.sqrt(2))
 
 
 _PSI1 = _psi1(0.0)
@@ -140,7 +131,7 @@ def _psi2_amplitudes(theta: float) -> np.ndarray:
     s = math.sin(theta / 2)
     varphi = np.array([s, c], dtype=complex)
     mu = np.array([c, -s], dtype=complex)
-    return (_square(varphi) - _square(mu)) / math.sqrt(2)
+    return (_kron(varphi, varphi) - _kron(mu, mu)) / math.sqrt(2)
 
 
 def psi2(theta: float) -> PureState:

@@ -153,33 +153,40 @@ CNOT = UnitaryMatrix(
 )
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Amplitudes of a (x) b: ``np.outer``'s ``multiply``, broadcast without its overhead."""
+    return (a[:, None] * b).reshape(-1)
+
+
+def _bits_of(k: int, width: int) -> tuple[int, ...]:
+    return tuple((k >> (width - 1 - i)) & 1 for i in range(width))
+
+
+_BASIS_STATES = {
+    _bits_of(k, n): PureState(np.eye(2**n, dtype=complex)[k])
+    for n in range(1, MAX_QUBITS + 1)
+    for k in range(2**n)
+}
+
+
 def basis_state(bits: str | Sequence[int]) -> PureState:
-    """Computational basis state |b1 b2 ... bn> from a bit string or sequence."""
-    values = [int(b) for b in bits]
-    if not values or any(v not in (0, 1) for v in values):
-        raise ValueError(f"bits must be a nonempty 0/1 sequence, got {bits!r}")
-    amps = np.zeros(2 ** len(values), dtype=complex)
-    index = 0
-    for v in values:
-        index = (index << 1) | v
-    amps[index] = 1.0
-    return PureState(amps)
+    """Shared immutable basis state |b1 b2 ... bn>, built at import, from bits."""
+    state = _BASIS_STATES.get(tuple(int(b) for b in bits))
+    if state is None:
+        raise ValueError(f"bits must be a nonempty 0/1 sequence of at most {MAX_QUBITS}, got {bits!r}")
+    return state
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product with a's qubits first; at most 4 qubits total.
 
-    Formed as an outer product, whose amplitudes equal ``np.kron``'s bit for
-    bit at a fraction of the cost; ``source._square`` forms the species'
-    products by broadcasting the same ``multiply`` ufunc, on raw amplitudes
-    that are not validated states. The result is a new state even when a
-    factor is a cached constant such as ``bell_state(l)`` or ``psi1()``;
-    those are shared immutable instances.
+    The result is a new state even when a factor is a shared constant such
+    as ``basis_state(bits)``, ``bell_state(l)`` or ``psi1()``.
     """
     total = a.num_qubits + b.num_qubits
     if total > MAX_QUBITS:
         raise ValueError(f"tensor product would have {total} qubits (max {MAX_QUBITS})")
-    return PureState(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    return PureState(_kron(a.amplitudes, b.amplitudes))
 
 
 def _check_targets(targets: Sequence[int], num_qubits: int) -> list[int]:
@@ -219,13 +226,11 @@ def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) ->
     axes = _check_targets(targets, num_qubits)
     if u.dim != 2 ** len(axes):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(axes)} qubit(s)")
-    dim = 2**num_qubits
-    full = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        column = np.zeros(dim, dtype=complex)
-        column[k] = 1.0
-        full[:, k] = _apply_matrix(column, u.entries, axes, num_qubits)
-    return UnitaryMatrix(full)
+    columns = [
+        _apply_matrix(e, u.entries, axes, num_qubits)
+        for e in np.eye(2**num_qubits, dtype=complex)
+    ]
+    return UnitaryMatrix(np.stack(columns, axis=1))
 
 
 def _build_bell_state(a: int, b: int) -> PureState:
@@ -290,8 +295,27 @@ def _collapse(state: PureState, axes: list[int], bits: tuple[int, ...], prob: fl
     return PureState(collapsed.reshape(-1))
 
 
-def _bits_of(k: int, width: int) -> tuple[int, ...]:
-    return tuple((k >> (width - 1 - i)) & 1 for i in range(width))
+def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """Born-rule index for one draw u = ``rng.random()``, by a running sum.
+
+    Equals ``min(searchsorted(cumsum(probs), u, side="right"), len(probs) - 1)``.
+    """
+    u = rng.random()
+    total = 0.0
+    for k, p in enumerate(probs):
+        total += p
+        if total > u:
+            return k
+    return len(probs) - 1
+
+
+def _draw(
+    state: PureState, axes: list[int], rng: np.random.Generator
+) -> tuple[tuple[int, ...], float]:
+    """Outcome bits of the measured axes, drawn by the Born rule, and their weight."""
+    probs = _marginal_probabilities(state, axes).tolist()
+    k = _born_index(probs, rng)
+    return _bits_of(k, len(axes)), probs[k]
 
 
 def measure_qubits(
@@ -306,11 +330,7 @@ def measure_qubits(
     if not indices:
         raise ValueError("must measure at least one qubit")
     axes = _check_targets(indices, state.num_qubits)
-    probs = _marginal_probabilities(state, axes)
-    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    k = min(k, probs.size - 1)
-    bits = _bits_of(k, len(axes))
-    prob = float(probs[k])
+    bits, prob = _draw(state, axes, rng)
     return bits, _collapse(state, axes, bits, prob), prob
 
 

@@ -159,6 +159,54 @@ class TestSimulate:
             "config error: J, B1 and B2 must be finite, got J=inf, B1=0.0, B2=0.0\n"
         )
 
+    def test_integer_beyond_float_range_exit_2(self, runner, tmp_path):
+        path = worked_config(tmp_path, gamma=10**400)
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "config error: field 'gamma' is a 1329-bit integer, beyond the float range\n"
+        )
+
+    def test_integer_past_digit_limit_exit_2(self, runner, tmp_path):
+        # Python refuses to parse an integer of more than 4300 digits.
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"gamma": 1' + "0" * 5000 + ', "p1": 1.0, "theta1": 1.5707963267948966,'
+            ' "knob": {"n": 1, "delta": 0.125}}'
+        )
+        result = runner.invoke(main, ["simulate", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: config is not valid JSON: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_deeply_nested_json_exit_2(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        result = runner.invoke(main, ["simulate", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: config is not valid JSON: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_config_not_utf8_exit_2(self, runner, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"gamma": 0.5}).encode("utf-16-le"))
+        result = runner.invoke(main, ["simulate", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: config is not UTF-8 text: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_knob_angle_overflow_exit_2(self, runner, tmp_path):
+        # n * delta = 5e307 is finite, but 2 pi n delta is not.
+        path = worked_config(tmp_path, knob={"n": 10**308, "delta": 0.5})
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "config error: 2 pi n delta overflows: n * delta = 5e+307\n"
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_standard_json_constant_exit_2(self, runner, tmp_path, constant):
         path = tmp_path / "config.json"
@@ -529,6 +577,16 @@ class TestInfer:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "finite" in result.stderr
+
+    def test_ndelta_overflow_exit_3(self, runner):
+        result = runner.invoke(
+            main, ["infer", "--f00", "0.5", "--f01", "0.2", "--f11", "0.3", "--ndelta", "1e308"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "precondition failed: ndelta=1e+308 is too large: 4 pi ndelta overflows\n"
+        )
 
     def test_estimates_from_large_sample(self, runner, tmp_path):
         # gamma = pi/4 single species with C^2 = 0.2 at n delta = 1/12.

@@ -264,6 +264,12 @@ class TestInferParameters:
                 infer_parameters(*args)
             assert not isinstance(info.value, ControlError)
 
+    def test_ndelta_overflow_is_bad_input(self):
+        # ndelta is finite, but the determinant's angle 4 pi ndelta is not.
+        with pytest.raises(ValueError, match=r"ndelta=1e\+308 is too large") as info:
+            infer_parameters(0.5, 0.2, 0.3, 1e308)
+        assert not isinstance(info.value, ControlError)
+
     def test_unidentifiable_weight_out_of_range(self):
         with pytest.raises(UnidentifiableSourceError, match="outside"):
             infer_parameters(0.95, 0.0, 0.05, 0.2)

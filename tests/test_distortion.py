@@ -288,6 +288,12 @@ class TestControlKnob:
         with pytest.raises(ValueError, match="n must"):
             ControlKnob(n=n, delta=0.1)
 
+    def test_rejects_control_angle_overflow(self):
+        # n * delta = 5e307 is finite, but 2 pi n delta is not.
+        with pytest.raises(ValueError, match="2 pi n delta overflows"):
+            ControlKnob(n=10**308, delta=0.5)
+        assert ControlKnob(n=10**307, delta=0.5).ndelta == 5e306
+
     def test_rejects_bool_n(self):
         with pytest.raises(ValueError, match="n must"):
             ControlKnob(n=True, delta=0.1)

@@ -104,6 +104,23 @@ class TestUnitaryMatrix:
         assert HADAMARD.dim == 2
 
 
+class TestBasisState:
+    @pytest.mark.parametrize("bits", ["0", "1", "01", "110", "1011", (1, 0, 1)])
+    def test_shared_instance(self, bits):
+        state = basis_state(bits)
+        assert state is basis_state(bits)
+        index = int("".join(str(b) for b in bits), 2)
+        np.testing.assert_array_equal(state.amplitudes, np.eye(2 ** len(bits))[index])
+
+    def test_string_and_sequence_share_a_state(self):
+        assert basis_state("10") is basis_state([1, 0])
+
+    @pytest.mark.parametrize("bits", ["", "2", "01011", [0, 1, 2]])
+    def test_rejects_bad_bits(self, bits):
+        with pytest.raises(ValueError, match="nonempty 0/1 sequence"):
+            basis_state(bits)
+
+
 class TestTensor:
     def test_basis_product(self):
         state = tensor(basis_state("0"), basis_state("0"))
