@@ -67,7 +67,6 @@ from .statevec import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
-    IDENTITY,
     BellLabel,
     PureState,
     UnitaryMatrix,

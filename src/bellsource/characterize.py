@@ -39,7 +39,6 @@ __all__ = [
     "PopulationTable",
     "Populations",
     "SpeciesMoments",
-    "OUTCOME_KEYS",
     "label_to_outcome",
     "outcome_to_label",
     "species_moments",
@@ -53,7 +52,7 @@ __all__ = [
     "sample_histogram",
 ]
 
-OUTCOME_KEYS = ("00", "01", "10", "11")
+_OUTCOME_KEYS = ("00", "01", "10", "11")
 
 
 def label_to_outcome(label: BellLabel | tuple[int, int]) -> tuple[int, int]:
@@ -284,4 +283,4 @@ def sample_histogram(
         raise ValueError(f"shots must be >= 1, got {shots}")
     ordered = np.array(_readout_weights(state12))
     counts = rng.multinomial(shots, ordered / ordered.sum())
-    return {key: int(c) for key, c in zip(OUTCOME_KEYS, counts)}
+    return {key: int(c) for key, c in zip(_OUTCOME_KEYS, counts)}

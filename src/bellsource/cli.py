@@ -29,8 +29,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -83,39 +84,22 @@ def _require_number(cfg: dict, key: str) -> float:
         ) from None
 
 
-def _resolve_p2(cfg: dict, p1: float) -> float:
-    negative = cfg.get("p2_negative", False)
-    if not isinstance(negative, bool):
-        raise ConfigError(f"field 'p2_negative' must be a boolean, got {negative!r}")
-    if "p2" in cfg:
-        p2 = _require_number(cfg, "p2")
-        if "p2_negative" in cfg and negative != (p2 < 0):
-            raise ConfigError(f"p2_negative={negative} contradicts explicit p2={p2!r}")
-        return p2
-    if not abs(p1) <= 1.0:
-        raise ConfigError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} is not at most 1")
-    magnitude = math.sqrt(max(0.0, 1.0 - p1**2))
-    return -magnitude if negative else magnitude
-
-
 def _resolve_knob(cfg: dict) -> tuple[ControlKnob, dict]:
     knob = cfg.get("knob")
     if not isinstance(knob, dict):
         raise ConfigError("missing required object field 'knob'")
     keys = set(knob)
-    if keys == {"n", "delta"}:
-        n = knob["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError(f"knob field 'n' must be an integer, got {n!r}")
-        try:
+    field_form = keys - {"n"} == {"J", "B1", "B2", "max_den"}
+    if keys != {"n", "delta"} and not field_form:
+        raise ConfigError(
+            "knob must be exactly {n, delta} or {J, B1, B2, max_den} (optional n), "
+            f"got keys {sorted(keys)}"
+        )
+    n = knob.get("n", 1)
+    try:  # ControlKnob owns the checks on n
+        if not field_form:
             resolved = ControlKnob(n=n, delta=_require_number(knob, "delta"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return resolved, {"n": resolved.n, "delta": resolved.delta}
-    if keys in ({"J", "B1", "B2", "max_den"}, {"J", "B1", "B2", "max_den", "n"}):
-        n = knob.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError(f"knob field 'n' must be an integer, got {n!r}")
+            return resolved, {"n": resolved.n, "delta": resolved.delta}
         max_den = knob["max_den"]
         if isinstance(max_den, bool) or not isinstance(max_den, int) or max_den < 1:
             raise ConfigError(f"knob field 'max_den' must be a positive integer, got {max_den!r}")
@@ -124,19 +108,14 @@ def _resolve_knob(cfg: dict) -> tuple[ControlKnob, dict]:
             B1=_require_number(knob, "B1"),
             B2=_require_number(knob, "B2"),
         )
-        try:
-            resolved = ControlKnob.from_field_params(fp, max_den, n=n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        resolved = ControlKnob.from_field_params(fp, max_den, n=n)
         return resolved, {"J": fp.J, "B1": fp.B1, "B2": fp.B2, "max_den": max_den, "n": n}
-    raise ConfigError(
-        "knob must be exactly {n, delta} or {J, B1, B2, max_den} (optional n), "
-        f"got keys {sorted(keys)}"
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _reject_constant(name: str) -> float:
-    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -148,20 +127,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-    except ConfigError:
-        raise
-    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
+    except (ValueError, RecursionError) as exc:  # also NaN, an over-long integer, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
 
     gamma = _require_number(cfg, "gamma")
     p1 = _require_number(cfg, "p1")
-    p2 = _resolve_p2(cfg, p1)
+    negative = cfg.get("p2_negative", False)
+    if not isinstance(negative, bool):
+        raise ConfigError(f"field 'p2_negative' must be a boolean, got {negative!r}")
+    if "p2" in cfg:
+        p2 = _require_number(cfg, "p2")
+        if "p2_negative" in cfg and negative != (p2 < 0):
+            raise ConfigError(f"p2_negative={negative} contradicts explicit p2={p2!r}")
     theta1 = _require_number(cfg, "theta1")
     theta2 = _require_number(cfg, "theta2") if "theta2" in cfg else math.pi / 2 - theta1
     try:
-        spec = SourceSpec(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
+        if "p2" in cfg:
+            spec = SourceSpec(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
+        else:
+            # A derived p2 needs |p1| <= 1 strictly; an explicit one only
+            # SourceSpec's weight tolerance.
+            spec = SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative=negative)
+            if "theta2" in cfg:
+                spec = replace(spec, theta2=theta2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -179,31 +169,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(spec=spec, knob=knob, knob_echo=knob_echo, shots=shots, seed=seed)
 
 
-def _config_echo(config: ExperimentConfig, shots: int | None, seed: int) -> dict:
-    spec = config.spec
-    return {
-        "gamma": spec.gamma,
-        "p1": spec.p1,
-        "p2": spec.p2,
-        "theta1": spec.theta1,
-        "theta2": spec.theta2,
-        "knob": config.knob_echo,
-        "shots": shots,
-        "seed": seed,
-    }
+def build_report(config: ExperimentConfig, shots: int | None, seed: int) -> dict:
+    """Self-contained run report; re-running its config echo reproduces it.
 
-
-def build_report(
-    config: ExperimentConfig, histogram: dict[str, int] | None, shots: int | None, seed: int
-) -> dict:
-    """Self-contained run report; re-running its config echo reproduces it."""
+    With ``shots`` the histogram is drawn from ``np.random.default_rng(seed)``.
+    """
     spec, knob = config.spec, config.knob
     state, raw_norm = controlled_emission(spec, knob)
+    histogram = None
+    if shots is not None:
+        histogram = sample_histogram(state, shots, np.random.default_rng(seed))
     analytic = populations_analytic(spec, knob)
     exact = populations_exact(state)
     moments = species_moments(spec)
     return {
-        "config": _config_echo(config, shots, seed),
+        "config": {
+            "gamma": spec.gamma,
+            "p1": spec.p1,
+            "p2": spec.p2,
+            "theta1": spec.theta1,
+            "theta2": spec.theta2,
+            "knob": config.knob_echo,
+            "shots": shots,
+            "seed": seed,
+        },
         "populations_raw": analytic.raw.as_dict(),
         "populations_normalized": analytic.normalized.as_dict(),
         "populations_exact": exact.normalized.as_dict(),
@@ -218,19 +207,45 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _fail_config(message: str) -> None:
-    click.echo(f"config error: {message}", err=True)
-    sys.exit(EXIT_CONFIG)
+def _fail(message: str, code: int) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
-def _resolve_seed(flag: int | None, config: ExperimentConfig) -> int:
-    """The --seed flag if given, else the config's; a negative flag exits 2."""
-    if flag is None:
-        return config.seed
-    if flag < 0:
-        click.echo(f"--seed must be a non-negative integer, got {flag}", err=True)
-        sys.exit(EXIT_CONFIG)
-    return flag
+def _report(path: str, seed: int | None, sampling: bool, shots: int | None = None) -> None:
+    """Print the report of simulate (no shots) or sample; exits 2 or 3 on bad input."""
+    try:
+        config = load_config(path)
+    except ConfigError as exc:
+        _fail(f"config error: {exc}", EXIT_CONFIG)
+    if sampling:
+        shots = shots if shots is not None else config.shots
+        if shots is None:
+            _fail("config error: sampling needs --shots or a 'shots' config field", EXIT_CONFIG)
+        if shots < 1:
+            _fail(f"shots must be >= 1, got {shots}", EXIT_PRECONDITION)
+        if shots > _MAX_SHOTS:
+            _fail(f"shots must be at most 2**63 - 1, got {shots}", EXIT_CONFIG)
+    if seed is None:
+        seed = config.seed
+    elif seed < 0:
+        _fail(f"--seed must be a non-negative integer, got {seed}", EXIT_CONFIG)
+    try:
+        report = build_report(config, shots, seed)
+    except DegenerateSourceError as exc:
+        _fail(f"degenerate emission: {exc}", EXIT_PRECONDITION)
+    _emit_json(report)
+
+
+def _control(solve, *args):
+    """Run a steering or inference solve: ControlError exits 4, other bad input 3."""
+    try:
+        return solve(*args)
+    except ControlError as exc:
+        _emit_json({"error": type(exc).__name__, "detail": str(exc)})
+        sys.exit(EXIT_INFEASIBLE)
+    except ValueError as exc:
+        _fail(f"precondition failed: {exc}", EXIT_PRECONDITION)
 
 
 @click.group()
@@ -243,17 +258,7 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed (default 0).")
 def simulate(config_path: str, seed: int | None) -> None:
     """Forward-simulate the controlled emission and print the population report."""
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        _fail_config(str(exc))
-    effective_seed = _resolve_seed(seed, config)
-    try:
-        report = build_report(config, histogram=None, shots=None, seed=effective_seed)
-    except DegenerateSourceError as exc:
-        click.echo(f"degenerate emission: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
-    _emit_json(report)
+    _report(config_path, seed, sampling=False)
 
 
 @main.command()
@@ -262,31 +267,7 @@ def simulate(config_path: str, seed: int | None) -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed (default 0).")
 def sample(config_path: str, shots: int | None, seed: int | None) -> None:
     """Sample repeated characterization measurements and report the histogram."""
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        _fail_config(str(exc))
-    effective_shots = shots if shots is not None else config.shots
-    if effective_shots is None:
-        _fail_config("sampling needs --shots or a 'shots' config field")
-    if effective_shots < 1:
-        click.echo(f"shots must be >= 1, got {effective_shots}", err=True)
-        sys.exit(EXIT_PRECONDITION)
-    if effective_shots > _MAX_SHOTS:
-        click.echo(f"shots must be at most 2**63 - 1, got {effective_shots}", err=True)
-        sys.exit(EXIT_CONFIG)
-    effective_seed = _resolve_seed(seed, config)
-    rng = np.random.default_rng(effective_seed)
-    try:
-        state, _ = controlled_emission(config.spec, config.knob)
-        histogram = sample_histogram(state, effective_shots, rng)
-        report = build_report(
-            config, histogram=histogram, shots=effective_shots, seed=effective_seed
-        )
-    except DegenerateSourceError as exc:
-        click.echo(f"degenerate emission: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
-    _emit_json(report)
+    _report(config_path, seed, sampling=True, shots=shots)
 
 
 @main.command()
@@ -297,8 +278,7 @@ def region(gamma: float, resolution: int) -> None:
     try:
         scan = region_arrays(gamma, resolution)
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(str(exc), EXIT_CONFIG)
     # One write per block of rows: per-line echo calls cost more than the scan,
     # and one write for the whole CSV would hold all of it in memory.
     stdout = click.get_text_stream("stdout")
@@ -334,14 +314,7 @@ def region(gamma: float, resolution: int) -> None:
 @click.option("--f11", type=float, required=True, help="Target population f11.")
 def solve(gamma: float, f00: float, f11: float) -> None:
     """Solve for the control value steering the populations to the target."""
-    try:
-        solution = solve_ndelta(gamma, f00, f11)
-    except ControlError as exc:
-        _emit_json({"error": type(exc).__name__, "detail": str(exc)})
-        sys.exit(EXIT_INFEASIBLE)
-    except ValueError as exc:
-        click.echo(f"precondition failed: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
+    solution = _control(solve_ndelta, gamma, f00, f11)
     _emit_json(
         {
             "s_squared": solution.s_squared,
@@ -359,14 +332,7 @@ def solve(gamma: float, f00: float, f11: float) -> None:
 @click.option("--ndelta", type=float, required=True, help="Known control value n*delta.")
 def infer(f00: float, f01: float, f11: float, ndelta: float) -> None:
     """Infer source parameters from measured frequencies at a known control value."""
-    try:
-        estimate = infer_parameters(f00, f01, f11, ndelta)
-    except ControlError as exc:
-        _emit_json({"error": type(exc).__name__, "detail": str(exc)})
-        sys.exit(EXIT_INFEASIBLE)
-    except ValueError as exc:
-        click.echo(f"precondition failed: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
+    estimate = _control(infer_parameters, f00, f01, f11, ndelta)
     _emit_json(
         {
             "sin2_gamma": estimate.sin2_gamma,

@@ -50,6 +50,10 @@ _BOUND_TOL = 1e-12
 # Feasible points per math.asin pass in region_arrays: bounds the Python floats
 # alive at once.
 _ASIN_CHUNK = 8192
+# The region scan holds about 33 bytes per grid cell at its peak (the broadcast
+# closed form's float arrays and masks), so 4096^2 cells take about 550 MB;
+# the bound is checked before any array is allocated.
+_MAX_RESOLUTION = 4096
 
 
 class ControlError(ValueError):
@@ -211,20 +215,15 @@ class RegionArrays(NamedTuple):
     ndelta: np.ndarray
 
 
-def _grid_terms(gamma: float, axis: np.ndarray):
-    """_steering_terms broadcast over the grid (f00 down, f11 across)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _steering_terms(gamma, axis[:, None], axis[None, :])
-
-
 def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feasibility mask and unclamped sin^2(2 pi n delta) over the grid.
 
-    The mask applies solve_ndelta's bounds with the same slack, and counts a
+    _steering_terms is broadcast with f00 down and f11 across. The mask
+    applies solve_ndelta's bounds with the same slack, and counts a
     vanishing denominator as infeasible, as feasible() does.
     """
-    s_req, denom, numer = _grid_terms(gamma, axis)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s_req, denom, numer = _steering_terms(gamma, axis[:, None], axis[None, :])
         quotient = numer / denom
     ok = axis[:, None] + axis[None, :] <= 1.0 + _BOUND_TOL
     ok &= (-_BOUND_TOL <= s_req) & (s_req <= 1.0 + _BOUND_TOL)
@@ -236,16 +235,18 @@ def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     """Steering solutions over the uniform resolution x resolution grid on [0,1]^2.
 
-    The array-native kernel behind region_grid and the region command. The
-    grid axis is arange(resolution) / (resolution - 1). The closed form is
-    broadcast over the whole grid and masked with solve_ndelta's bounds; the
-    clamp, sqrt and division then run in place on the feasible entries only,
-    with math.asin mapped over them in chunks, so every value, -0.0 included,
-    is bit for bit what solve_ndelta returns. Raises ValueError for
-    resolution < 2 or gamma outside (0, pi/2].
+    The array-native kernel behind the region command. The grid axis is
+    arange(resolution) / (resolution - 1). The closed form is broadcast over
+    the whole grid and masked with solve_ndelta's bounds; the clamp, sqrt and
+    division then run in place on the feasible entries only, with math.asin
+    mapped over them in chunks, so every value, -0.0 included, is bit for bit
+    what solve_ndelta returns. Raises ValueError for a resolution outside
+    [2, 4096] or gamma outside (0, pi/2].
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}, got {resolution}")
     _check_gamma(gamma)
     axis = np.arange(resolution) / (resolution - 1)
     ok, quotient = _grid_quotient(gamma, axis)
@@ -270,28 +271,15 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
 
 
 def region_grid(gamma: float, resolution: int) -> list[RegionPoint]:
-    """Feasibility over the uniform resolution x resolution grid on [0,1]^2.
+    """feasible(gamma, f00, f11) over region_arrays' grid, as RegionPoints.
 
-    Row-major: f00 varies slowest. A view of region_arrays as RegionPoints
-    (plus the required moments, from the same closed form), each equal field
-    for field to feasible(gamma, f00, f11); suitable for plotting the
-    steering region slice at the given gamma.
+    Row-major: f00 varies slowest. The per-point view, one scalar solve per
+    target, for plotting the steering region slice at the given gamma;
+    region_arrays, the kernel the region command uses, validates the
+    arguments and supplies the axis, so this raises ValueError as it does.
     """
-    scan = region_arrays(gamma, resolution)
-    s_req = _grid_terms(gamma, scan.axis)[0]
-    axis = scan.axis.tolist()
-    rows = zip(
-        scan.feasible.tolist(), scan.s_squared.tolist(), scan.ndelta.tolist(), s_req.tolist()
-    )
-    grid = []
-    for f00, (oks, s_row, nd_row, req_row) in zip(axis, rows):
-        for f11, ok, s_squared, ndelta, s_req_ij in zip(axis, oks, s_row, nd_row, req_row):
-            solution = None
-            if ok:
-                req = _clamp01(s_req_ij)
-                solution = SteeringSolution(s_squared, ndelta, 1.0 - req, req)
-            grid.append(RegionPoint(f00, f11, ok, solution))
-    return grid
+    axis = region_arrays(gamma, resolution).axis.tolist()
+    return [feasible(gamma, f00, f11) for f00 in axis for f11 in axis]
 
 
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:

@@ -14,6 +14,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -209,9 +210,10 @@ class ControlKnob:
 
     All post-control formulas depend on n and delta only through the
     product n*delta. The optional provenance records the (j, Q) pair the
-    mismatch was derived from. A bool ``n``, an ``n`` beyond the float
-    range, an ``n * delta`` whose control angle 2 pi n delta overflows, and a
-    NaN or infinite ``n``, ``delta`` or provenance ``j`` are rejected.
+    mismatch was derived from. An ``n`` that is not an integer (bool and 3.0
+    included), an ``n`` beyond the float range, an ``n * delta`` whose control
+    angle 2 pi n delta overflows, and a NaN or infinite ``delta`` or provenance
+    ``j`` are rejected.
     """
 
     n: int
@@ -221,8 +223,8 @@ class ControlKnob:
 
     def __post_init__(self) -> None:
         n = self.n
-        # The upper bound keeps n * delta a finite float; NaN fails it.
-        if isinstance(n, bool) or not 0 <= n <= sys.float_info.max or n != int(n):
+        # The upper bound keeps n * delta a finite float.
+        if isinstance(n, bool) or not isinstance(n, Integral) or not 0 <= n <= sys.float_info.max:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not abs(self.delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")

@@ -22,7 +22,6 @@ __all__ = [
     "PureState",
     "UnitaryMatrix",
     "ZeroProbabilityError",
-    "IDENTITY",
     "HADAMARD",
     "CNOT",
     "basis_state",
@@ -138,7 +137,6 @@ BELL_LABELS: tuple[BellLabel, ...] = (
     BellLabel(1, 1),
 )
 
-IDENTITY = UnitaryMatrix(np.eye(2))
 HADAMARD = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 # Control on the first target qubit, flip on the second.
 CNOT = UnitaryMatrix(
@@ -213,19 +211,22 @@ def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: list[int], n: int)
     return psi.reshape([2] * n).transpose(inverse).reshape(-1)
 
 
-def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) -> PureState:
-    """Apply ``u`` to the ordered target qubits, identity elsewhere."""
-    axes = _check_targets(targets, state.num_qubits)
+def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> list[int]:
+    axes = _check_targets(targets, num_qubits)
     if u.dim != 2 ** len(axes):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(axes)} qubit(s)")
+    return axes
+
+
+def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) -> PureState:
+    """Apply ``u`` to the ordered target qubits, identity elsewhere."""
+    axes = _gate_axes(u, targets, state.num_qubits)
     return PureState(_apply_matrix(state.amplitudes, u.entries, axes, state.num_qubits))
 
 
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
     """Embed ``u`` on the given qubits of an ``num_qubits``-qubit register."""
-    axes = _check_targets(targets, num_qubits)
-    if u.dim != 2 ** len(axes):
-        raise ValueError(f"unitary of dim {u.dim} does not act on {len(axes)} qubit(s)")
+    axes = _gate_axes(u, targets, num_qubits)
     columns = [
         _apply_matrix(e, u.entries, axes, num_qubits)
         for e in np.eye(2**num_qubits, dtype=complex)

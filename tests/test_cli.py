@@ -145,6 +145,22 @@ class TestSimulate:
         assert result.exit_code == 2
         assert result.stderr.startswith("config error: n must")
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"n": 3.0, "delta": 0.1},
+            {"J": 1.0, "B1": 0.9, "B2": 0.1, "max_den": 9, "n": 3.0},
+            {"n": "3", "delta": 0.1},
+        ],
+    )
+    def test_knob_n_not_an_integer_exit_2(self, runner, tmp_path, knob):
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path, knob=knob)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"config error: n must be a non-negative integer, got {knob['n']!r}\n"
+        )
+
     def test_infinite_field_knob_exit_2(self, runner, tmp_path):
         # JSON reads 1e309 as inf.
         path = tmp_path / "config.json"
@@ -241,6 +257,94 @@ class TestSimulate:
         rerun = json.loads(second.output)
         for key in ("populations_raw", "populations_normalized", "populations_exact"):
             assert rerun[key] == report[key]
+
+
+def _sha256(result):
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+class TestConfigEdges:
+    """Where an explicit p2 or theta2 changes which check applies.
+
+    The stdout digests were frozen from the loader as it was before it
+    delegated the derived p2 to SourceSpec.from_p1_theta1.
+    """
+
+    def test_p1_past_one_within_tolerance_needs_explicit_p2(self, runner, tmp_path):
+        # |p1| = 1 + 1e-10 passes SourceSpec's 1e-9 weight check when p2 is
+        # given, but a derived p2 = sqrt(1 - p1^2) needs |p1| <= 1 strictly.
+        explicit = runner.invoke(
+            main, ["simulate", worked_config(tmp_path, p1=1.0000000001, p2=0.0)]
+        )
+        assert explicit.exit_code == 0
+        assert _sha256(explicit) == (
+            "820ee7d40347e2ad5bd8ce434ccbe5cc256b9b913e61af4d26377c66d1c9243f"
+        )
+        derived = runner.invoke(main, ["simulate", worked_config(tmp_path, p1=1.0000000001)])
+        assert derived.exit_code == 2
+        assert derived.stdout == ""
+        assert derived.stderr == (
+            "config error: p1^2 + p2^2 = 1 violated: |p1| = 1.0000000001 is not at most 1\n"
+        )
+
+    def test_p2_negative_contradicting_explicit_p2_exit_2(self, runner, tmp_path):
+        path = worked_config(tmp_path, p1=0.6, p2=0.8, p2_negative=True)
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stderr == "config error: p2_negative=True contradicts explicit p2=0.8\n"
+
+    def test_p2_negative_agreeing_with_explicit_p2_equals_derived(self, runner, tmp_path):
+        digest = "4cc7b68bd40aa21a6165322f4856a5db4648a1efcdf8efd3da9f70eb3e48125f"
+        for overrides in ({"p2": -0.8, "p2_negative": True}, {"p2_negative": True}):
+            result = runner.invoke(main, ["simulate", worked_config(tmp_path, p1=0.6, **overrides)])
+            assert result.exit_code == 0
+            assert _sha256(result) == digest
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            # theta2 is 5e-10 off pi/2 - theta1, inside the 1e-9 angle tolerance.
+            (
+                {"p1": 0.6},
+                "9354208a8b59aa7ba1c38f408a7277bfc5d9e33936ef223dd30ee279e80cd06e",
+            ),
+            (
+                {"p1": 0.6, "p2": 0.8},
+                "9354208a8b59aa7ba1c38f408a7277bfc5d9e33936ef223dd30ee279e80cd06e",
+            ),
+        ],
+    )
+    def test_explicit_theta2_is_honoured(self, runner, tmp_path, overrides, digest):
+        theta2 = math.pi / 2 - 0.3 + 5e-10
+        path = worked_config(tmp_path, theta1=0.3, theta2=theta2, **overrides)
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["config"]["theta2"] == theta2
+        assert _sha256(result) == digest
+
+    @pytest.mark.parametrize(
+        "theta2, stderr",
+        [
+            (0.5, "config error: theta1 + theta2 = pi/2 violated: got 0.8\n"),
+            ("x", "config error: field 'theta2' must be a number, got 'x'\n"),
+        ],
+    )
+    @pytest.mark.parametrize("explicit_p2", [False, True])
+    def test_bad_theta2_exit_2(self, runner, tmp_path, theta2, stderr, explicit_p2):
+        overrides = {"p2": 0.0} if explicit_p2 else {}
+        path = worked_config(tmp_path, theta1=0.3, theta2=theta2, **overrides)
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == stderr
+
+    @pytest.mark.parametrize("flag", [1, 0, "true", None])
+    def test_p2_negative_not_bool_exit_2(self, runner, tmp_path, flag):
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path, p2_negative=flag)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"config error: field 'p2_negative' must be a boolean, got {flag!r}\n"
+        )
 
 
 # Configs spanning both knob forms, both signs of p2, gamma near 0, at pi/4
@@ -501,6 +605,13 @@ class TestRegion:
         result = runner.invoke(main, ["region", "--gamma", "0.5", "--resolution", "1"])
         assert result.exit_code == 2
         assert result.stderr == "resolution must be >= 2, got 1\n"
+
+    def test_resolution_past_bound_exit_2(self, runner):
+        # 4097 is one past the bound; the check runs before any grid array exists.
+        result = runner.invoke(main, ["region", "--gamma", "0.5", "--resolution", "4097"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "resolution must be at most 4096, got 4097\n"
 
     def test_bad_gamma_exit_2(self, runner):
         result = runner.invoke(main, ["region", "--gamma", "3.0"])

@@ -25,6 +25,7 @@ from bellsource import (
     solve_ndelta,
     table_populations,
 )
+from bellsource.control import _MAX_RESOLUTION
 
 
 def forward_populations(gamma, solution):
@@ -219,6 +220,35 @@ class TestRegionGrid:
             assert point == expected
             # repr tells -0.0 from 0.0, which == does not.
             assert repr(point) == repr(expected)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
+    @pytest.mark.parametrize(
+        "gamma", [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2, *SIGNED_ZERO_GAMMAS]
+    )
+    def test_arrays_bitwise_equal_per_point_calls(self, gamma, resolution):
+        scan = region_arrays(gamma, resolution)
+        values = [i / (resolution - 1) for i in range(resolution)]
+        assert scan.axis.tolist() == values
+        rows = zip(scan.feasible.tolist(), scan.s_squared.tolist(), scan.ndelta.tolist())
+        for f00, (oks, s_row, nd_row) in zip(values, rows):
+            for f11, ok, s_squared, ndelta in zip(values, oks, s_row, nd_row):
+                point = feasible(gamma, f00, f11)
+                assert ok == point.feasible
+                if not ok:
+                    assert math.isnan(s_squared) and math.isnan(ndelta)
+                    continue
+                # repr tells -0.0 from 0.0, which == does not.
+                expected = (point.solution.s_squared, point.solution.ndelta_principal)
+                assert (s_squared, ndelta) == expected
+                assert repr((s_squared, ndelta)) == repr(expected)
+
+    def test_resolution_bound_checked_before_allocating(self):
+        # One past the bound; the check runs before any grid array exists.
+        message = rf"resolution must be at most {_MAX_RESOLUTION}, got {_MAX_RESOLUTION + 1}"
+        with pytest.raises(ValueError, match=message):
+            region_arrays(0.5, _MAX_RESOLUTION + 1)
+        with pytest.raises(ValueError, match=message):
+            region_grid(0.5, _MAX_RESOLUTION + 1)
 
     def test_underflowing_sin_gamma_is_infeasible_not_a_crash(self):
         # sin(1e-200)**2 underflows to 0; the required S^2 is then undetermined.

@@ -298,6 +298,20 @@ class TestControlKnob:
         with pytest.raises(ValueError, match="n must"):
             ControlKnob(n=True, delta=0.1)
 
+    def test_rejects_integral_float_n(self):
+        with pytest.raises(ValueError, match=r"n must be a non-negative integer, got 3\.0"):
+            ControlKnob(3.0, 0.1)
+
+    def test_field_form_rejects_integral_float_n(self):
+        fp = FieldParams(J=1.0, B1=0.9, B2=0.1)
+        with pytest.raises(ValueError, match=r"n must be a non-negative integer, got 2\.0"):
+            ControlKnob.from_field_params(fp, max_den=9, n=2.0)
+
+    def test_accepts_numpy_integer_n(self):
+        knob = ControlKnob(np.int64(3), 0.05)
+        assert knob.n == 3
+        assert knob.ndelta == ControlKnob(3, 0.05).ndelta
+
     def test_provenance_consistency(self):
         j = 0.41
         num, den, delta = rational_approx(j, 7)
