@@ -12,6 +12,7 @@ four-qubit ancilla circuit realization proven equivalent by tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .statevec import (
     UnitaryMatrix,
     _born_index,
     _draw,
+    _multinomial,
     basis_state,
     bell_coefficients,
     bell_state,
@@ -52,19 +54,26 @@ __all__ = [
     "sample_histogram",
 ]
 
-_OUTCOME_KEYS = ("00", "01", "10", "11")
-
 
 def label_to_outcome(label: BellLabel | tuple[int, int]) -> tuple[int, int]:
-    """Readout bits (i3, j4) announced for Bell label (a, b): (a, a XOR b)."""
+    """Readout bits (i3, j4) announced for Bell label (a, b): (a, a XOR b).
+
+    The only spelling of the readout order; the tables below are built from it.
+    """
     a, b = label
     return (a, a ^ b)
 
 
 def outcome_to_label(outcome: tuple[int, int]) -> BellLabel:
     """Bell label identified by readout bits (i3, j4); the map is an involution."""
-    i, j = outcome
-    return BellLabel(i, i ^ j)
+    return BellLabel(*label_to_outcome(outcome))
+
+
+# Raw ancilla bits (the copied label bits) to the readout they report.
+_RELABEL = {label: label_to_outcome(label) for label in BELL_LABELS}
+# The readout strings "00".."11" and, in that order, the index of the label each reports.
+_OUTCOME_KEYS = tuple(sorted("%d%d" % bits for bits in _RELABEL.values()))
+_READOUT_ORDER = operator.itemgetter(*sorted(range(4), key=lambda k: _RELABEL[BELL_LABELS[k]]))
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,6 @@ class Populations:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f00, self.f01, self.f10, self.f11)
-
-    def as_dict(self) -> dict[str, float]:
-        return {"f00": self.f00, "f01": self.f01, "f10": self.f10, "f11": self.f11}
 
 
 @dataclass(frozen=True)
@@ -152,14 +158,14 @@ def populations_analytic(spec: SourceSpec, knob: ControlKnob) -> PopulationTable
     return PopulationTable.from_raw(raw)
 
 
-def _readout_weights(state12: PureState) -> tuple[float, float, float, float]:
-    """Born weights of the readouts 00, 01, 10, 11: entry k is readout k = 2*i3 + j4.
+def _bell_weights(state12: PureState) -> list[float]:
+    """Born weights of the Bell labels, in BELL_LABELS order."""
+    return [abs(c) ** 2 for c in bell_coefficients(state12)]
 
-    Readout (a, a XOR b) reports Bell label (a, b), so readouts 10 and 11
-    carry the weights of labels (1, 1) and (1, 0).
-    """
-    c00, c01, c10, c11 = bell_coefficients(state12)
-    return (abs(c00) ** 2, abs(c01) ** 2, abs(c11) ** 2, abs(c10) ** 2)
+
+def _readout_weights(state12: PureState) -> tuple[float, float, float, float]:
+    """Born weights of the readouts 00, 01, 10, 11: entry k is readout k = 2*i3 + j4."""
+    return _READOUT_ORDER(_bell_weights(state12))
 
 
 def populations_exact(state12: PureState) -> PopulationTable:
@@ -186,7 +192,7 @@ def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> M
     The Bell label is drawn by the Born rule, reported through the readout
     labeling, and the pair is left in the identified Bell state.
     """
-    probs = [abs(c) ** 2 for c in bell_coefficients(state12)]
+    probs = _bell_weights(state12)
     k = _born_index(probs, rng)
     label = BELL_LABELS[k]
     return MeasurementRecord(
@@ -203,7 +209,6 @@ _GATES = (
     expand_unitary(HADAMARD, (1,), 4),
     expand_unitary(CNOT, (1, 2), 4),
 )
-_RELABEL = {(a, b): label_to_outcome((a, b)) for a, b in BELL_LABELS}
 
 
 def circuit_realization(
@@ -232,6 +237,12 @@ def _run_gates(state12: PureState) -> PureState:
     return PureState(amps)
 
 
+def _surviving_pair(final: PureState, i: int, j: int, prob: float) -> PureState:
+    """Pair left by ancilla readout (i, j) of weight ``prob``: its block over sqrt(prob)."""
+    block = final.amplitudes.reshape(2, 2, 2, 2)[:, :, i, j]
+    return PureState((block / math.sqrt(prob)).reshape(-1))
+
+
 def run_characterization_circuit(
     state12: PureState, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -244,11 +255,8 @@ def run_characterization_circuit(
     """
     final = _run_gates(state12)
     (i, j), prob = _draw(final, [2, 3], rng)
-    block = final.amplitudes.reshape(2, 2, 2, 2)[:, :, i, j]
     return MeasurementRecord(
-        outcome=_RELABEL[i, j],
-        post_state=PureState((block / math.sqrt(prob)).reshape(-1)),
-        probability=prob,
+        outcome=_RELABEL[i, j], post_state=_surviving_pair(final, i, j, prob), probability=prob
     )
 
 
@@ -260,13 +268,13 @@ def circuit_outcome_distribution(
     Maps each relabeled outcome to (probability, surviving pair state);
     the state is None for outcomes of zero weight.
     """
-    blocks = _run_gates(state12).amplitudes.reshape(2, 2, 2, 2)
+    final = _run_gates(state12)
+    blocks = final.amplitudes.reshape(2, 2, 2, 2)
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
-    for raw, outcome in _RELABEL.items():
-        block = blocks[:, :, raw[0], raw[1]].reshape(-1)
+    for (i, j), outcome in _RELABEL.items():
+        block = blocks[:, :, i, j].reshape(-1)
         prob = float(np.vdot(block, block).real)
-        post = PureState(block / math.sqrt(prob)) if prob > 1e-12 else None
-        result[outcome] = (prob, post)
+        result[outcome] = (prob, _surviving_pair(final, i, j, prob) if prob > 1e-12 else None)
     return result
 
 
@@ -276,11 +284,7 @@ def sample_histogram(
     """Outcome counts of ``shots`` independent Bell measurements of the pair.
 
     Each shot measures a freshly prepared copy; the counts are drawn in one
-    multinomial step, which has exactly the joint law of the independent
-    per-shot measurements. Keys are the readout strings "00".."11".
+    multinomial step. Keys are the readout strings "00".."11".
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    ordered = np.array(_readout_weights(state12))
-    counts = rng.multinomial(shots, ordered / ordered.sum())
+    counts = _multinomial(shots, np.array(_readout_weights(state12)), rng)
     return {key: int(c) for key, c in zip(_OUTCOME_KEYS, counts)}

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -96,20 +96,18 @@ def _resolve_knob(cfg: dict) -> tuple[ControlKnob, dict]:
             f"got keys {sorted(keys)}"
         )
     n = knob.get("n", 1)
-    try:  # ControlKnob owns the checks on n
+    try:  # ControlKnob owns the checks on n, rational_approx those on max_den
         if not field_form:
             resolved = ControlKnob(n=n, delta=_require_number(knob, "delta"))
             return resolved, {"n": resolved.n, "delta": resolved.delta}
         max_den = knob["max_den"]
-        if isinstance(max_den, bool) or not isinstance(max_den, int) or max_den < 1:
-            raise ConfigError(f"knob field 'max_den' must be a positive integer, got {max_den!r}")
         fp = FieldParams(
             J=_require_number(knob, "J"),
             B1=_require_number(knob, "B1"),
             B2=_require_number(knob, "B2"),
         )
         resolved = ControlKnob.from_field_params(fp, max_den, n=n)
-        return resolved, {"J": fp.J, "B1": fp.B1, "B2": fp.B2, "max_den": max_den, "n": n}
+        return resolved, {**asdict(fp), "max_den": max_den, "n": n}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -180,23 +178,12 @@ def build_report(config: ExperimentConfig, shots: int | None, seed: int) -> dict
     if shots is not None:
         histogram = sample_histogram(state, shots, np.random.default_rng(seed))
     analytic = populations_analytic(spec, knob)
-    exact = populations_exact(state)
-    moments = species_moments(spec)
     return {
-        "config": {
-            "gamma": spec.gamma,
-            "p1": spec.p1,
-            "p2": spec.p2,
-            "theta1": spec.theta1,
-            "theta2": spec.theta2,
-            "knob": config.knob_echo,
-            "shots": shots,
-            "seed": seed,
-        },
-        "populations_raw": analytic.raw.as_dict(),
-        "populations_normalized": analytic.normalized.as_dict(),
-        "populations_exact": exact.normalized.as_dict(),
-        "moments": {"C": moments.C, "S": moments.S},
+        "config": {**asdict(spec), "knob": config.knob_echo, "shots": shots, "seed": seed},
+        "populations_raw": asdict(analytic.raw),
+        "populations_normalized": asdict(analytic.normalized),
+        "populations_exact": asdict(populations_exact(state).normalized),
+        "moments": asdict(species_moments(spec)),
         "raw_norm": raw_norm,
         "histogram": histogram,
         "seed": seed,
@@ -314,15 +301,9 @@ def region(gamma: float, resolution: int) -> None:
 @click.option("--f11", type=float, required=True, help="Target population f11.")
 def solve(gamma: float, f00: float, f11: float) -> None:
     """Solve for the control value steering the populations to the target."""
-    solution = _control(solve_ndelta, gamma, f00, f11)
-    _emit_json(
-        {
-            "s_squared": solution.s_squared,
-            "ndelta": solution.ndelta_principal,
-            "required_C_squared": solution.required_C_squared,
-            "required_S_squared": solution.required_S_squared,
-        }
-    )
+    solution = asdict(_control(solve_ndelta, gamma, f00, f11))
+    # The SteeringSolution fields in order, ndelta_principal printed as "ndelta".
+    _emit_json({key.removesuffix("_principal"): value for key, value in solution.items()})
 
 
 @main.command()
@@ -332,15 +313,7 @@ def solve(gamma: float, f00: float, f11: float) -> None:
 @click.option("--ndelta", type=float, required=True, help="Known control value n*delta.")
 def infer(f00: float, f01: float, f11: float, ndelta: float) -> None:
     """Infer source parameters from measured frequencies at a known control value."""
-    estimate = _control(infer_parameters, f00, f01, f11, ndelta)
-    _emit_json(
-        {
-            "sin2_gamma": estimate.sin2_gamma,
-            "C_squared": estimate.C_squared,
-            "S_squared": estimate.S_squared,
-            "residual": estimate.residual,
-        }
-    )
+    _emit_json(asdict(_control(infer_parameters, f00, f01, f11, ndelta)))
 
 
 if __name__ == "__main__":

@@ -110,16 +110,15 @@ class EmissionEstimate:
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """One steering target with its feasibility verdict."""
+    """One steering target with its solution, None where it is infeasible."""
 
     f00_target: float
     f11_target: float
-    feasible: bool
     solution: SteeringSolution | None
 
-    def __post_init__(self) -> None:
-        if self.feasible != (self.solution is not None):
-            raise ValueError("feasible flag must match solution presence")
+    @property
+    def feasible(self) -> bool:
+        return self.solution is not None
 
 
 def _steering_terms(gamma, f00, f11):
@@ -134,12 +133,11 @@ def _steering_terms(gamma, f00, f11):
     return s_req, denom, math.cos(gamma) ** 2 - f00
 
 
-def _clamp01(value: float) -> float:
+def _clamp01(value: float, bound: str) -> float:
+    """``value`` clamped to [0, 1]; InfeasibleError(bound) if it misses by more than the slack."""
+    if not -_BOUND_TOL <= value <= 1.0 + _BOUND_TOL:
+        raise InfeasibleError(bound, f"got {value!r}")
     return min(max(value, 0.0), 1.0)
-
-
-def _ndelta_of(s_squared: float) -> float:
-    return math.asin(math.sqrt(s_squared)) / (2.0 * math.pi)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -170,22 +168,17 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
         raise DegenerateSteeringError(
             f"sin^2 gamma underflows to 0 at gamma={gamma!r}; the required S^2 is undetermined"
         ) from None
-    if not -_BOUND_TOL <= s_req <= 1.0 + _BOUND_TOL:
-        raise InfeasibleError("required_S_squared in [0, 1]", f"got {s_req!r}")
-    s_req = _clamp01(s_req)
+    s_req = _clamp01(s_req, "required_S_squared in [0, 1]")
 
     if denom == 0.0:
         raise DegenerateSteeringError(
             f"cos(2 gamma) + 1 - f00 - f11 = 0 at gamma={gamma!r}, f00={f00!r}, f11={f11!r}"
         )
-    s_squared = numer / denom
-    if not -_BOUND_TOL <= s_squared <= 1.0 + _BOUND_TOL:
-        raise InfeasibleError("sin^2(2 pi n delta) in [0, 1]", f"got {s_squared!r}")
-    s_squared = _clamp01(s_squared)
+    s_squared = _clamp01(numer / denom, "sin^2(2 pi n delta) in [0, 1]")
 
     return SteeringSolution(
         s_squared=s_squared,
-        ndelta_principal=_ndelta_of(s_squared),
+        ndelta_principal=math.asin(math.sqrt(s_squared)) / (2.0 * math.pi),
         required_C_squared=1.0 - s_req,
         required_S_squared=s_req,
     )
@@ -194,10 +187,9 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
 def feasible(gamma: float, f00: float, f11: float) -> RegionPoint:
     """Feasibility of a steering target as a value; never raises for targets."""
     try:
-        solution = solve_ndelta(gamma, f00, f11)
+        return RegionPoint(f00, f11, solve_ndelta(gamma, f00, f11))
     except ControlError:
-        return RegionPoint(f00_target=f00, f11_target=f11, feasible=False, solution=None)
-    return RegionPoint(f00_target=f00, f11_target=f11, feasible=True, solution=solution)
+        return RegionPoint(f00, f11, None)
 
 
 class RegionArrays(NamedTuple):
@@ -257,9 +249,9 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     picked[picked > 1.0] = 1.0
     s_squared = np.full(ok.shape, np.nan)
     s_squared[ok] = picked
-    # _ndelta_of in place. np.sqrt and the division round like math.sqrt and
-    # the float division; np.arcsin can differ from math.asin by 2 ulp, so
-    # asin runs on Python floats, one chunk at a time.
+    # solve_ndelta's asin(sqrt(s)) / (2 pi), in place. np.sqrt and the division
+    # round like math.sqrt and the float division; np.arcsin can differ from
+    # math.asin by 2 ulp, so asin runs on Python floats, one chunk at a time.
     np.sqrt(picked, out=picked)
     for start in range(0, picked.size, _ASIN_CHUNK):
         chunk = picked[start : start + _ASIN_CHUNK]
@@ -335,6 +327,5 @@ def infer_ndelta(f00: float, f11: float, gamma: float) -> float:
 
     Raises the solve_ndelta failures when the pair is not reachable.
     """
-    solution = solve_ndelta(gamma, f00, f11)
-    return solution.ndelta_principal
+    return solve_ndelta(gamma, f00, f11).ndelta_principal
 

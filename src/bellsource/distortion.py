@@ -120,18 +120,28 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     return PureState(out)
 
 
+def _is_integer(value: object) -> bool:
+    """An integer count: any ``numbers.Integral`` but bool. Exact ints skip the ABC check."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 def j_parameter(fp: FieldParams) -> float:
     """Interaction ratio J / sqrt(B-^2 + 4 J^2), in (-1/2, 1/2].
 
-    Raises ValueError for a NaN or infinite J, B1 or B2, or a zero denominator.
+    Raises ValueError for a NaN or infinite J, B1, B2 or B1 - B2, or a zero denominator.
     """
     if not (math.isfinite(fp.J) and math.isfinite(fp.B1) and math.isfinite(fp.B2)):
         raise ValueError(
             f"J, B1 and B2 must be finite, got J={fp.J!r}, B1={fp.B1!r}, B2={fp.B2!r}"
         )
-    denom = math.hypot(fp.b_minus, 2.0 * fp.J)
+    bm = fp.b_minus
+    if not math.isfinite(bm):
+        raise ValueError(f"B1 - B2 must be finite, got {bm!r} for B1={fp.B1!r}, B2={fp.B2!r}")
+    denom = math.hypot(bm, 2.0 * fp.J)
     if denom == 0.0:
         raise ValueError("j is undefined for J = 0 and B1 = B2 (zero denominator)")
+    if denom == math.inf:  # 2 J or the root overflows: halve both terms, exactly
+        return (fp.J / 2.0) / math.hypot(bm / 2.0, fp.J)
     return fp.J / denom
 
 
@@ -157,10 +167,12 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     Continued-fraction convergent semantics (no fraction with denominator
     at most max_den lies strictly closer); delta = j - num/den. This is
     ``Fraction(j).limit_denominator(max_den)``, same loop and tie rule, on
-    the integer ratio of j.
+    the integer ratio of j. ``max_den`` must be a positive integer (bool
+    excluded); a numpy integer is taken as the equal Python int.
     """
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
+    if not _is_integer(max_den) or max_den < 1:
+        raise ValueError(f"max_den must be a positive integer, got {max_den!r}")
+    max_den = int(max_den)
     if abs(j) > 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
     a, b = j.as_integer_ratio()
@@ -224,7 +236,7 @@ class ControlKnob:
     def __post_init__(self) -> None:
         n = self.n
         # The upper bound keeps n * delta a finite float.
-        if isinstance(n, bool) or not isinstance(n, Integral) or not 0 <= n <= sys.float_info.max:
+        if not _is_integer(n) or not 0 <= n <= sys.float_info.max:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not abs(self.delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")

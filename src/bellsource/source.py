@@ -42,7 +42,7 @@ class SourceSpec:
 
     Invariants checked on construction: p1^2 + p2^2 = 1 and
     theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2]; a NaN or
-    infinite parameter fails them.
+    infinite parameter, or a weight whose square overflows, fails them.
     The state amplitudes are alpha1 = cos(gamma), alpha2 = sin(gamma).
     """
 
@@ -53,7 +53,10 @@ class SourceSpec:
     theta2: float
 
     def __post_init__(self) -> None:
-        weight = self.p1**2 + self.p2**2
+        try:
+            weight = self.p1**2 + self.p2**2
+        except OverflowError:  # a finite weight whose square leaves the float range
+            weight = math.inf
         if not abs(weight - 1.0) <= _SPEC_TOL:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
         angle_sum = self.theta1 + self.theta2

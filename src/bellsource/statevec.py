@@ -120,10 +120,6 @@ class UnitaryMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", int(m.shape[0]))
 
-    @property
-    def num_targets(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 class BellLabel(NamedTuple):
     a: int
@@ -260,14 +256,15 @@ def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
     return _BELL_STATES[a, b]
 
 
-_BELL_AMPS = np.stack([bell_state(lbl).amplitudes for lbl in BELL_LABELS])
+# Conjugated once here: bell_coefficients reads <label|state> on every shot.
+_BELL_BRAS = np.stack([bell_state(lbl).amplitudes for lbl in BELL_LABELS]).conj()
 
 
 def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, complex]:
     """Coefficients (c00, c01, c10, c11) of a 2-qubit state in the Bell basis."""
     if state.num_qubits != 2:
         raise ValueError(f"Bell decomposition needs a 2-qubit state, got {state.num_qubits}")
-    c = _BELL_AMPS.conj() @ state.amplitudes
+    c = _BELL_BRAS @ state.amplitudes
     return (complex(c[0]), complex(c[1]), complex(c[2]), complex(c[3]))
 
 
@@ -319,6 +316,17 @@ def _draw(
     return _bits_of(k, len(axes)), probs[k]
 
 
+def _multinomial(shots: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Counts of ``shots`` Born draws over the weights ``probs``, in one multinomial step.
+
+    Its joint law equals that of ``shots`` independent measurements; the
+    weights are rescaled to sum to 1. Raises ValueError for fewer than one shot.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    return rng.multinomial(shots, probs / probs.sum())
+
+
 def measure_qubits(
     state: PureState, indices: Sequence[int], rng: np.random.Generator
 ) -> tuple[tuple[int, ...], PureState, float]:
@@ -340,16 +348,12 @@ def sample_measurements(
 ) -> np.ndarray:
     """Outcome counts of ``shots`` independent measurements of the given qubits.
 
-    Uses the same marginal Born distribution as :func:`measure_qubits`; the
-    counts are drawn in one multinomial step, whose joint law equals that of
-    the independent per-shot measurements. Entry k counts the outcome whose
-    bits (in ``indices`` order) spell k in binary.
+    The marginal Born weights of :func:`measure_qubits`, drawn by one
+    multinomial step. Entry k counts the outcome whose bits (in ``indices``
+    order) spell k in binary.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     axes = _check_targets(indices, state.num_qubits)
-    probs = _marginal_probabilities(state, axes)
-    return rng.multinomial(shots, probs / probs.sum())
+    return _multinomial(shots, _marginal_probabilities(state, axes), rng)
 
 
 def collapse_qubits(
@@ -364,11 +368,8 @@ def collapse_qubits(
     bits = tuple(int(b) for b in outcome)
     if len(bits) != len(axes) or any(b not in (0, 1) for b in bits):
         raise ValueError(f"outcome {outcome!r} does not match {len(axes)} measured qubit(s)")
-    probs = _marginal_probabilities(state, axes)
-    k = 0
-    for b in bits:
-        k = (k << 1) | b
-    prob = float(probs[k])
+    # The marginal weights as a 2 x ... x 2 array, indexed by the outcome bits.
+    prob = float(_marginal_probabilities(state, axes).reshape([2] * len(bits))[bits])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(
             f"outcome {bits} has probability {prob!r}; collapse is undefined"

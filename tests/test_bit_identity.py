@@ -23,9 +23,13 @@ from bellsource import (
     circuit_outcome_distribution,
     collapse_qubits,
     controlled_emission,
+    feasible,
     measure_qubits,
     nonlocal_bell_measurement,
+    populations_exact,
     run_characterization_circuit,
+    sample_histogram,
+    sample_measurements,
     tensor,
 )
 from conftest import random_knob, random_spec, random_state
@@ -81,3 +85,55 @@ def bit_digest(count: int, seed: int = 0) -> str:
 
 def test_seeded_shot_and_primitive_bits_are_pinned():
     assert bit_digest(400) == "a373efb318f3a6788aebfdfbc4e9c18242b5bf05d44753c948b4786b29049727"
+
+
+def readout_digest(count: int, seed: int = 1) -> str:
+    """SHA-256 over the readout paths: populations, both histograms, the
+    circuit's outcome analysis and the steering verdict, ``count`` inputs each.
+
+    Every float goes in as hex and every count as its decimal repr, so the
+    digest pins the readout order, the multinomial draws and the region
+    point of each input.
+    """
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+
+    def feed(*values) -> None:
+        h.update(repr(values).encode())
+
+    for i in range(count):
+        pair = _pair_input(rng, i)
+        table = populations_exact(pair)
+        feed(*(f.hex() for f in table.raw.as_tuple()), table.normalized == table.raw)
+        for outcome, (prob, post) in sorted(circuit_outcome_distribution(pair).items()):
+            feed(outcome, prob.hex())
+            h.update(b"-" if post is None else post.amplitudes.tobytes())
+        shots = int(rng.integers(1, 10**6))
+        feed(sorted(sample_histogram(pair, shots, rng).items()))
+
+        n = 1 + i % 4
+        state = random_state(rng, n)
+        indices = (rng.permutation(n)[: rng.integers(1, n + 1)] + 1).tolist()
+        feed(sample_measurements(state, indices, int(rng.integers(1, 10**6)), rng).tolist())
+
+        gamma = float(rng.uniform(0.0, np.pi / 2))
+        f00, f11 = (float(v) for v in rng.uniform(-0.05, 1.05, size=2))
+        try:
+            point = feasible(gamma, f00, f11)
+        except ValueError as exc:
+            feed("ValueError", str(exc))
+            continue
+        solution = point.solution
+        feed(point.f00_target.hex(), point.f11_target.hex(), point.feasible)
+        if solution is not None:
+            feed(
+                solution.s_squared.hex(),
+                solution.ndelta_principal.hex(),
+                solution.required_C_squared.hex(),
+                solution.required_S_squared.hex(),
+            )
+    return h.hexdigest()
+
+
+def test_seeded_readout_bits_are_pinned():
+    assert readout_digest(3000) == "6e2bc49fa9871e5ce818fceef6528b837ad9f5267fb815a38eafc40d7b735195"

@@ -175,6 +175,34 @@ class TestSimulate:
             "config error: J, B1 and B2 must be finite, got J=inf, B1=0.0, B2=0.0\n"
         )
 
+    def test_weight_square_overflow_exit_2(self, runner, tmp_path):
+        path = worked_config(tmp_path, gamma=0.5, p1=1e200, p2=0.0, theta1=0.0,
+                             knob={"n": 1, "delta": 0.1})
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "config error: p1^2 + p2^2 = 1 violated: got inf\n"
+
+    def test_field_difference_overflow_exit_2(self, runner, tmp_path):
+        # n * delta would be about 1/4, but j read 0.0 and the run printed delta = 0.
+        knob = {"J": 1e300, "B1": 1e308, "B2": -1e308, "max_den": 10, "n": 5 * 10**7}
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path, knob=knob)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "config error: B1 - B2 must be finite, got inf for B1=1e+308, B2=-1e+308\n"
+        )
+
+    @pytest.mark.parametrize("max_den", [2.5, True, 0, "7", None])
+    def test_max_den_not_a_positive_integer_exit_2(self, runner, tmp_path, max_den):
+        knob = {"J": 1.0, "B1": 0.5, "B2": 0.1, "max_den": max_den}
+        result = runner.invoke(main, ["simulate", worked_config(tmp_path, knob=knob)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"config error: max_den must be a positive integer, got {max_den!r}\n"
+        )
+
     def test_integer_beyond_float_range_exit_2(self, runner, tmp_path):
         path = worked_config(tmp_path, gamma=10**400)
         result = runner.invoke(main, ["simulate", path])
@@ -438,6 +466,31 @@ STDOUT_DIGESTS = {
 }
 
 
+# SHA-256 of stdout and the exit code for solve and infer flag sets, frozen
+# before the report and readout paths were reworked: feasible and infeasible
+# steering targets, and regular and singular inference points.
+CONTROL_STDOUT_DIGESTS = {
+    ("solve", "--gamma", "0.7853981633974483", "--f00", "0.3", "--f11", "0.3"):
+        (0, "f4675adbfd728d56157ce00da87de9393709a94d2cb74145bc428ba1d85d77e8"),
+    ("solve", "--gamma", "1.5707963267948966", "--f00", "0.3", "--f11", "0.45"):
+        (0, "af3d20c1a616d8120e0afaaa5b0bf05ed68aefb573c4ee69289fa0fce9b779cd"),
+    ("solve", "--gamma", "0.05", "--f00", "0.99", "--f11", "0.0"):
+        (4, "8d3c317cd6f4bc3d797cf64a4c0cafde5a2d0811e61ec630d8eab3c8bcb73686"),
+    ("solve", "--gamma", "1.2", "--f00", "0.2", "--f11", "0.6"):
+        (0, "4b1f65463c98c8adb7b139434ac5ecb6a3f6e66399f35fb942e941fbfde54abc"),
+    ("solve", "--gamma", "0.7853981633974483", "--f00", "0.9", "--f11", "0.9"):
+        (4, "4468e371d79506f41eb7681bcd30275e49975969bc247a06e8919048e2f07eb4"),
+    ("infer", "--f00", "0.4", "--f01", "0.4", "--f11", "0.2", "--ndelta", "0.08333333333333333"):
+        (0, "233c27652016bee127fd7216fc3074f05874412c691add57d659ef14d8269aee"),
+    ("infer", "--f00", "0.55", "--f01", "0.15", "--f11", "0.3", "--ndelta", "0.3"):
+        (0, "aabfa254355229b1d42b09763daf8f397c9b7a0acf91779c40b34620bc191fd2"),
+    ("infer", "--f00", "0.7", "--f01", "0.1", "--f11", "0.2", "--ndelta", "-2.04"):
+        (0, "36325c922485e2075daa074b1b8cfb2813992e720709bf1c35200b2b47312570"),
+    ("infer", "--f00", "0.4", "--f01", "0.4", "--f11", "0.2", "--ndelta", "0.125"):
+        (4, "168e12b1c6a15350bb0324c09ac43b725d64d9abf7c4baee43e75fc20be02a20"),
+}
+
+
 class TestStdoutDigests:
     @pytest.mark.parametrize("key", sorted(STDOUT_DIGESTS))
     def test_simulate_and_sample_bytes_unchanged(self, runner, tmp_path, key):
@@ -450,6 +503,12 @@ class TestStdoutDigests:
             hashlib.sha256(r.stdout_bytes).hexdigest() for r in (simulated, sampled)
         )
         assert digests == STDOUT_DIGESTS[key]
+
+    @pytest.mark.parametrize("args", list(CONTROL_STDOUT_DIGESTS))
+    def test_solve_and_infer_bytes_unchanged(self, runner, args):
+        result = runner.invoke(main, list(args))
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert (result.exit_code, digest) == CONTROL_STDOUT_DIGESTS[args]
 
 
 class TestSample:

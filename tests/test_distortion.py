@@ -168,6 +168,25 @@ class TestInteractionRatio:
         with pytest.raises(ValueError, match="J, B1 and B2 must be finite"):
             j_parameter(FieldParams(**values))
 
+    @pytest.mark.parametrize("B1, B2", [(1e308, -1e308), (-1.7e308, 1.7e308)])
+    def test_rejects_field_difference_past_float_range(self, B1, B2):
+        # Finite fields whose B1 - B2 overflows used to give j = 0.0.
+        with pytest.raises(ValueError, match="B1 - B2 must be finite"):
+            j_parameter(FieldParams(J=1e300, B1=B1, B2=B2))
+
+    @pytest.mark.parametrize(
+        "J, B1, B2, expected",
+        [
+            (1e308, 1e308, 0.0, 1 / math.sqrt(5)),
+            (-1e308, 0.0, 1e308, -1 / math.sqrt(5)),
+            (8.98846567431158e307, 0.0, 0.0, 0.5),
+            (1.0, 1.5e308, 0.0, 1.0 / 1.5e308),
+        ],
+    )
+    def test_overflowing_root_gives_the_true_ratio(self, J, B1, B2, expected):
+        # 2 J or sqrt(B-^2 + 4 J^2) past the float range used to give j = 0.0.
+        assert j_parameter(FieldParams(J=J, B1=B1, B2=B2)) == pytest.approx(expected, rel=1e-15)
+
 
 class TestRationalApprox:
     def test_exact_half(self):
@@ -240,6 +259,16 @@ class TestRationalApprox:
             rational_approx(0.3, 0)
         with pytest.raises(ValueError, match=r"\|j\|"):
             rational_approx(0.7, 10)
+
+    @pytest.mark.parametrize("max_den", [2.5, 3.0, True, False, 0, -4, "3", None, np.float64(3.0)])
+    def test_max_den_must_be_a_positive_integer(self, max_den):
+        with pytest.raises(ValueError, match="max_den must be a positive integer"):
+            rational_approx(0.3, max_den)
+
+    @pytest.mark.parametrize("j", [0.1234567, 1e-300, -0.3])
+    def test_numpy_integer_max_den_equals_python_int(self, j):
+        for max_den in (np.int64(10**6), np.uint32(10**6), np.int8(100)):
+            assert rational_approx(j, max_den) == rational_approx(j, int(max_den))
 
 
 class TestSmallMismatchEstimate:

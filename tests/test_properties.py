@@ -1,4 +1,4 @@
-"""Hypothesis properties of the rational knob and the Born sampler.
+"""Hypothesis properties of the rational knob, the Born sampler and the CLI.
 
 Kept apart from the example-based tests so that an environment without
 Hypothesis loses only this module.
@@ -6,13 +6,19 @@ Hypothesis loses only this module.
 
 from __future__ import annotations
 
+import json
+import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsource import ControlKnob, FieldParams, j_parameter, rational_approx
+from bellsource import cli
 from bellsource.statevec import _born_index
 
 # Derandomized and without an example database: the same examples on every
@@ -80,3 +86,149 @@ def test_born_index_is_clamped_searchsorted(case):
     probs, u = case
     expected = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
     assert _born_index(probs, _FixedDraw(u)) == expected
+
+
+# Numbers at the edges of the float range, subnormals, NaN and infinities
+# (written as the non-standard NaN/Infinity tokens), integers past the float
+# range, and values of the wrong type.
+_EDGE_NUMBERS = [0.0, -0.0, 0.5, 1.0, -1.0, 1e-320, 5e-324, 1e154, 1e200, 1e300, 1e308,
+                 -1e308, 1.7976931348623157e308, 10**400, -(10**400), 2**63, 2**63 - 1]
+numbers = st.floats(allow_subnormal=True) | st.integers(-(2**70), 2**70) | st.sampled_from(
+    _EDGE_NUMBERS
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+# Mostly numbers, sometimes any JSON value.
+fields = st.one_of(numbers, numbers, numbers, json_values)
+unit = st.floats(-1.0, 1.0)
+valid_knobs = st.fixed_dictionaries({"n": st.integers(0, 50), "delta": st.floats(-0.5, 0.5)}) | (
+    st.fixed_dictionaries(
+        {"J": unit, "B1": unit, "B2": unit, "max_den": st.integers(1, 100)},
+        optional={"n": st.integers(0, 50)},
+    )
+)
+valid_configs = st.fixed_dictionaries(
+    {"gamma": st.floats(0.0, math.pi / 2), "p1": unit, "theta1": st.floats(-4.0, 4.0),
+     "knob": valid_knobs},
+    optional={"shots": st.integers(1, 10**6), "seed": st.integers(0, 2**32)},
+)
+_CONFIG_KEYS = ["gamma", "p1", "p2", "theta1", "theta2", "p2_negative", "shots", "seed", "knob"]
+_KNOB_KEYS = ["n", "delta", "J", "B1", "B2", "max_den"]
+
+
+@st.composite
+def configs(draw):
+    """A valid config with up to two top-level and two knob fields replaced."""
+    config = draw(valid_configs)
+    knob = dict(config["knob"])
+    knob.update(draw(st.dictionaries(st.sampled_from(_KNOB_KEYS), fields, max_size=2)))
+    config["knob"] = knob
+    config.update(draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), fields, max_size=2)))
+    return config
+
+
+_FLAG_VALUES = ["0", "-0.0", "0.125", "0.3", "1", "-1", "1e-320", "5e-324", "1e308",
+                "1.7976931348623157e308", "1e309", "nan", "inf", "-inf", "1" + "0" * 400,
+                str(2**63 - 1), str(2**63), "1.5", "x", ""]
+flag_values = st.one_of(
+    st.sampled_from(_FLAG_VALUES),
+    st.floats(allow_subnormal=True).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+)
+# Region grids stay small: a valid resolution up to 4096 allocates about 33 B per cell.
+resolutions = st.sampled_from(["0", "1", "2", "3", "11", "-5", "4097", str(2**70), "nan", "x"])
+
+
+@st.composite
+def cli_calls(draw):
+    """A command, its config (or None) and its flags."""
+    command = draw(st.sampled_from(["simulate", "sample", "region", "solve", "infer"]))
+    if command in ("simulate", "sample"):
+        flags = []
+        for flag in ("--shots", "--seed") if command == "sample" else ("--seed",):
+            if draw(st.booleans()):
+                flags += [flag, draw(flag_values)]
+        return command, draw(configs()), flags
+    names = {"region": ["--gamma"], "solve": ["--gamma", "--f00", "--f11"],
+             "infer": ["--f00", "--f01", "--f11", "--ndelta"]}[command]
+    flags = [part for name in names for part in (name, draw(flag_values))]
+    if command == "region":
+        flags += ["--resolution", draw(resolutions)]
+    return command, None, flags
+
+
+def _strict_json(text: str) -> None:
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    json.loads(text, parse_constant=reject)
+
+
+def _check_region_csv(text: str) -> None:
+    header, *rows = text.split("\n")[:-1]
+    assert header == "f00,f11,feasible,s_squared,ndelta" and text.endswith("\n")
+    for row in rows:
+        f00, f11, feasible, s_squared, ndelta = row.split(",")
+        assert math.isfinite(float(f00)) and math.isfinite(float(f11))
+        assert feasible in ("0", "1") and (s_squared == ndelta == "") == (feasible == "0")
+        if feasible == "1":
+            assert math.isfinite(float(s_squared)) and math.isfinite(float(ndelta))
+
+
+def _j_is_exact_within_rounding(j: float, fp: FieldParams) -> bool:
+    """|j - J / sqrt((B1 - B2)^2 + 4 J^2)| within 1e-13 relative or one subnormal step.
+
+    Checked on exact rationals, by squares, so nothing in the oracle rounds or
+    overflows.
+    """
+    J, B1, B2 = Fraction(fp.J), Fraction(fp.B1), Fraction(fp.B2)
+    exact_sq = J**2 / ((B1 - B2) ** 2 + 4 * J**2)
+    size, tiny, eps = abs(Fraction(j)), Fraction(2) ** -1074, Fraction(1, 10**13)
+    same_sign = j == 0.0 or (j > 0.0) == (J > 0)
+    return (
+        same_sign
+        and max(size - tiny, 0) ** 2 <= exact_sq * (1 + eps) ** 2
+        and (size + tiny) ** 2 >= exact_sq * (1 - eps) ** 2
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(call=cli_calls())
+@example(call=("simulate", {"gamma": 0.5, "p1": 1e200, "p2": 0.0, "theta1": 0.0,
+                            "knob": {"n": 1, "delta": 0.1}}, []))
+@example(call=("simulate", {"gamma": 0.5, "p1": 0.6, "theta1": 0.3,
+                            "knob": {"J": 1e300, "B1": 1e308, "B2": -1e308, "max_den": 10,
+                                     "n": 5 * 10**7}}, []))
+@example(call=("simulate", {"gamma": 0.5, "p1": 0.6, "theta1": 0.3,
+                            "knob": {"J": 1e308, "B1": 1e308, "B2": 0.0, "max_den": 10}}, []))
+@example(call=("sample", {"gamma": 0.5, "p1": 0.6, "theta1": 0.3,
+                          "knob": {"n": 1, "delta": 0.1}}, ["--shots", str(2**63 - 1)]))
+def test_cli_never_crashes_and_prints_only_strict_output(call):
+    """Exit 0, 2, 3 or 4; no exception escapes; stdout is empty, strict JSON or the CSV.
+
+    An accepted field-form knob also carries the true interaction ratio j.
+    """
+    command, config, flags = call
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command]
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config, allow_nan=True))
+            args.append(str(path))
+        result = CliRunner().invoke(cli.main, args + flags)
+        assert result.exit_code in (0, 2, 3, 4), (result.exit_code, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.stdout:
+            if command == "region":
+                _check_region_csv(result.stdout)
+            else:
+                _strict_json(result.stdout)
+        if result.exit_code == 0 and config is not None:
+            provenance = cli.load_config(path).knob.provenance
+            if provenance is not None:
+                fp = FieldParams(*(float(config["knob"][k]) for k in ("J", "B1", "B2")))
+                assert _j_is_exact_within_rounding(provenance.j, fp)

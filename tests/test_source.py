@@ -60,6 +60,12 @@ class TestSourceSpec:
         with pytest.raises(ValueError, match=r"theta1 \+ theta2 = pi/2"):
             SourceSpec.from_p1_theta1(0.3, 0.6, math.nan)
 
+    @pytest.mark.parametrize("p1, p2", [(1e200, 0.0), (0.0, -1e200), (1.5e154, 1.5e154)])
+    def test_weight_whose_square_overflows_is_rejected(self, p1, p2):
+        # Float ** raises OverflowError here; the spec reports the weight as inf.
+        with pytest.raises(ValueError, match=r"p1\^2 \+ p2\^2 = 1 violated: got inf"):
+            SourceSpec(gamma=0.5, p1=p1, p2=p2, theta1=0.0, theta2=math.pi / 2)
+
     @pytest.mark.parametrize("field", ["p1", "p2", "theta1", "theta2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_parameter(self, field, value):
