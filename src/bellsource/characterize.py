@@ -28,6 +28,7 @@ from .statevec import (
     UnitaryMatrix,
     _born_index,
     _draw,
+    _fresh,
     _multinomial,
     basis_state,
     bell_coefficients,
@@ -234,13 +235,13 @@ def _run_gates(state12: PureState) -> PureState:
     amps = tensor(state12, _ANCILLAS).amplitudes
     for gate in gates:
         amps = gate.entries @ amps
-    return PureState(amps)
+    return _fresh(amps)
 
 
 def _surviving_pair(final: PureState, i: int, j: int, prob: float) -> PureState:
     """Pair left by ancilla readout (i, j) of weight ``prob``: its block over sqrt(prob)."""
     block = final.amplitudes.reshape(2, 2, 2, 2)[:, :, i, j]
-    return PureState((block / math.sqrt(prob)).reshape(-1))
+    return _fresh((block / math.sqrt(prob)).reshape(-1))
 
 
 def run_characterization_circuit(
@@ -254,7 +255,7 @@ def run_characterization_circuit(
     (the division a collapse makes), not constructed.
     """
     final = _run_gates(state12)
-    (i, j), prob = _draw(final, [2, 3], rng)
+    (i, j), prob = _draw(final, (2, 3), rng)
     return MeasurementRecord(
         outcome=_RELABEL[i, j], post_state=_surviving_pair(final, i, j, prob), probability=prob
     )

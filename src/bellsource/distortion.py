@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import SourceSpec, _superpose
-from .statevec import PureState, bell_state
+from .statevec import PureState, _fresh, bell_state
 
 __all__ = [
     "BestRational",
@@ -69,6 +69,8 @@ class HamiltonianMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"Hamiltonian must be 4x4, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"Hamiltonian entries must be finite, got {m[~np.isfinite(m)]!r}")
         if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
             raise ValueError("Hamiltonian is not Hermitian")
         cross = [(0, 1), (0, 2), (3, 1), (3, 2)]
@@ -99,16 +101,22 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
 
     The {|00>,|11>} sector is diagonal (pure phases); the {|01>,|10>} sector
     is J*I + B-*Z - 2J*X, whose exponential is a rotation about an axis in
-    the X-Z plane with frequency omega = sqrt(B-^2 + 4J^2).
+    the X-Z plane with frequency omega = sqrt(B-^2 + 4J^2). Raises ValueError
+    for a NaN or infinite J, B1, B2, B1 - B2, t or phase angle (omega or a sector energy, times t).
     """
     if state.num_qubits != 2:
         raise ValueError(f"evolution is defined on 2-qubit states, got {state.num_qubits}")
     J, bm = fp.J, fp.b_minus
+    omega = math.hypot(bm, 2.0 * J)
+    e00, e11 = -J + fp.B1 + fp.B2, -J - fp.B1 - fp.B2
+    for name, value in (("J", J), ("B1", fp.B1), ("B2", fp.B2), ("B1 - B2", bm), ("t", t),
+                        ("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
     a0, a1, a2, a3 = state.amplitudes
     out = np.empty(4, dtype=complex)
-    out[0] = cmath.exp(-1j * (-J + fp.B1 + fp.B2) * t) * a0
-    out[3] = cmath.exp(-1j * (-J - fp.B1 - fp.B2) * t) * a3
-    omega = math.hypot(bm, 2.0 * J)
+    out[0] = cmath.exp(-1j * e00 * t) * a0
+    out[3] = cmath.exp(-1j * e11 * t) * a3
     if omega == 0.0:
         out[1], out[2] = a1, a2
     else:
@@ -117,7 +125,7 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
         s = math.sin(omega * t) / omega
         out[1] = phase * ((c - 1j * s * bm) * a1 + 1j * s * 2.0 * J * a2)
         out[2] = phase * (1j * s * 2.0 * J * a1 + (c + 1j * s * bm) * a2)
-    return PureState(out)
+    return _fresh(out)
 
 
 def _is_integer(value: object) -> bool:

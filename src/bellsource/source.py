@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import PureState, _kron
+from .statevec import PureState, _fresh, _kron
 
 __all__ = [
     "ComponentStates",
@@ -160,7 +160,7 @@ def _superpose(
     raw_norm = float(np.vdot(raw, raw).real)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return PureState(raw / math.sqrt(raw_norm)), raw_norm
+    return _fresh(raw / math.sqrt(raw_norm)), raw_norm
 
 
 def superpose_species(

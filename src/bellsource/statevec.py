@@ -9,6 +9,7 @@ touch no global randomness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
@@ -41,6 +42,9 @@ MAX_QUBITS = 4
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-12
 _ZERO_PROB = 1e-12
+_QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
+_IN_ORDER = {n: tuple(range(n)) for n in range(1, MAX_QUBITS + 1)}
+_Axes = tuple[int, ...]  # 0-based qubit axes, in target order
 
 
 class ZeroProbabilityError(ValueError):
@@ -63,12 +67,7 @@ class PureState:
 
     def __post_init__(self, normalize: bool) -> None:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        n = amps.size.bit_length() - 1
-        if amps.size != 2**n or not 1 <= n <= MAX_QUBITS:
-            raise ValueError(
-                f"amplitude vector of length {amps.size} is not a 1..{MAX_QUBITS} qubit state"
-            )
-        if normalize:
+        if normalize and amps.size in _QUBITS_OF_SIZE:  # a bad length fails in _fresh
             # The norm divides the amplitudes here, so it decides their bits.
             norm = float(np.linalg.norm(amps))
             if not math.isfinite(norm):
@@ -76,17 +75,7 @@ class PureState:
             if norm < 1e-12:
                 raise ValueError("cannot normalize a zero vector")
             amps = amps / norm
-        else:
-            # Only a check, so one pass suffices; a NaN norm fails it.
-            norm = math.sqrt(np.vdot(amps, amps).real)
-            if not abs(norm - 1.0) <= _NORM_TOL:
-                raise ValueError(
-                    f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
-                    "pass normalize=True to rescale"
-                )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "num_qubits", n)
+        _fresh(amps, self)
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>."""
@@ -98,6 +87,27 @@ class PureState:
         """Born weights of the computational-basis outcomes."""
         a = self.amplitudes
         return a.real**2 + a.imag**2
+
+
+def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
+    """The one PureState validator; internal callers pass no state and a new array: no copy."""
+    n = _QUBITS_OF_SIZE.get(amps.size)
+    if n is None:
+        raise ValueError(
+            f"amplitude vector of length {amps.size} is not a 1..{MAX_QUBITS} qubit state"
+        )
+    # Only a check, so one pass suffices; a NaN norm fails it.
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(
+            f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
+            "pass normalize=True to rescale"
+        )
+    amps.setflags(write=False)
+    state = object.__new__(PureState) if state is None else state
+    object.__setattr__(state, "amplitudes", amps)
+    object.__setattr__(state, "num_qubits", n)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,34 +190,46 @@ def tensor(a: PureState, b: PureState) -> PureState:
     total = a.num_qubits + b.num_qubits
     if total > MAX_QUBITS:
         raise ValueError(f"tensor product would have {total} qubits (max {MAX_QUBITS})")
-    return PureState(_kron(a.amplitudes, b.amplitudes))
+    return _fresh(_kron(a.amplitudes, b.amplitudes))
 
 
-def _check_targets(targets: Sequence[int], num_qubits: int) -> list[int]:
-    """Validate distinct 1-based qubit indices; return 0-based axes."""
+def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
+    """Validate distinct 1-based qubit indices; return 0-based axes, from ``_AXES`` if there."""
+    try:
+        return _AXES[targets, num_qubits]
+    except (KeyError, TypeError):  # not in the table, or unhashable such as a list
+        pass
     idx = [int(q) for q in targets]
     if len(set(idx)) != len(idx):
         raise ValueError(f"repeated qubit index in {targets!r}")
     for q in idx:
         if not 1 <= q <= num_qubits:
             raise ValueError(f"qubit index {q} out of range 1..{num_qubits}")
-    return [q - 1 for q in idx]
+    return tuple(q - 1 for q in idx)
 
 
-def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: list[int], n: int) -> np.ndarray:
+_AXES: dict[tuple[Sequence[int], int], _Axes] = {}
+_AXES.update(  # every ordered target tuple of 1..4 qubits, checked once: 84 entries
+    ((targets, n), _check_targets(targets, n))
+    for n in range(1, MAX_QUBITS + 1)
+    for t in range(1, n + 1)
+    for targets in itertools.permutations(range(1, n + 1), t)
+)
+
+
+def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: _Axes, n: int) -> np.ndarray:
     t = len(axes)
-    if axes == list(range(n)):
+    if axes == _IN_ORDER.get(n):
         # Whole register in order: the permutation is the identity. Same
         # (2**t, 1) operand as the general path, so the same matmul bits.
         return (matrix @ amps.reshape(2**t, -1)).reshape(-1)
-    rest = [i for i in range(n) if i not in axes]
-    psi = amps.reshape([2] * n).transpose(axes + rest).reshape(2**t, -1)
+    order = axes + tuple(i for i in range(n) if i not in axes)
+    psi = amps.reshape((2,) * n).transpose(order).reshape(2**t, -1)
     psi = matrix @ psi
-    inverse = np.argsort(axes + rest)
-    return psi.reshape([2] * n).transpose(inverse).reshape(-1)
+    return psi.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
 
 
-def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> list[int]:
+def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> _Axes:
     axes = _check_targets(targets, num_qubits)
     if u.dim != 2 ** len(axes):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(axes)} qubit(s)")
@@ -217,7 +239,7 @@ def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> lis
 def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) -> PureState:
     """Apply ``u`` to the ordered target qubits, identity elsewhere."""
     axes = _gate_axes(u, targets, state.num_qubits)
-    return PureState(_apply_matrix(state.amplitudes, u.entries, axes, state.num_qubits))
+    return _fresh(_apply_matrix(state.amplitudes, u.entries, axes, state.num_qubits))
 
 
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
@@ -273,24 +295,23 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
     return min(abs(a.inner(b)), 1.0)
 
 
-def _marginal_probabilities(state: PureState, axes: list[int]) -> np.ndarray:
+def _marginal_probabilities(state: PureState, axes: _Axes) -> np.ndarray:
     """Born weights of the measured subset, flattened in the axes' bit order."""
     n = state.num_qubits
-    t = len(axes)
-    rest = [i for i in range(n) if i not in axes]
-    abs2 = state.probabilities().reshape([2] * n)
-    return abs2.transpose(axes + rest).reshape(2**t, -1).sum(axis=1)
+    rest = tuple(i for i in range(n) if i not in axes)
+    abs2 = state.probabilities().reshape((2,) * n)
+    return abs2.transpose(axes + rest).reshape(2 ** len(axes), -1).sum(axis=1)
 
 
-def _collapse(state: PureState, axes: list[int], bits: tuple[int, ...], prob: float) -> PureState:
+def _collapse(state: PureState, axes: _Axes, bits: tuple[int, ...], prob: float) -> PureState:
     n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
+    psi = state.amplitudes.reshape((2,) * n)
     selector: list[object] = [slice(None)] * n
     for ax, bit in zip(axes, bits):
         selector[ax] = bit
-    collapsed = np.zeros_like(psi)
+    collapsed = np.zeros(psi.shape, complex)
     collapsed[tuple(selector)] = psi[tuple(selector)] / math.sqrt(prob)
-    return PureState(collapsed.reshape(-1))
+    return _fresh(collapsed.reshape(-1))
 
 
 def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
@@ -308,7 +329,7 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
 
 
 def _draw(
-    state: PureState, axes: list[int], rng: np.random.Generator
+    state: PureState, axes: _Axes, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], float]:
     """Outcome bits of the measured axes, drawn by the Born rule, and their weight."""
     probs = _marginal_probabilities(state, axes).tolist()

@@ -4,7 +4,8 @@
 outcomes, probabilities (as float hex) and amplitude buffers. All draws come
 from one seeded generator, so a change to the number or order of draws moves
 every later byte as well. The pinned digests were computed before the shot
-path was reworked; an optimisation must keep them.
+path was reworked (``evolution_digest`` before the state-vector core was); an
+optimisation must keep them.
 
 The circuit routes multiply by 16 x 16 gates through numpy's matmul, so the
 digest also pins the BLAS matrix-vector kernel of the machine it runs on.
@@ -18,11 +19,19 @@ import numpy as np
 
 from bellsource import (
     BELL_LABELS,
+    CNOT,
+    FieldParams,
+    UnitaryMatrix,
+    apply_unitary,
     basis_state,
     bell_state,
     circuit_outcome_distribution,
+    circuit_realization,
     collapse_qubits,
     controlled_emission,
+    emitted_state,
+    evolve,
+    expand_unitary,
     feasible,
     measure_qubits,
     nonlocal_bell_measurement,
@@ -137,3 +146,81 @@ def readout_digest(count: int, seed: int = 1) -> str:
 
 def test_seeded_readout_bits_are_pinned():
     assert readout_digest(3000) == "6e2bc49fa9871e5ce818fceef6528b837ad9f5267fb815a38eafc40d7b735195"
+
+
+def _unitary(rng: np.random.Generator, t: int) -> UnitaryMatrix:
+    """A seeded 1- or 2-qubit unitary built without LAPACK.
+
+    One qubit: [[a, -b*], [b, a*]] for a random unit vector (a, b). Two
+    qubits: the Kronecker product of two of those, then CNOT.
+    """
+    if t == 1:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = v / np.sqrt(np.vdot(v, v).real)
+        return UnitaryMatrix(np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
+    left, right = _unitary(rng, 1).entries, _unitary(rng, 1).entries
+    return UnitaryMatrix(CNOT.entries @ np.kron(left, right))
+
+
+def _target_orders(rng: np.random.Generator, n: int) -> list[tuple[tuple[int, ...], UnitaryMatrix]]:
+    """Gate targets on an n-qubit register: in order, reversed, non-contiguous, permuted."""
+    q = int(rng.integers(1, n + 1))
+    orders = [((q,), _unitary(rng, 1))]
+    if n >= 2:
+        q = int(rng.integers(1, n))
+        pairs = [(q, q + 1), (q + 1, q), tuple(int(k) + 1 for k in rng.permutation(n)[:2])]
+        if n >= 3:
+            pairs += [(1, n), (n, 1)]
+        orders += [(pair, _unitary(rng, 2)) for pair in pairs]
+    if n == 4:
+        gates, _ = circuit_realization(bell_state((0, 0)))
+        whole = [(1, 2, 3, 4), (4, 3, 2, 1), tuple(int(k) + 1 for k in rng.permutation(4))]
+        orders += [(order, gates[int(rng.integers(0, len(gates)))]) for order in whole]
+    return orders
+
+
+def evolution_digest(count: int, seed: int = 2) -> str:
+    """SHA-256 over gate application, gate embedding and the built source states.
+
+    Per input: ``apply_unitary`` on a random 1-4 qubit state, and
+    ``expand_unitary`` onto its register (not for 3 qubits), for every order
+    of ``_target_orders``; the six circuit gates applied one by one to a pair
+    and its ancillas, then the ancilla measurement; and ``emitted_state``,
+    ``controlled_emission`` and ``evolve`` of a random spec, knob, field and
+    time, as amplitude bytes and raw norm hex.
+    """
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+
+    def feed(state, *values) -> None:
+        h.update(repr(values).encode())
+        h.update(state.amplitudes.tobytes())
+
+    for i in range(count):
+        n = 1 + i % 4
+        state = random_state(rng, n)
+        for targets, u in _target_orders(rng, n):
+            feed(apply_unitary(state, u, targets), targets)
+            if n != 3:  # a UnitaryMatrix acts on 1, 2 or 4 qubits
+                h.update(expand_unitary(u, targets, n).entries.tobytes())
+
+        pair = _pair_input(rng, i)
+        psi = tensor(pair, basis_state("00"))
+        for gate in circuit_realization(pair)[0]:
+            psi = apply_unitary(psi, gate, (1, 2, 3, 4))
+            feed(psi)
+        bits, post, prob = measure_qubits(psi, (3, 4), rng)
+        feed(post, bits, prob.hex())
+
+        spec, knob = random_spec(rng), random_knob(rng)
+        emitted, raw_norm = emitted_state(spec)
+        feed(emitted, raw_norm.hex())
+        controlled, raw_norm = controlled_emission(spec, knob)
+        feed(controlled, raw_norm.hex())
+        fields = FieldParams(*(float(v) for v in rng.uniform(-2.0, 2.0, size=3)))
+        feed(evolve(emitted, fields, float(rng.uniform(0.0, 50.0))))
+    return h.hexdigest()
+
+
+def test_seeded_gate_and_emission_bits_are_pinned():
+    assert evolution_digest(400) == "6eae9616255284079fda2121e9f26ef58deb569bd56b2807f64134db1dc8ccc4"

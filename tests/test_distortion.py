@@ -23,6 +23,7 @@ from bellsource import (
     fidelity_up_to_phase,
     hamiltonian,
     j_parameter,
+    psi1,
     psi2,
     rational_approx,
     small_mismatch_estimate,
@@ -81,6 +82,18 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="sector"):
             HamiltonianMatrix(m)
 
+    def test_rejects_overflowing_fields(self):
+        # -J - B1 - B2 overflows to -inf; the Hermitian check saw inf - inf = nan.
+        with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+            hamiltonian(FieldParams(1e308, 1e308, 1e308))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_constructor_rejects_non_finite_entry(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
+            HamiltonianMatrix(m)
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self, rng):
@@ -133,6 +146,42 @@ class TestEvolve:
     def test_rejects_wrong_size(self, rng):
         with pytest.raises(ValueError):
             evolve(random_state(rng, 3), FieldParams(1.0, 0.0, 0.0), 1.0)
+
+    # Each of these used to end in a bare "math domain error", or for NaN in
+    # "state norm nan deviates from 1".
+    def test_rejects_rotation_angle_overflow(self):
+        with pytest.raises(ValueError, match=r"omega \* t must be finite, got inf"):
+            evolve(psi1(), FieldParams(1.0, 0.3, 0.1), 1e308)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+            evolve(psi1(), FieldParams(1.0, 0.3, 0.1), t)
+
+    def test_rejects_field_difference_past_float_range(self):
+        with pytest.raises(ValueError, match="B1 - B2 must be finite, got inf"):
+            evolve(psi1(), FieldParams(1e308, 1e308, -1e308), 1.0)
+
+    @pytest.mark.parametrize("field", ["J", "B1", "B2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, bad):
+        values = {"J": 1.0, "B1": 0.5, "B2": 0.1, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad!r}"):
+            evolve(psi1(), FieldParams(**values), 1.0)
+
+    @pytest.mark.parametrize(
+        "fp, message",
+        [
+            # B1 = B2 leaves omega = 0, but -J + B1 + B2 overflows.
+            (FieldParams(0.0, 1e308, 1e308), r"E00 \* t must be finite, got inf"),
+            # omega * t is finite, but -J - B1 - B2 overflows.
+            (FieldParams(8e307, 6e307, 6e307), r"E11 \* t must be finite, got -inf"),
+        ],
+        ids=["E00", "E11"],
+    )
+    def test_rejects_sector_energy_overflow(self, fp, message):
+        with pytest.raises(ValueError, match=message):
+            evolve(psi1(), fp, 1.0)
 
 
 class TestInteractionRatio:

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the rational knob, the Born sampler and the CLI.
+"""Hypothesis properties of the rational knob, the Born sampler, the paper's
+population identities and the CLI.
 
 Kept apart from the example-based tests so that an environment without
 Hypothesis loses only this module.
@@ -17,8 +18,20 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsource import ControlKnob, FieldParams, j_parameter, rational_approx
-from bellsource import cli
+from bellsource import (
+    ControlKnob,
+    DegenerateSourceError,
+    FieldParams,
+    SourceSpec,
+    cli,
+    controlled_emission,
+    feasible,
+    j_parameter,
+    populations_analytic,
+    populations_exact,
+    rational_approx,
+    table_populations,
+)
 from bellsource.statevec import _born_index
 
 # Derandomized and without an example database: the same examples on every
@@ -86,6 +99,84 @@ def test_born_index_is_clamped_searchsorted(case):
     probs, u = case
     expected = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
     assert _born_index(probs, _FixedDraw(u)) == expected
+
+
+# The edges of the paper's domain, listed first in each choice so that a
+# shrunk example lands on them: gamma at 0 and pi/2, p1 p2 sin(2 theta1) = 0
+# through p1 in {0, +-1} or theta1 = 0, and n delta = 1/8 +- 1e-12, where the
+# control angle is pi/4.
+direct_knobs = st.sampled_from([ControlKnob(1, 0.125 + e) for e in (-1e-12, 0.0, 1e-12)]) | (
+    st.builds(ControlKnob, st.integers(0, 50), st.floats(-0.5, 0.5))
+)
+field = st.floats(-1.0, 1.0)
+field_knobs = st.builds(
+    ControlKnob.from_field_params,
+    st.builds(FieldParams, st.floats(0.01, 2.0) | st.floats(-2.0, -0.01), field, field),
+    st.integers(1, 100),
+    st.integers(0, 50),
+)
+sources = st.builds(
+    SourceSpec.from_p1_theta1,
+    st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, math.pi / 2),
+    st.sampled_from([0.0, 1.0, -1.0]) | field,
+    st.just(0.0) | st.floats(-math.pi, math.pi),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(spec=sources, knob=direct_knobs | field_knobs)
+@example(spec=SourceSpec.from_p1_theta1(0.0, 0.6, 0.3), knob=ControlKnob(1, 0.125 - 1e-12))
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1.0, 0.3, True),
+         knob=ControlKnob(1, 0.125 + 1e-12))
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 0.6, 0.0, True),
+         knob=ControlKnob.from_field_params(FieldParams(1.0, 0.3, -0.2), 7, 3))
+# Raw norm 0, below the degenerate cut; then 2e-12, just above it, the least
+# well-conditioned case.
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1 / math.sqrt(2), -math.pi / 4),
+         knob=ControlKnob(0, 0.0))
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1 / math.sqrt(2), -math.pi / 4 + 1e-6),
+         knob=ControlKnob(1, 0.203))
+def test_paper_identities_over_spec_and_knob(spec, knob):
+    """Analytic = Born populations, f10 = 0, the raw norm's closed form, steering.
+
+    The populations agree within 1e-12 + c * 2**-52 / raw_norm with c = 1: the
+    normalization divides by the raw norm, so the rounding of the raw
+    amplitudes is magnified by the problem's conditioning and not by either
+    route. The errors seen stay far inside this (about 2**-52 / sqrt(raw_norm),
+    1.1e-10 at raw norm 2e-12). The raw norm must equal
+    1 + sin^2(gamma) * 2 p1 p2 sin(2 theta1) within 1e-12, and a feasible
+    steering solution for the Born populations must give them back through
+    the closed form within 1e-9.
+    """
+    closed_form = 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(
+        2.0 * spec.theta1
+    )
+    try:
+        state, raw_norm = controlled_emission(spec, knob)
+    except DegenerateSourceError:
+        assert closed_form < 1e-11
+        return
+    assert abs(raw_norm - closed_form) <= 1e-12
+
+    analytic = populations_analytic(spec, knob).normalized
+    born = populations_exact(state).normalized
+    assert analytic.f10 == 0.0 and born.f10 == 0.0
+    tolerance = 1e-12 + 2**-52 / raw_norm
+    for a, b in zip(analytic.as_tuple(), born.as_tuple()):
+        assert abs(a - b) <= tolerance
+
+    if spec.gamma > 0.0:
+        point = feasible(spec.gamma, born.f00, born.f11)
+        if point.feasible:
+            solution = point.solution
+            back = table_populations(
+                spec.gamma,
+                solution.required_C_squared,
+                solution.required_S_squared,
+                solution.ndelta_principal,
+            )
+            assert abs(back.f00 - born.f00) <= 1e-9 and abs(back.f11 - born.f11) <= 1e-9
 
 
 # Numbers at the edges of the float range, subnormals, NaN and infinities

@@ -11,20 +11,29 @@ from bellsource import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
+    ControlKnob,
+    FieldParams,
     PureState,
+    SourceSpec,
     UnitaryMatrix,
     ZeroProbabilityError,
     apply_unitary,
     basis_state,
     bell_coefficients,
     bell_state,
+    circuit_outcome_distribution,
     collapse_qubits,
+    controlled_emission,
+    emitted_state,
+    evolve,
     expand_unitary,
     fidelity_up_to_phase,
     measure_qubits,
+    run_characterization_circuit,
     sample_measurements,
     tensor,
 )
+from bellsource.statevec import _AXES, _check_targets, _fresh
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -370,3 +379,89 @@ class TestMeasurement:
     def test_collapse_zero_probability(self):
         with pytest.raises(ZeroProbabilityError):
             collapse_qubits(basis_state("00"), (1,), (1,))
+
+
+def _returned_states(rng: np.random.Generator) -> dict[str, list[PureState]]:
+    """A state from every function that builds its result through ``_fresh``."""
+    pair, four = random_state(rng, 2), random_state(rng, 4)
+    spec = SourceSpec.from_p1_theta1(0.7, 0.6, 0.3)
+    emitted = emitted_state(spec)[0]
+    outcomes = circuit_outcome_distribution(pair).values()
+    return {
+        "tensor": [tensor(pair, basis_state("00"))],
+        "apply_unitary": [apply_unitary(four, CNOT, (4, 2)), apply_unitary(pair, CNOT, (1, 2))],
+        "measure_qubits": [measure_qubits(four, (3, 1), rng)[1]],
+        "collapse_qubits": [collapse_qubits(bell_state((0, 0)), (2,), (1,))[0]],
+        "run_characterization_circuit": [run_characterization_circuit(pair, rng).post_state],
+        "circuit_outcome_distribution": [post for _, post in outcomes if post is not None],
+        "emitted_state": [emitted],
+        "controlled_emission": [controlled_emission(spec, ControlKnob(3, 0.01))[0]],
+        "evolve": [evolve(emitted, FieldParams(1.0, 0.3, -0.2), 0.8)],
+    }
+
+
+class TestStateValidator:
+    def test_every_returned_state_is_read_only_and_normalized(self, rng):
+        for name, states in _returned_states(rng).items():
+            assert states, name
+            for state in states:
+                assert state.amplitudes.flags.writeable is False, name
+                with pytest.raises(ValueError):
+                    state.amplitudes[0] = 0.0
+                assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-9, name
+
+    def test_public_constructor_copies_its_input(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        state = PureState(amps)
+        amps[0], amps[1] = 0.0, 1.0
+        assert state.amplitudes.tolist() == [1.0, 0.0]
+        assert amps.flags.writeable
+
+    def test_both_entry_points_reject_with_the_same_text(self):
+        text = (
+            "state norm 1.4142135623730951 deviates from 1 by more than 1e-09; "
+            "pass normalize=True to rescale"
+        )
+        for build in (PureState, _fresh):
+            with pytest.raises(ValueError) as error:
+                build(np.array([1.0, 1.0], dtype=complex))
+            assert str(error.value) == text
+            with pytest.raises(ValueError, match="length 32 is not a 1..4 qubit state"):
+                build(np.zeros(32, dtype=complex))
+
+    def test_normalize_flag_still_checks_the_length_first(self):
+        with pytest.raises(ValueError, match="length 3 is not a 1..4 qubit state"):
+            PureState(np.zeros(3), normalize=True)
+
+
+class TestTargetTable:
+    # A list is unhashable, so it always takes the validating path.
+    def test_holds_every_valid_ordered_target_tuple(self):
+        assert len(_AXES) == 84
+        for (targets, n), axes in _AXES.items():
+            assert axes == tuple(q - 1 for q in targets)
+            assert _check_targets(list(targets), n) == axes
+
+    @pytest.mark.parametrize(
+        "targets, n, axes",
+        [((3, 1), 4, (2, 0)), (np.array([3, 1]), 4, (2, 0)),
+         ((np.int64(3), np.int32(1)), 4, (2, 0)), ([np.int64(3), 1], 4, (2, 0)),
+         ((1.0,), 1, (0,)), ([2.0, 1], 2, (1, 0)), ((5, 1), 5, (4, 0))],
+    )
+    def test_lookup_equals_the_validator(self, targets, n, axes):
+        assert _check_targets(targets, n) == _check_targets(list(targets), n) == axes
+
+    @pytest.mark.parametrize(
+        "targets, n, message",
+        [((1, 1), 2, "repeated qubit index in (1, 1)"),
+         ([2, 2], 2, "repeated qubit index in [2, 2]"),
+         (np.array([1, 1]), 2, "repeated qubit index in array([1, 1])"),
+         ((3,), 2, "qubit index 3 out of range 1..2"),
+         ([0], 2, "qubit index 0 out of range 1..2"),
+         ((1, 5), 4, "qubit index 5 out of range 1..4"),
+         (np.array([9]), 4, "qubit index 9 out of range 1..4")],
+    )
+    def test_rejects_with_the_same_messages(self, targets, n, message):
+        with pytest.raises(ValueError) as error:
+            _check_targets(targets, n)
+        assert str(error.value) == message
