@@ -14,13 +14,17 @@ digest also pins the BLAS matrix-vector kernel of the machine it runs on.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 from bellsource import (
     BELL_LABELS,
     CNOT,
+    ControlKnob,
+    DegenerateSourceError,
     FieldParams,
+    SourceSpec,
     UnitaryMatrix,
     apply_unitary,
     basis_state,
@@ -29,6 +33,8 @@ from bellsource import (
     circuit_realization,
     collapse_qubits,
     controlled_emission,
+    controlled_psi1,
+    controlled_psi2,
     emitted_state,
     evolve,
     expand_unitary,
@@ -36,9 +42,11 @@ from bellsource import (
     measure_qubits,
     nonlocal_bell_measurement,
     populations_exact,
+    psi2,
     run_characterization_circuit,
     sample_histogram,
     sample_measurements,
+    superpose_species,
     tensor,
 )
 from conftest import random_knob, random_spec, random_state
@@ -224,3 +232,70 @@ def evolution_digest(count: int, seed: int = 2) -> str:
 
 def test_seeded_gate_and_emission_bits_are_pinned():
     assert evolution_digest(400) == "6eae9616255284079fda2121e9f26ef58deb569bd56b2807f64134db1dc8ccc4"
+
+
+# The edges of the emission domain: gamma at both ends, theta1 at signed zeros,
+# +-pi/4 and +-pi, p1 where a weight vanishes or both are equal, and n delta at
+# signed zeros, 1/8, 1/4 and +-1/2.
+_GAMMAS = (0.0, math.pi / 2)
+_THETA1S = (0.0, -0.0, math.pi / 4, -math.pi / 4, math.pi, -math.pi)
+_P1S = (0.0, 1.0, -1.0, 1 / math.sqrt(2))
+_KNOBS = tuple(ControlKnob(1, d) for d in (0.0, -0.0, 0.125, 0.25, 0.5, -0.5))
+
+
+def _edge_or(rng: np.random.Generator, edges: tuple, draw):
+    """One of ``edges`` half the time, else ``draw()``."""
+    if rng.random() < 0.5:
+        return edges[int(rng.integers(len(edges)))]
+    return draw()
+
+
+def emission_digest(count: int, seed: int = 3) -> str:
+    """SHA-256 over the emission builders, edge values included.
+
+    Per input: ``emitted_state`` and ``controlled_emission`` of a spec and
+    knob drawn from the domain edges or at random, with both signs of p2;
+    ``psi2``, ``controlled_psi1`` and ``controlled_psi2`` at its angles;
+    ``superpose_species`` on three random pairs; and ``evolve`` of the
+    emitted state. States go in as amplitude bytes, raw norms as hex, and a
+    degenerate superposition as its ``DegenerateSourceError`` text.
+    """
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+
+    def feed(build, *args) -> None:
+        try:
+            result = build(*args)
+        except DegenerateSourceError as exc:
+            h.update(f"degenerate: {exc}".encode())
+            return
+        state, raw_norm = result if isinstance(result, tuple) else (result, None)
+        h.update(state.amplitudes.tobytes())
+        h.update(b"-" if raw_norm is None else raw_norm.hex().encode())
+
+    for i in range(count):
+        spec = SourceSpec.from_p1_theta1(
+            _edge_or(rng, _GAMMAS, lambda: float(rng.uniform(0.0, math.pi / 2))),
+            _edge_or(rng, _P1S, lambda: float(rng.uniform(-1.0, 1.0))),
+            _edge_or(rng, _THETA1S, lambda: float(rng.uniform(-math.pi, math.pi))),
+            bool(i % 2),
+        )
+        knob = _edge_or(rng, _KNOBS, lambda: random_knob(rng))
+        feed(emitted_state, spec)
+        feed(controlled_emission, spec, knob)
+        feed(psi2, spec.theta1)
+        feed(psi2, spec.theta2)
+        feed(controlled_psi1, knob)
+        feed(controlled_psi2, spec.theta1, knob)
+        feed(controlled_psi2, spec.theta2, knob)
+        feed(superpose_species, spec, *(random_state(rng, 2) for _ in range(3)))
+        fields = FieldParams(*(float(v) for v in rng.uniform(-2.0, 2.0, size=3)))
+        if i % 5 == 0:  # J = 0 and B1 = B2: the mixing frequency omega is 0
+            fields = FieldParams(0.0, fields.B1, fields.B1)
+        t = float(rng.uniform(0.0, 50.0))
+        feed(lambda: evolve(emitted_state(spec)[0], fields, t))
+    return h.hexdigest()
+
+
+def test_seeded_emission_bits_are_pinned():
+    assert emission_digest(3000) == "13fadec27bbf24790b204084782dda206fd0c8748ac180e4c984c1613a2e87e0"
