@@ -41,9 +41,11 @@ __all__ = [
 _HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
 
-_B00 = bell_state((0, 0)).amplitudes
-_B01 = bell_state((0, 1)).amplitudes
-_B10 = bell_state((1, 0)).amplitudes
+# Real-valued Bell amplitudes as Python complex. The controlled species multiply
+# them by complex scalars, where CPython and numpy's fused multiply agree.
+_B00, _B01, _B10 = (
+    tuple(bell_state(label).amplitudes.tolist()) for label in ((0, 0), (0, 1), (1, 0))
+)
 
 
 @dataclass(frozen=True)
@@ -113,19 +115,16 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
                         ("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
-    a0, a1, a2, a3 = state.amplitudes
-    out = np.empty(4, dtype=complex)
-    out[0] = cmath.exp(-1j * e00 * t) * a0
-    out[3] = cmath.exp(-1j * e11 * t) * a3
-    if omega == 0.0:
-        out[1], out[2] = a1, a2
-    else:
+    a0, a1, a2, a3 = state.amplitudes.tolist()
+    if omega != 0.0:
         phase = cmath.exp(-1j * J * t)
         c = math.cos(omega * t)
         s = math.sin(omega * t) / omega
-        out[1] = phase * ((c - 1j * s * bm) * a1 + 1j * s * 2.0 * J * a2)
-        out[2] = phase * (1j * s * 2.0 * J * a1 + (c + 1j * s * bm) * a2)
-    return _fresh(out)
+        a1, a2 = (
+            phase * ((c - 1j * s * bm) * a1 + 1j * s * 2.0 * J * a2),
+            phase * (1j * s * 2.0 * J * a1 + (c + 1j * s * bm) * a2),
+        )
+    return _fresh(np.array([cmath.exp(-1j * e00 * t) * a0, a1, a2, cmath.exp(-1j * e11 * t) * a3]))
 
 
 def _is_integer(value: object) -> bool:
@@ -272,22 +271,25 @@ class ControlKnob:
         return cls(n=n, delta=delta, provenance=RationalProvenance(j, num, den))
 
 
-def _cpsi1(ndelta: float) -> np.ndarray:
-    """Amplitudes of controlled_psi1 at control value n*delta."""
+def _control_terms(ndelta: float) -> tuple[complex, complex]:
+    """i e^{ix} sin x and e^{ix} cos x at the control angle x = 2 pi n delta."""
     x = 2.0 * math.pi * ndelta
     phase = cmath.exp(1j * x)
-    return (1.0 + 1j * phase * math.sin(x)) * _B00 - 1j * phase * math.sin(x) * _B10
+    return 1j * phase * math.sin(x), phase * math.cos(x)
 
 
-def _cpsi2(theta: float, ndelta: float) -> np.ndarray:
-    """Amplitudes of controlled_psi2 at angle theta and control value n*delta."""
-    x = 2.0 * math.pi * ndelta
-    phase = cmath.exp(1j * x)
-    return (
-        math.sin(theta) * _B01
-        - phase * math.cos(x) * math.cos(theta) * _B10
-        + 1j * phase * math.sin(x) * math.cos(theta) * _B00
-    )
+def _cpsi1(mix: complex) -> list[complex]:
+    """Amplitudes of controlled_psi1 from its control terms."""
+    keep = 1.0 + mix
+    return [keep * b00 - mix * b10 for b00, b10 in zip(_B00, _B10)]
+
+
+def _cpsi2(theta: float, mix: complex, turn: complex) -> list[complex]:
+    """Amplitudes of controlled_psi2 at angle theta from its control terms."""
+    sin_theta = complex(math.sin(theta))  # the real factor numpy promoted in sin(theta) * b01
+    cos_theta = math.cos(theta)
+    flip, lift = turn * cos_theta, mix * cos_theta
+    return [sin_theta * b01 - flip * b10 + lift * b00 for b00, b01, b10 in zip(_B00, _B01, _B10)]
 
 
 def controlled_psi1(knob: ControlKnob) -> PureState:
@@ -296,7 +298,7 @@ def controlled_psi1(knob: ControlKnob) -> PureState:
     (1 + i e^{ix} sin x) b00 - i e^{ix} sin x b10 with x = 2 pi n delta;
     algebraically e^{ix}(cos x b00 - i sin x b10), so the norm is exactly 1.
     """
-    return PureState(_cpsi1(knob.ndelta))
+    return PureState(_cpsi1(_control_terms(knob.ndelta)[0]))
 
 
 def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
@@ -305,7 +307,7 @@ def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
     sin(theta) b01 - e^{ix} cos x cos(theta) b10 + i e^{ix} sin x cos(theta) b00;
     unit norm, orthogonal to controlled_psi1 at the same knob.
     """
-    return PureState(_cpsi2(theta, knob.ndelta))
+    return PureState(_cpsi2(theta, *_control_terms(knob.ndelta)))
 
 
 def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState, float]:
@@ -315,9 +317,7 @@ def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState,
     norm equals the undistorted value 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1)
     for every knob.
     """
+    mix, turn = _control_terms(knob.ndelta)
     return _superpose(
-        spec,
-        _cpsi1(knob.ndelta),
-        _cpsi2(spec.theta1, knob.ndelta),
-        _cpsi2(spec.theta2, knob.ndelta),
+        spec, _cpsi1(mix), _cpsi2(spec.theta1, mix, turn), _cpsi2(spec.theta2, mix, turn)
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +115,7 @@ def _psi1(theta: float) -> PureState:
 
 
 _PSI1 = _psi1(0.0)
+_PSI1_AMPLITUDES = tuple(_PSI1.amplitudes.tolist())
 
 
 def psi1(theta: float = 0.0) -> PureState:
@@ -128,13 +130,24 @@ def psi1(theta: float = 0.0) -> PureState:
     return _psi1(theta)
 
 
-def _psi2_amplitudes(theta: float) -> np.ndarray:
-    """Amplitudes of psi2(theta), built from varphi and mu only."""
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    varphi = np.array([s, c], dtype=complex)
-    mu = np.array([c, -s], dtype=complex)
-    return (_kron(varphi, varphi) - _kron(mu, mu)) / math.sqrt(2)
+_RSQRT2 = 1.0 / math.sqrt(2)
+
+
+def _psi2_amplitudes(theta: float) -> list[complex]:
+    """Amplitudes of psi2(theta), built from varphi = (s, c) and mu = (c, -s) only.
+
+    The Kronecker products and the division by sqrt(2) repeat numpy's
+    per-element steps; the division is Smith's rule with ratio 0. The two
+    middle amplitudes are equal products, so they are built once.
+    """
+    cos_half, sin_half = math.cos(theta / 2), math.sin(theta / 2)
+    c, s, minus_s = complex(cos_half), complex(sin_half), complex(-sin_half)
+    r = _RSQRT2
+    first, middle, last = [
+        complex((d.real + d.imag * 0.0) * r, (d.imag - d.real * 0.0) * r)
+        for d in (s * s - c * c, s * c - c * minus_s, c * c - minus_s * minus_s)
+    ]
+    return [first, middle, middle, last]
 
 
 def psi2(theta: float) -> PureState:
@@ -147,16 +160,22 @@ def psi2(theta: float) -> PureState:
 
 
 def _superpose(
-    spec: SourceSpec, species1: np.ndarray, species2_first: np.ndarray, species2_second: np.ndarray
+    spec: SourceSpec,
+    species1: Sequence[complex],
+    species2_first: Sequence[complex],
+    species2_second: Sequence[complex],
 ) -> tuple[PureState, float]:
-    """superpose_species on raw species amplitudes.
+    """superpose_species on raw species amplitudes, Python complex scalars.
 
-    The species are unit vectors by construction, so only the returned state
-    goes through the norm check of ``PureState``.
+    Each amplitude repeats numpy's per-element operations on the arrays
+    (README, "bit contract of the emission kernel"). The species are unit
+    vectors by construction, so only the returned state goes through the
+    norm check of ``PureState``.
     """
-    raw = spec.alpha1 * species1 + spec.alpha2 * (
-        spec.p1 * species2_first + spec.p2 * species2_second
-    )
+    a1, a2 = complex(spec.alpha1), complex(spec.alpha2)
+    p1, p2 = complex(spec.p1), complex(spec.p2)
+    species = zip(species1, species2_first, species2_second)
+    raw = np.array([a1 * e + a2 * (p1 * f + p2 * g) for e, f, g in species])
     raw_norm = float(np.vdot(raw, raw).real)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
@@ -173,7 +192,10 @@ def superpose_species(
     1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
     """
     return _superpose(
-        spec, species1.amplitudes, species2_first.amplitudes, species2_second.amplitudes
+        spec,
+        species1.amplitudes.tolist(),
+        species2_first.amplitudes.tolist(),
+        species2_second.amplitudes.tolist(),
     )
 
 
@@ -181,7 +203,7 @@ def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:
     """Undistorted source output and the raw squared norm of its superposition."""
     return _superpose(
         spec,
-        _PSI1.amplitudes,
+        _PSI1_AMPLITUDES,
         _psi2_amplitudes(spec.theta1),
         _psi2_amplitudes(spec.theta2),
     )

@@ -110,6 +110,11 @@ def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
     return state
 
 
+def _check_unitary_dim(dim: int) -> None:
+    if dim not in (2, 4, 16):
+        raise ValueError(f"unitary dim must be 2, 4, or 16, got {dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """Square complex matrix acting on 1, 2, or 4 qubits; U U+ = I within 1e-12."""
@@ -121,8 +126,7 @@ class UnitaryMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
-        if m.shape[0] not in (2, 4, 16):
-            raise ValueError(f"unitary dim must be 2, 4, or 16, got {m.shape[0]}")
+        _check_unitary_dim(m.shape[0])
         defect = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
         if not defect <= _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (U U+ deviates from I by {defect!r})")
@@ -245,6 +249,7 @@ def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) ->
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
     """Embed ``u`` on the given qubits of an ``num_qubits``-qubit register."""
     axes = _gate_axes(u, targets, num_qubits)
+    _check_unitary_dim(2**num_qubits)  # before the 2**n columns are built
     columns = [
         _apply_matrix(e, u.entries, axes, num_qubits)
         for e in np.eye(2**num_qubits, dtype=complex)

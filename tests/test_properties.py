@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsource import (
+    ControlError,
     ControlKnob,
     DegenerateSourceError,
     FieldParams,
@@ -26,10 +27,13 @@ from bellsource import (
     cli,
     controlled_emission,
     feasible,
+    infer_parameters,
     j_parameter,
     populations_analytic,
     populations_exact,
     rational_approx,
+    run_characterization_circuit,
+    sample_histogram,
     table_populations,
 )
 from bellsource.statevec import _born_index
@@ -177,6 +181,81 @@ def test_paper_identities_over_spec_and_knob(spec, knob):
                 solution.ndelta_principal,
             )
             assert abs(back.f00 - born.f00) <= 1e-9 and abs(back.f11 - born.f11) <= 1e-9
+
+
+def _raw_norm(spec: SourceSpec) -> float:
+    """Closed form of the raw squared norm, 1 + sin^2(gamma) * 2 p1 p2 sin(2 theta1)."""
+    return 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(2.0 * spec.theta1)
+
+
+# Knobs within 1e-6 of n delta = 1/8, where the inference system is singular.
+near_singular_knobs = st.builds(lambda step: ControlKnob(1, 0.125 + step), st.floats(-1e-6, 1e-6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(spec=sources, knob=direct_knobs | field_knobs | near_singular_knobs)
+@example(spec=SourceSpec.from_p1_theta1(0.0, 0.6, 0.3), knob=ControlKnob(1, 0.125))
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1.0, 0.3, True), knob=ControlKnob(0, 0.0))
+@example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1 / math.sqrt(2), -math.pi / 4),
+         knob=ControlKnob(1, 0.2))
+# |cos(4 pi n delta)| = 2e-9, just above the singular cut of 1e-9.
+@example(spec=SourceSpec.from_p1_theta1(1.0, 0.6, 0.3),
+         knob=ControlKnob(1, 0.125 - 2e-9 / (4 * math.pi)))
+def test_inference_round_trip_over_spec_and_knob(spec, knob):
+    """infer_parameters on the normalized analytic populations either raises a
+    typed ControlError (singular knob, unidentifiable source) or gives an
+    estimate whose closed form returns those populations within
+    1e-9 + c * 2**-52 / |cos(4 pi n delta)|, c = 1.
+
+    The system determinant is cos(4 pi n delta), so near a singular knob the
+    rounding of the populations is magnified by 1 / |det|: errors up to
+    0.5 * 2**-52 / |det| (9e-8 at |det| = 1e-9) were seen. A degenerate source
+    has no populations to invert.
+    """
+    if _raw_norm(spec) < 1e-11:
+        return
+    target = populations_analytic(spec, knob).normalized
+    try:
+        estimate = infer_parameters(target.f00, target.f01, target.f11, knob.ndelta)
+    except ControlError:
+        return
+    gamma = math.asin(math.sqrt(estimate.sin2_gamma))
+    back = table_populations(gamma, estimate.C_squared, estimate.S_squared, knob.ndelta)
+    tolerance = 1e-9 + 2**-52 / abs(math.cos(4.0 * math.pi * knob.ndelta))
+    for a, b in zip(back.as_tuple(), target.as_tuple()):
+        assert abs(a - b) <= tolerance
+
+
+def _sample_stdout(spec: SourceSpec, knob: ControlKnob, shots: int, seed: int) -> bytes:
+    """stdout of the CLI ``sample`` command for this spec and direct-form knob."""
+    config = {"gamma": spec.gamma, "p1": spec.p1, "p2": spec.p2, "theta1": spec.theta1,
+              "theta2": spec.theta2, "knob": {"n": knob.n, "delta": knob.delta}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["sample", str(path), "--shots", str(shots), "--seed", str(seed)]
+        return CliRunner().invoke(cli.main, args).stdout_bytes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(spec=sources, knob=direct_knobs | field_knobs, shots=st.integers(1, 10**7),
+       seed=st.integers(0, 2**63))
+def test_equal_seeds_give_equal_bytes(spec, knob, shots, seed):
+    """sample_histogram, run_characterization_circuit and CLI ``sample`` stdout
+    are functions of their seed: two runs with equal seeds agree byte for byte.
+    """
+    try:
+        state, _ = controlled_emission(spec, knob)
+    except DegenerateSourceError:
+        return
+    histograms = [sample_histogram(state, shots, np.random.default_rng(seed)) for _ in range(2)]
+    assert repr(histograms[0]) == repr(histograms[1])
+    records = [run_characterization_circuit(state, np.random.default_rng(seed)) for _ in range(2)]
+    first, second = ((r.outcome, r.probability.hex(), r.post_state.amplitudes.tobytes())
+                     for r in records)
+    assert first == second
+    stdout = _sample_stdout(spec, knob, shots, seed)
+    assert stdout and stdout == _sample_stdout(spec, knob, shots, seed)
 
 
 # Numbers at the edges of the float range, subnormals, NaN and infinities

@@ -240,6 +240,13 @@ class TestApplyUnitary:
             expected = reference_apply(state.amplitudes, u.entries, targets, n)
             assert apply_unitary(state, u, targets).amplitudes.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("num_qubits", [3, 5, 64])
+    def test_expand_unitary_rejects_register_size_before_building(self, num_qubits):
+        # 64 qubits would need 4**64 entries: the size is rejected first.
+        message = rf"^unitary dim must be 2, 4, or 16, got {2**num_qubits}$"
+        with pytest.raises(ValueError, match=message):
+            expand_unitary(HADAMARD, (1,), num_qubits)
+
     def test_expand_unitary_matches_apply(self, rng):
         state = random_state(rng, 4)
         full = expand_unitary(CNOT, (2, 4), 4)
