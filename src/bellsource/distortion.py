@@ -41,11 +41,11 @@ __all__ = [
 _HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
 
-# Real-valued Bell amplitudes as Python complex. The controlled species multiply
-# them by complex scalars, where CPython and numpy's fused multiply agree.
-_B00, _B01, _B10 = (
-    tuple(bell_state(label).amplitudes.tolist()) for label in ((0, 0), (0, 1), (1, 0))
-)
+# The Bell constants b00 = (r, 0, 0, r), b01 = (0, r, r, 0) and b10 = (r, 0, 0, -r)
+# as Python complex. The controlled species multiply them by complex scalars,
+# where CPython and numpy's fused complex multiply agree.
+_R, _ZERO, _, _ = bell_state((0, 0)).amplitudes.tolist()
+_MINUS_R = bell_state((1, 0)).amplitudes.tolist()[3]
 
 
 @dataclass(frozen=True)
@@ -279,17 +279,20 @@ def _control_terms(ndelta: float) -> tuple[complex, complex]:
 
 
 def _cpsi1(mix: complex) -> list[complex]:
-    """Amplitudes of controlled_psi1 from its control terms."""
+    """Amplitudes of controlled_psi1, (1 + mix) b00 - mix b10 element by element."""
     keep = 1.0 + mix
-    return [keep * b00 - mix * b10 for b00, b10 in zip(_B00, _B10)]
+    middle = keep * _ZERO - mix * _ZERO
+    return [keep * _R - mix * _R, middle, middle, keep * _R - mix * _MINUS_R]
 
 
 def _cpsi2(theta: float, mix: complex, turn: complex) -> list[complex]:
-    """Amplitudes of controlled_psi2 at angle theta from its control terms."""
+    """Amplitudes of controlled_psi2, sin(theta) b01 - flip b10 + lift b00 element by element."""
     sin_theta = complex(math.sin(theta))  # the real factor numpy promoted in sin(theta) * b01
     cos_theta = math.cos(theta)
     flip, lift = turn * cos_theta, mix * cos_theta
-    return [sin_theta * b01 - flip * b10 + lift * b00 for b00, b01, b10 in zip(_B00, _B01, _B10)]
+    middle = sin_theta * _R - flip * _ZERO + lift * _ZERO
+    return [sin_theta * _ZERO - flip * _R + lift * _R, middle, middle,
+            sin_theta * _ZERO - flip * _MINUS_R + lift * _R]
 
 
 def controlled_psi1(knob: ControlKnob) -> PureState:

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _SPEC_TOL = 1e-9
+_Amplitudes = Sequence[complex]  # the four amplitudes of a pair, Python complex
 _DEGENERATE_NORM = 1e-12
 
 
@@ -133,21 +134,21 @@ def psi1(theta: float = 0.0) -> PureState:
 _RSQRT2 = 1.0 / math.sqrt(2)
 
 
-def _psi2_amplitudes(theta: float) -> list[complex]:
-    """Amplitudes of psi2(theta), built from varphi = (s, c) and mu = (c, -s) only.
+def _div_sqrt2(z: complex) -> complex:
+    """``z / sqrt(2)`` as numpy divides a complex array: Smith's rule, ratio 0."""
+    return complex((z.real + z.imag * 0.0) * _RSQRT2, (z.imag - z.real * 0.0) * _RSQRT2)
 
-    The Kronecker products and the division by sqrt(2) repeat numpy's
-    per-element steps; the division is Smith's rule with ratio 0. The two
-    middle amplitudes are equal products, so they are built once.
+
+def _psi2_amplitudes(theta: float) -> list[complex]:
+    """Amplitudes of psi2(theta), (varphi varphi - mu mu) / sqrt2 element by element.
+
+    varphi = (s, c) and mu = (c, -s); the two middle amplitudes are the
+    same products, so they are built once.
     """
     cos_half, sin_half = math.cos(theta / 2), math.sin(theta / 2)
     c, s, minus_s = complex(cos_half), complex(sin_half), complex(-sin_half)
-    r = _RSQRT2
-    first, middle, last = [
-        complex((d.real + d.imag * 0.0) * r, (d.imag - d.real * 0.0) * r)
-        for d in (s * s - c * c, s * c - c * minus_s, c * c - minus_s * minus_s)
-    ]
-    return [first, middle, middle, last]
+    middle = _div_sqrt2(s * c - c * minus_s)
+    return [_div_sqrt2(s * s - c * c), middle, middle, _div_sqrt2(c * c - minus_s * minus_s)]
 
 
 def psi2(theta: float) -> PureState:
@@ -160,10 +161,7 @@ def psi2(theta: float) -> PureState:
 
 
 def _superpose(
-    spec: SourceSpec,
-    species1: Sequence[complex],
-    species2_first: Sequence[complex],
-    species2_second: Sequence[complex],
+    spec: SourceSpec, species1: _Amplitudes, species2_first: _Amplitudes, species2_second: _Amplitudes
 ) -> tuple[PureState, float]:
     """superpose_species on raw species amplitudes, Python complex scalars.
 
@@ -191,12 +189,8 @@ def superpose_species(
     unnormalized combination, which equals
     1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
     """
-    return _superpose(
-        spec,
-        species1.amplitudes.tolist(),
-        species2_first.amplitudes.tolist(),
-        species2_second.amplitudes.tolist(),
-    )
+    species = (species1, species2_first, species2_second)
+    return _superpose(spec, *(state.amplitudes.tolist() for state in species))
 
 
 def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:
