@@ -128,6 +128,11 @@ sources = st.builds(
 )
 
 
+def _raw_norm(spec: SourceSpec) -> float:
+    """Closed form of the raw squared norm, 1 + sin^2(gamma) * 2 p1 p2 sin(2 theta1)."""
+    return 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(2.0 * spec.theta1)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(spec=sources, knob=direct_knobs | field_knobs)
 @example(spec=SourceSpec.from_p1_theta1(0.0, 0.6, 0.3), knob=ControlKnob(1, 0.125 - 1e-12))
@@ -153,9 +158,7 @@ def test_paper_identities_over_spec_and_knob(spec, knob):
     steering solution for the Born populations must give them back through
     the closed form within 1e-9.
     """
-    closed_form = 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(
-        2.0 * spec.theta1
-    )
+    closed_form = _raw_norm(spec)
     try:
         state, raw_norm = controlled_emission(spec, knob)
     except DegenerateSourceError:
@@ -181,11 +184,6 @@ def test_paper_identities_over_spec_and_knob(spec, knob):
                 solution.ndelta_principal,
             )
             assert abs(back.f00 - born.f00) <= 1e-9 and abs(back.f11 - born.f11) <= 1e-9
-
-
-def _raw_norm(spec: SourceSpec) -> float:
-    """Closed form of the raw squared norm, 1 + sin^2(gamma) * 2 p1 p2 sin(2 theta1)."""
-    return 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(2.0 * spec.theta1)
 
 
 # Knobs within 1e-6 of n delta = 1/8, where the inference system is singular.
