@@ -44,13 +44,12 @@ from .characterize import (
 )
 from .control import ControlError, infer_parameters, region_arrays, solve_ndelta
 from .distortion import ControlKnob, FieldParams, controlled_emission
-from .source import DegenerateSourceError, SourceSpec
+from .source import SourceSpec
+from .statevec import _MAX_SHOTS, _is_integer
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
-# numpy draws the shot counts as int64.
-_MAX_SHOTS = 2**63 - 1
 # CSV cells the region command formats per write.
 _REGION_BLOCK_CELLS = 8192
 
@@ -156,12 +155,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     knob, knob_echo = _resolve_knob(cfg)
 
     shots = cfg.get("shots")
-    if shots is not None and (
-        isinstance(shots, bool) or not isinstance(shots, int) or not 1 <= shots <= _MAX_SHOTS
-    ):
+    if shots is not None and not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
         raise ConfigError(f"field 'shots' must be an integer in [1, 2**63 - 1], got {shots!r}")
     seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}")
 
     return ExperimentConfig(spec=spec, knob=knob, knob_echo=knob_echo, shots=shots, seed=seed)
@@ -200,7 +197,7 @@ def _fail(message: str, code: int) -> NoReturn:
 
 
 def _report(path: str, seed: int | None, sampling: bool, shots: int | None = None) -> None:
-    """Print the report of simulate (no shots) or sample; exits 2 or 3 on bad input."""
+    """Print the report of simulate (no shots) or sample: flag errors exit 2, library errors 3."""
     try:
         config = load_config(path)
     except ConfigError as exc:
@@ -209,23 +206,17 @@ def _report(path: str, seed: int | None, sampling: bool, shots: int | None = Non
         shots = shots if shots is not None else config.shots
         if shots is None:
             _fail("config error: sampling needs --shots or a 'shots' config field", EXIT_CONFIG)
-        if shots < 1:
-            _fail(f"shots must be >= 1, got {shots}", EXIT_PRECONDITION)
         if shots > _MAX_SHOTS:
             _fail(f"shots must be at most 2**63 - 1, got {shots}", EXIT_CONFIG)
     if seed is None:
         seed = config.seed
     elif seed < 0:
         _fail(f"--seed must be a non-negative integer, got {seed}", EXIT_CONFIG)
-    try:
-        report = build_report(config, shots, seed)
-    except DegenerateSourceError as exc:
-        _fail(f"degenerate emission: {exc}", EXIT_PRECONDITION)
-    _emit_json(report)
+    _emit_json(_control(build_report, config, shots, seed))
 
 
 def _control(solve, *args):
-    """Run a steering or inference solve: ControlError exits 4, other bad input 3."""
+    """Run a library call: ControlError exits 4, any other ValueError 3."""
     try:
         return solve(*args)
     except ControlError as exc:

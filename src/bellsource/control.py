@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .statevec import _is_integer
+
 __all__ = [
     "ControlError",
     "DegenerateSteeringError",
@@ -232,9 +234,11 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     the whole grid and masked with solve_ndelta's bounds; the clamp, sqrt and
     division then run in place on the feasible entries only, with math.asin
     mapped over them in chunks, so every value, -0.0 included, is bit for bit
-    what solve_ndelta returns. Raises ValueError for a resolution outside
-    [2, 4096] or gamma outside (0, pi/2].
+    what solve_ndelta returns. Raises ValueError for a resolution that is not
+    an integer in [2, 4096] (bool excluded) or gamma outside (0, pi/2].
     """
+    if not _is_integer(resolution):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if resolution > _MAX_RESOLUTION:

@@ -14,13 +14,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .source import SourceSpec, _superpose
-from .statevec import PureState, _fresh, bell_state
+from .statevec import PureState, _fresh, _is_integer, bell_state
 
 __all__ = [
     "BestRational",
@@ -125,11 +124,6 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
             phase * (1j * s * 2.0 * J * a1 + (c + 1j * s * bm) * a2),
         )
     return _fresh(np.array([cmath.exp(-1j * e00 * t) * a0, a1, a2, cmath.exp(-1j * e11 * t) * a3]))
-
-
-def _is_integer(value: object) -> bool:
-    """An integer count: any ``numbers.Integral`` but bool. Exact ints skip the ABC check."""
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def j_parameter(fp: FieldParams) -> float:

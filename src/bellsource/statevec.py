@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ MAX_QUBITS = 4
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-12
 _ZERO_PROB = 1e-12
+_MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 _QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
 _IN_ORDER = {n: tuple(range(n)) for n in range(1, MAX_QUBITS + 1)}
 _Axes = tuple[int, ...]  # 0-based qubit axes, in target order
@@ -49,6 +51,11 @@ _Axes = tuple[int, ...]  # 0-based qubit axes, in target order
 
 class ZeroProbabilityError(ValueError):
     """Requested collapse onto an outcome with (numerically) zero Born weight."""
+
+
+def _is_integer(value: object) -> bool:
+    """An integer count: any ``numbers.Integral`` but bool. Exact ints skip the ABC check."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +182,13 @@ _BASIS_STATES = {
     for n in range(1, MAX_QUBITS + 1)
     for k in range(2**n)
 }
+_BASIS_STATES.update({"".join(map(str, b)): state for b, state in list(_BASIS_STATES.items())})
 
 
 def basis_state(bits: str | Sequence[int]) -> PureState:
-    """Shared immutable basis state |b1 b2 ... bn>, built at import, from bits."""
-    state = _BASIS_STATES.get(tuple(int(b) for b in bits))
+    """Shared immutable basis state |b1 b2 ... bn>, built at import, from a string
+    of '0'/'1' characters or a sequence of values equal to 0 or 1 (1.0 and True count)."""
+    state = _BASIS_STATES.get(bits if isinstance(bits, str) else tuple(bits))
     if state is None:
         raise ValueError(f"bits must be a nonempty 0/1 sequence of at most {MAX_QUBITS}, got {bits!r}")
     return state
@@ -198,18 +207,20 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
-    """Validate distinct 1-based qubit indices; return 0-based axes, from ``_AXES`` if there."""
+    """0-based axes of distinct qubit indices, each equal to one of 1..num_qubits (2.0 and
+    True count as 2 and 1, 2.9 is rejected); from ``_AXES`` if there."""
     try:
         return _AXES[targets, num_qubits]
     except (KeyError, TypeError):  # not in the table, or unhashable such as a list
         pass
-    idx = [int(q) for q in targets]
-    if len(set(idx)) != len(idx):
+    if len(set(targets)) != len(targets):
         raise ValueError(f"repeated qubit index in {targets!r}")
-    for q in idx:
-        if not 1 <= q <= num_qubits:
-            raise ValueError(f"qubit index {q} out of range 1..{num_qubits}")
-    return tuple(q - 1 for q in idx)
+    positions = range(1, num_qubits + 1)
+    for q in targets:
+        if q not in positions:
+            detail = f"{q} out of range" if _is_integer(q) else f"{q!r} is not an integer in"
+            raise ValueError(f"qubit index {detail} 1..{num_qubits}")
+    return tuple(map(positions.index, targets))
 
 
 _AXES: dict[tuple[Sequence[int], int], _Axes] = {}
@@ -248,8 +259,8 @@ def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) ->
 
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
     """Embed ``u`` on the given qubits of an ``num_qubits``-qubit register."""
-    axes = _gate_axes(u, targets, num_qubits)
     _check_unitary_dim(2**num_qubits)  # before the 2**n columns are built
+    axes = _gate_axes(u, targets, num_qubits)
     columns = [
         _apply_matrix(e, u.entries, axes, num_qubits)
         for e in np.eye(2**num_qubits, dtype=complex)
@@ -346,10 +357,10 @@ def _multinomial(shots: int, probs: np.ndarray, rng: np.random.Generator) -> np.
     """Counts of ``shots`` Born draws over the weights ``probs``, in one multinomial step.
 
     Its joint law equals that of ``shots`` independent measurements; the
-    weights are rescaled to sum to 1. Raises ValueError for fewer than one shot.
+    weights are rescaled to sum to 1. ``shots`` must be an integer in [1, 2**63 - 1].
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
     return rng.multinomial(shots, probs / probs.sum())
 
 
@@ -391,9 +402,9 @@ def collapse_qubits(
     weight, which signals inconsistent input rather than valid physics.
     """
     axes = _check_targets(indices, state.num_qubits)
-    bits = tuple(int(b) for b in outcome)
-    if len(bits) != len(axes) or any(b not in (0, 1) for b in bits):
+    if len(outcome) != len(axes) or any(b not in (0, 1) for b in outcome):
         raise ValueError(f"outcome {outcome!r} does not match {len(axes)} measured qubit(s)")
+    bits = tuple(1 if b == 1 else 0 for b in outcome)
     # The marginal weights as a 2 x ... x 2 array, indexed by the outcome bits.
     prob = float(_marginal_probabilities(state, axes).reshape([2] * len(bits))[bits])
     if prob < _ZERO_PROB:

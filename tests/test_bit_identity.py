@@ -14,6 +14,9 @@ README ("Notes on the math").
 
 The circuit routes multiply by 16 x 16 gates through numpy's matmul, so the
 digest also pins the BLAS matrix-vector kernel of the machine it runs on.
+The emission and evolution builders call ``math.sin``, ``cos`` and ``exp``,
+so the digests also pin the libm variant glibc selects for the host's CPU
+(ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ import pytest
 from bellsource import (
     BELL_LABELS,
     ControlKnob,
+    Populations,
+    PopulationTable,
     SourceSpec,
     bell_state,
     circuit_outcome_distribution,
@@ -116,6 +118,11 @@ class TestAnalyticPopulations:
             for _ in range(10):
                 raw = populations_analytic(spec, random_knob(rng)).raw
                 assert raw.f00 + raw.f11 == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("raw", [(0.5, -0.1, 0.0, 0.6), (0.0, 0.0, 0.0, 0.0)])
+    def test_population_table_rejects_invalid_weights(self, raw):
+        with pytest.raises(ValueError, match="invalid population weights"):
+            PopulationTable.from_raw(Populations(*raw))
 
     def test_table_populations_direct(self):
         pops = table_populations(math.pi / 3, 0.2, 0.8, 0.0)
@@ -289,3 +296,15 @@ class TestSampleHistogram:
     def test_rejects_zero_shots(self, rng):
         with pytest.raises(ValueError, match="shots"):
             sample_histogram(bell_state((0, 0)), 0, rng)
+
+    # The count rule: 2.7 drew 2 shots, 2**63 raised numpy's OverflowError.
+    @pytest.mark.parametrize("shots", [2.7, 2**63, True, np.float64(5.0)])
+    def test_rejects_a_count_outside_the_count_rule(self, rng, shots):
+        with pytest.raises(ValueError, match=r"shots must be an integer in \[1, 2\*\*63 - 1\]"):
+            sample_histogram(bell_state((0, 0)), shots, rng)
+
+    def test_numpy_integer_count_draws_the_same_histogram(self):
+        state = bell_state((0, 0))
+        counts = [sample_histogram(state, shots, np.random.default_rng(4))
+                  for shots in (7, np.int64(7))]
+        assert counts[0] == counts[1]

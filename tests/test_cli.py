@@ -126,6 +126,35 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", path])
         assert result.exit_code == 3
 
+    def test_degenerate_emission_reports_a_failed_precondition(self, runner, tmp_path):
+        path = worked_config(tmp_path, gamma=math.pi / 2, p1=1 / math.sqrt(2),
+                             p2=-1 / math.sqrt(2), theta1=math.pi / 4)
+        result = runner.invoke(main, ["simulate", path])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("precondition failed: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"gamma": 0.3, "p1": 1.0, "theta1": 0.2}, "missing required object field 'knob'"),
+         ({"gamma": 0.3, "p1": 1.0, "theta1": 0.2, "knob": [1, 0.1]},
+          "missing required object field 'knob'"),
+         ([0.3, 1.0, 0.2], "config must be a JSON object")],
+    )
+    def test_config_of_the_wrong_shape_exit_2(self, runner, tmp_path, payload, message):
+        result = runner.invoke(main, ["simulate", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"config error: {message}\n"
+
+    def test_unreadable_config_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", str(tmp_path / "absent.json")])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: cannot read config: ")
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("field", ["p1", "theta1", "gamma"])
     def test_nan_parameter_exit_2(self, runner, tmp_path, field):
         result = runner.invoke(main, ["simulate", worked_config(tmp_path, **{field: math.nan})])
@@ -539,6 +568,23 @@ class TestSample:
     def test_zero_shots_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["sample", worked_config(tmp_path), "--shots", "0"])
         assert result.exit_code == 3
+
+    def test_zero_shots_fail_the_library_count_rule(self, runner, tmp_path):
+        result = runner.invoke(main, ["sample", worked_config(tmp_path), "--shots", "-4"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "precondition failed: shots must be an integer in [1, 2**63 - 1], got -4\n"
+        )
+
+    def test_seed_flag_is_checked_before_the_shot_count(self, runner, tmp_path):
+        # Exited 3 on the shot count; the flags are checked before the library runs.
+        result = runner.invoke(
+            main, ["sample", worked_config(tmp_path), "--shots", "0", "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "--seed must be a non-negative integer, got -1\n"
 
     def test_shots_from_config(self, runner, tmp_path):
         path = worked_config(tmp_path, shots=100, seed=9)

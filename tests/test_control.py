@@ -164,6 +164,12 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="resolution"):
             region_grid(math.pi / 4, 1)
 
+    # 3.5 built a 4 x 4 grid whose axis ran to 1.2.
+    @pytest.mark.parametrize("resolution", [3.5, 3.0, True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match=f"resolution must be an integer, got {resolution!r}"):
+            region_arrays(0.7, resolution)
+
     def test_arrays_layout_and_preconditions(self):
         scan = region_arrays(math.pi / 4, 5)
         assert scan.axis.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]

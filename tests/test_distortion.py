@@ -87,6 +87,11 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
             hamiltonian(FieldParams(1e308, 1e308, 1e308))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (16,)])
+    def test_constructor_rejects_a_matrix_that_is_not_4x4(self, shape):
+        with pytest.raises(ValueError, match=r"Hamiltonian must be 4x4, got \("):
+            HamiltonianMatrix(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_constructor_rejects_non_finite_entry(self, bad):
         m = np.eye(4, dtype=complex)
@@ -411,6 +416,11 @@ class TestControlKnob:
     def test_rejects_non_finite_provenance_j(self, j):
         with pytest.raises(ValueError, match="provenance j must be finite"):
             ControlKnob(1, 0.0, RationalProvenance(j, 0, 1))
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_rejects_provenance_denominator_below_one(self, den):
+        with pytest.raises(ValueError, match=f"provenance denominator must be >= 1, got {den}"):
+            ControlKnob(1, 0.0, RationalProvenance(0.25, 1, den))
 
     def test_from_field_params(self):
         fp = FieldParams(J=1.0, B1=0.9, B2=0.1)

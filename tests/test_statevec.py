@@ -108,6 +108,11 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=r"unitary must be square, got shape \("):
+            UnitaryMatrix(np.ones(shape))
+
     def test_gate_constants_are_unitary(self):
         assert CNOT.dim == 4
         assert HADAMARD.dim == 2
@@ -124,7 +129,12 @@ class TestBasisState:
     def test_string_and_sequence_share_a_state(self):
         assert basis_state("10") is basis_state([1, 0])
 
-    @pytest.mark.parametrize("bits", ["", "2", "01011", [0, 1, 2]])
+    @pytest.mark.parametrize("bits", [(1.0, 0), (True, False), np.array([1, 0]), [np.int8(1), 0.0]])
+    def test_values_equal_to_bits_share_the_state(self, bits):
+        assert basis_state(bits) is basis_state("10")
+
+    # [1.5, 0] returned |10>; " 1" and ["1"] were read by int().
+    @pytest.mark.parametrize("bits", ["", "2", "01011", [0, 1, 2], [1.5, 0], " 1", ["1"]])
     def test_rejects_bad_bits(self, bits):
         with pytest.raises(ValueError, match="nonempty 0/1 sequence"):
             basis_state(bits)
@@ -240,9 +250,10 @@ class TestApplyUnitary:
             expected = reference_apply(state.amplitudes, u.entries, targets, n)
             assert apply_unitary(state, u, targets).amplitudes.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("num_qubits", [3, 5, 64])
+    @pytest.mark.parametrize("num_qubits", [3, 5, 64, 2.5])
     def test_expand_unitary_rejects_register_size_before_building(self, num_qubits):
-        # 64 qubits would need 4**64 entries: the size is rejected first.
+        # 64 qubits would need 4**64 entries: the size is rejected first, and
+        # before the targets, whose range needs an integer size.
         message = rf"^unitary dim must be 2, 4, or 16, got {2**num_qubits}$"
         with pytest.raises(ValueError, match=message):
             expand_unitary(HADAMARD, (1,), num_qubits)
@@ -387,6 +398,28 @@ class TestMeasurement:
         with pytest.raises(ZeroProbabilityError):
             collapse_qubits(basis_state("00"), (1,), (1,))
 
+    # (0.7,) collapsed onto outcome 0; "1" was read by int().
+    @pytest.mark.parametrize("outcome", [(0.7,), (0, 1), (), "1", (2,)])
+    def test_collapse_rejects_an_outcome_that_is_not_one_bit_per_qubit(self, outcome):
+        with pytest.raises(ValueError, match=r"does not match 1 measured qubit\(s\)"):
+            collapse_qubits(bell_state((0, 0)), (1,), outcome)
+
+    @pytest.mark.parametrize("outcome", [(1.0,), (True,), [np.int64(1)]])
+    def test_collapse_takes_values_equal_to_a_bit(self, outcome):
+        collapsed, prob = collapse_qubits(bell_state((0, 0)), (1,), outcome)
+        assert collapsed.amplitudes.tobytes() == basis_state("11").amplitudes.tobytes()
+        assert prob == collapse_qubits(bell_state((0, 0)), (1,), (1,))[1]
+
+    def test_fractional_index_is_rejected(self, rng):
+        # Measured qubit 2 and returned (1,).
+        with pytest.raises(ValueError, match="qubit index 2.9 is not an integer in 1..2"):
+            measure_qubits(basis_state("01"), (2.9,), rng)
+
+    def test_fractional_shot_count_is_rejected(self, rng):
+        # Drew 3 shots.
+        with pytest.raises(ValueError, match=r"shots must be an integer in \[1, 2\*\*63 - 1\], got 3.9"):
+            sample_measurements(bell_state((0, 0)), (1, 2), 3.9, rng)
+
 
 def _returned_states(rng: np.random.Generator) -> dict[str, list[PureState]]:
     """A state from every function that builds its result through ``_fresh``."""
@@ -453,7 +486,9 @@ class TestTargetTable:
         "targets, n, axes",
         [((3, 1), 4, (2, 0)), (np.array([3, 1]), 4, (2, 0)),
          ((np.int64(3), np.int32(1)), 4, (2, 0)), ([np.int64(3), 1], 4, (2, 0)),
-         ((1.0,), 1, (0,)), ([2.0, 1], 2, (1, 0)), ((5, 1), 5, (4, 0))],
+         ((1.0,), 1, (0,)), ([2.0, 1], 2, (1, 0)), ((5, 1), 5, (4, 0)),
+         # A bool counts as its integer value on both paths.
+         ((True, 2), 2, (0, 1)), ([np.float64(3.0)], 4, (2,))],
     )
     def test_lookup_equals_the_validator(self, targets, n, axes):
         assert _check_targets(targets, n) == _check_targets(list(targets), n) == axes
@@ -466,7 +501,10 @@ class TestTargetTable:
          ((3,), 2, "qubit index 3 out of range 1..2"),
          ([0], 2, "qubit index 0 out of range 1..2"),
          ((1, 5), 4, "qubit index 5 out of range 1..4"),
-         (np.array([9]), 4, "qubit index 9 out of range 1..4")],
+         (np.array([9]), 4, "qubit index 9 out of range 1..4"),
+         ((2.9,), 4, "qubit index 2.9 is not an integer in 1..4"),
+         ([1, 0.5], 2, "qubit index 0.5 is not an integer in 1..2"),
+         (("2",), 4, "qubit index '2' is not an integer in 1..4")],
     )
     def test_rejects_with_the_same_messages(self, targets, n, message):
         with pytest.raises(ValueError) as error:
