@@ -5,7 +5,7 @@ emitted as JSON and the region scan as CSV, all on stdout; human-readable
 diagnostics go to stderr. Exit codes: 0 success, 2 config/flag validation,
 3 domain precondition, 4 mathematical infeasibility or singularity.
 
-The config file is a flat JSON object:
+The config file is a flat JSON object of these fields and no others:
 
     {
       "gamma": 0.7853981633974483,
@@ -58,6 +58,14 @@ class ConfigError(ValueError):
     """Config file fails validation; the message names the violated invariant."""
 
 
+class _Fields(dict):
+    """The config object; ``get`` adds each field it looks up to ``read``."""
+
+    def get(self, key: str, default: object = None) -> object:
+        self.read.add(key)
+        return super().get(key, default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description plus the knob form to echo back."""
@@ -72,7 +80,7 @@ class ExperimentConfig:
 def _require_number(cfg: dict, key: str) -> float:
     if key not in cfg:
         raise ConfigError(f"missing required field '{key}'")
-    value = cfg[key]
+    value = cfg.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{key}' must be a number, got {value!r}")
     try:
@@ -128,6 +136,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    cfg = _Fields(cfg)
+    cfg.read = set()
 
     gamma = _require_number(cfg, "gamma")
     p1 = _require_number(cfg, "p1")
@@ -160,6 +170,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seed = cfg.get("seed", 0)
     if not _is_integer(seed) or seed < 0:
         raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}")
+    if cfg.keys() - cfg.read:
+        raise ConfigError(f"unknown fields {sorted(cfg.keys() - cfg.read)}")
 
     return ExperimentConfig(spec=spec, knob=knob, knob_echo=knob_echo, shots=shots, seed=seed)
 

@@ -11,6 +11,7 @@ j = J / sqrt(B-^2 + 4 J^2) and its best rational approximation Q(j).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -202,13 +203,16 @@ def rational_approx(j: float, max_den: int) -> BestRational:
 def small_mismatch_estimate(fp: FieldParams) -> float:
     """Leading-order mismatch estimate -B-^2 / (4 J^2) for weak inhomogeneity.
 
-    This is the coarse quoted estimate only; the exact small-field expansion
-    of j - 1/2 is -B-^2/(16 J^2) + O(B-^4), a factor 4 smaller. Use
-    j_parameter/rational_approx for exact values.
+    The coarse quoted estimate only: j - 1/2 = -B-^2/(16 J^2) + O(B-^4) is a factor
+    4 smaller; use j_parameter/rational_approx for exact values. Raises j_parameter's
+    ValueError where j is undefined, and ValueError for a non-finite estimate (J = 0 included).
     """
-    if fp.J == 0.0:
-        raise ValueError("mismatch estimate is undefined for J = 0")
-    return -(fp.b_minus**2) / (4.0 * fp.J**2)
+    j_parameter(fp)  # the estimate approximates j - 1/2, so it takes j's domain
+    with contextlib.suppress(OverflowError, ZeroDivisionError):  # B-^2, J^2 overflow; J^2 = 0
+        estimate = -(fp.b_minus**2) / (4.0 * fp.J**2)
+        if math.isfinite(estimate):
+            return estimate
+    raise ValueError(f"mismatch estimate is not finite for J = {fp.J!r}, B- = {fp.b_minus!r}")
 
 
 class RationalProvenance(NamedTuple):
@@ -225,8 +229,8 @@ class ControlKnob:
     product n*delta. The optional provenance records the (j, Q) pair the
     mismatch was derived from. An ``n`` that is not an integer (bool and 3.0
     included), an ``n`` beyond the float range, an ``n * delta`` whose control
-    angle 2 pi n delta overflows, and a NaN or infinite ``delta`` or provenance
-    ``j`` are rejected.
+    angle 2 pi n delta overflows, a NaN or infinite ``delta`` or provenance
+    ``j``, and a provenance ``q_num`` or ``q_den`` that is not an integer are rejected.
     """
 
     n: int
@@ -245,9 +249,11 @@ class ControlKnob:
             j, num, den = self.provenance
             if not math.isfinite(j):
                 raise ValueError(f"provenance j must be finite, got {j!r}")
+            if not (_is_integer(num) and _is_integer(den)):
+                raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
-            implied = _gap(j, num, den)
+            implied = _gap(j, int(num), int(den))
             if abs(self.delta - implied) > _PROVENANCE_TOL:
                 raise ValueError(
                     f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"

@@ -207,12 +207,14 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
-    """0-based axes of distinct qubit indices, each equal to one of 1..num_qubits (2.0 and
-    True count as 2 and 1, 2.9 is rejected); from ``_AXES`` if there."""
+    """0-based axes of one or more distinct qubit indices, each equal to one of 1..num_qubits
+    (2.0 and True count as 2 and 1, 2.9 is rejected); from ``_AXES`` if there."""
     try:
         return _AXES[targets, num_qubits]
     except (KeyError, TypeError):  # not in the table, or unhashable such as a list
         pass
+    if len(targets) == 0:
+        raise ValueError(f"need at least one qubit index, got {targets!r}")
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated qubit index in {targets!r}")
     positions = range(1, num_qubits + 1)
@@ -258,8 +260,11 @@ def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) ->
 
 
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
-    """Embed ``u`` on the given qubits of an ``num_qubits``-qubit register."""
-    _check_unitary_dim(2**num_qubits)  # before the 2**n columns are built
+    """Embed ``u`` on the given qubits of an ``num_qubits``-qubit register (1, 2 or 4)."""
+    if not (_is_integer(num_qubits) and num_qubits in (1, 2, 4)):  # before any 2**n is built
+        if type(num_qubits) in (int, float) and 0 < num_qubits <= 64:  # a real size: name its dim
+            _check_unitary_dim(2**num_qubits)
+        raise ValueError(f"num_qubits must be an integer 1, 2 or 4, got {num_qubits!r}")
     axes = _gate_axes(u, targets, num_qubits)
     columns = [
         _apply_matrix(e, u.entries, axes, num_qubits)
@@ -373,8 +378,6 @@ def measure_qubits(
     state), collapses and renormalizes. Returns (outcome bits in the order
     of ``indices``, collapsed state, outcome probability).
     """
-    if not indices:
-        raise ValueError("must measure at least one qubit")
     axes = _check_targets(indices, state.num_qubits)
     bits, prob = _draw(state, axes, rng)
     return bits, _collapse(state, axes, bits, prob), prob

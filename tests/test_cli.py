@@ -140,7 +140,10 @@ class TestSimulate:
         [({"gamma": 0.3, "p1": 1.0, "theta1": 0.2}, "missing required object field 'knob'"),
          ({"gamma": 0.3, "p1": 1.0, "theta1": 0.2, "knob": [1, 0.1]},
           "missing required object field 'knob'"),
-         ([0.3, 1.0, 0.2], "config must be a JSON object")],
+         ([0.3, 1.0, 0.2], "config must be a JSON object"),
+         # A misspelt field would otherwise be ignored: here p2 would be +0.8, not -0.8.
+         ({"gamma": 0.3, "p1": 0.6, "p2_negatve": True, "theta1": 0.2,
+           "knob": {"n": 1, "delta": 0.1}, "shot": 5}, "unknown fields ['p2_negatve', 'shot']")],
     )
     def test_config_of_the_wrong_shape_exit_2(self, runner, tmp_path, payload, message):
         result = runner.invoke(main, ["simulate", write_config(tmp_path, payload)])

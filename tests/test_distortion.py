@@ -348,6 +348,21 @@ class TestSmallMismatchEstimate:
         with pytest.raises(ValueError, match="J = 0"):
             small_mismatch_estimate(FieldParams(J=0.0, B1=0.2, B2=0.0))
 
+    @pytest.mark.parametrize("field", ["J", "B1", "B2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, bad):
+        fields = {"J": 1.0, "B1": 0.2, "B2": 0.0, field: bad}
+        with pytest.raises(ValueError, match="J, B1 and B2 must be finite"):
+            small_mismatch_estimate(FieldParams(**fields))
+
+    @pytest.mark.parametrize(
+        "J, B1", [(1e200, 0.2), (1.0, 1e200), (1e-200, 0.2), (1e-60, 1e100)]
+    )
+    def test_rejects_an_estimate_past_the_float_range(self, J, B1):
+        # B-^2 or J^2 overflows, J^2 underflows to 0, or the quotient overflows.
+        with pytest.raises(ValueError, match="mismatch estimate is not finite"):
+            small_mismatch_estimate(FieldParams(J=J, B1=B1, B2=0.0))
+
 
 class TestControlKnob:
     def test_ndelta_product(self):
@@ -421,6 +436,17 @@ class TestControlKnob:
     def test_rejects_provenance_denominator_below_one(self, den):
         with pytest.raises(ValueError, match=f"provenance denominator must be >= 1, got {den}"):
             ControlKnob(1, 0.0, RationalProvenance(0.25, 1, den))
+
+    @pytest.mark.parametrize("num, den", [(1.5, 3), (1, 2.0), (True, 2), (1, True), (None, 3)])
+    def test_rejects_non_integer_provenance_ratio(self, num, den):
+        with pytest.raises(ValueError, match=r"provenance Q\(j\) must be integers"):
+            ControlKnob(1, 0.5 - 1 / 3, RationalProvenance(0.5, num, den))
+
+    def test_accepts_numpy_integer_provenance_ratio(self):
+        # The gap is taken over Python ints: j = 1e-300 has a 2**1049 denominator,
+        # which no int64 can multiply.
+        knob = ControlKnob(1, 1e-300, RationalProvenance(1e-300, np.int64(0), np.int64(1)))
+        assert knob.ndelta == 1e-300
 
     def test_from_field_params(self):
         fp = FieldParams(J=1.0, B1=0.9, B2=0.1)

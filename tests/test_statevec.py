@@ -258,6 +258,13 @@ class TestApplyUnitary:
         with pytest.raises(ValueError, match=message):
             expand_unitary(HADAMARD, (1,), num_qubits)
 
+    @pytest.mark.parametrize("num_qubits", [4.0, True, -1, 0, 10**8, math.nan, "4"])
+    def test_expand_unitary_rejects_a_size_that_is_not_a_count(self, num_qubits):
+        # No 2**n is evaluated: 2**10**8 alone is a 12.5 MB integer.
+        message = rf"^num_qubits must be an integer 1, 2 or 4, got {num_qubits!r}$"
+        with pytest.raises(ValueError, match=message):
+            expand_unitary(HADAMARD, (1,), num_qubits)
+
     def test_expand_unitary_matches_apply(self, rng):
         state = random_state(rng, 4)
         full = expand_unitary(CNOT, (2, 4), 4)
@@ -389,6 +396,25 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             measure_qubits(basis_state("00"), (), rng)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda state, rng: measure_qubits(state, (), rng),
+         lambda state, rng: sample_measurements(state, (), 5, rng),
+         lambda state, rng: collapse_qubits(state, (), ()),
+         lambda state, rng: apply_unitary(state, HADAMARD, [])],
+        ids=["measure", "sample", "collapse", "apply"],
+    )
+    def test_every_target_taker_requires_an_index(self, call, rng):
+        with pytest.raises(ValueError, match="need at least one qubit index"):
+            call(basis_state("00"), rng)
+
+    def test_measure_accepts_an_index_array(self):
+        state = random_state(np.random.default_rng(3), 3)
+        by_array = measure_qubits(state, np.array([3, 1]), np.random.default_rng(8))
+        by_tuple = measure_qubits(state, (3, 1), np.random.default_rng(8))
+        assert by_array[0] == by_tuple[0] and by_array[2] == by_tuple[2]
+        assert by_array[1].amplitudes.tobytes() == by_tuple[1].amplitudes.tobytes()
+
     def test_collapse_onto_outcome(self):
         collapsed, prob = collapse_qubits(bell_state((0, 0)), (1,), (1,))
         assert prob == pytest.approx(0.5, abs=1e-12)
@@ -504,7 +530,10 @@ class TestTargetTable:
          (np.array([9]), 4, "qubit index 9 out of range 1..4"),
          ((2.9,), 4, "qubit index 2.9 is not an integer in 1..4"),
          ([1, 0.5], 2, "qubit index 0.5 is not an integer in 1..2"),
-         (("2",), 4, "qubit index '2' is not an integer in 1..4")],
+         (("2",), 4, "qubit index '2' is not an integer in 1..4"),
+         ((), 2, "need at least one qubit index, got ()"),
+         ([], 4, "need at least one qubit index, got []"),
+         (np.array([], dtype=np.int64), 1, "need at least one qubit index, got array([], dtype=int64)")],
     )
     def test_rejects_with_the_same_messages(self, targets, n, message):
         with pytest.raises(ValueError) as error:
