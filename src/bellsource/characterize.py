@@ -29,6 +29,7 @@ from .statevec import (
     _born_index,
     _draw,
     _fresh,
+    _marginal_probabilities,
     _multinomial,
     basis_state,
     bell_coefficients,
@@ -116,7 +117,7 @@ class PopulationTable:
     @classmethod
     def from_raw(cls, raw: Populations) -> "PopulationTable":
         total = raw.total()
-        if min(raw.as_tuple()) < -1e-12 or total < 1e-12:
+        if min(raw.as_tuple()) < -1e-12 or not 1e-12 <= total < math.inf:  # a NaN total fails too
             raise ValueError(f"invalid population weights {raw.as_tuple()!r}")
         normalized = Populations(*(f / total for f in raw.as_tuple()))
         return cls(raw=raw, normalized=normalized)
@@ -270,11 +271,9 @@ def circuit_outcome_distribution(
     the state is None for outcomes of zero weight.
     """
     final = _run_gates(state12)
-    blocks = final.amplitudes.reshape(2, 2, 2, 2)
+    probs = _marginal_probabilities(final, (2, 3)).tolist()  # the weights _draw samples
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
-    for (i, j), outcome in _RELABEL.items():
-        block = blocks[:, :, i, j].reshape(-1)
-        prob = float(np.vdot(block, block).real)
+    for ((i, j), outcome), prob in zip(_RELABEL.items(), probs):
         result[outcome] = (prob, _surviving_pair(final, i, j, prob) if prob > 1e-12 else None)
     return result
 

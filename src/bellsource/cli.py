@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -151,14 +151,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     theta1 = _require_number(cfg, "theta1")
     theta2 = _require_number(cfg, "theta2") if "theta2" in cfg else math.pi / 2 - theta1
     try:
-        if "p2" in cfg:
-            spec = SourceSpec(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
-        else:
+        if "p2" not in cfg:
             # A derived p2 needs |p1| <= 1 strictly; an explicit one only
             # SourceSpec's weight tolerance.
-            spec = SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative=negative)
-            if "theta2" in cfg:
-                spec = replace(spec, theta2=theta2)
+            p2 = SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative=negative).p2
+        spec = SourceSpec(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

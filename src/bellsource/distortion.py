@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .source import SourceSpec, _superpose
+from .source import SourceSpec, _require_finite, _superpose
 from .statevec import PureState, _fresh, _is_integer, bell_state
 
 __all__ = [
@@ -157,10 +157,15 @@ def _gap(j: float, num: int, den: int) -> float:
     """j - num/den, correctly rounded: ``float(Fraction(j) - Fraction(num, den))``.
 
     Python's int true division is correctly rounded, so the exact integer
-    difference over the exact common denominator gives the same bits.
+    difference over the exact common denominator gives the same bits. A gap
+    beyond the float range rounds to an infinity of its sign.
     """
     a, b = j.as_integer_ratio()
-    return (a * den - num * b) / (b * den)
+    difference = a * den - num * b
+    try:
+        return difference / (b * den)
+    except OverflowError:
+        return math.inf if difference > 0 else -math.inf
 
 
 def rational_approx(j: float, max_den: int) -> BestRational:
@@ -310,6 +315,7 @@ def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
     sin(theta) b01 - e^{ix} cos x cos(theta) b10 + i e^{ix} sin x cos(theta) b00;
     unit norm, orthogonal to controlled_psi1 at the same knob.
     """
+    _require_finite(theta)
     return PureState(_cpsi2(theta, *_control_terms(knob.ndelta)))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, _fresh, _kron
+from .statevec import PureState, _fresh, bell_state
 
 __all__ = [
     "ComponentStates",
@@ -98,37 +98,32 @@ class ComponentStates:
     mu: PureState
 
 
-def _component_amplitudes(theta: float) -> tuple[np.ndarray, ...]:
-    """Amplitudes of phi, eta, varphi and mu at angle theta."""
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    return tuple(np.array(v, dtype=complex) for v in ([c, s], [s, -c], [s, c], [c, -s]))
+def _require_finite(theta: float) -> None:
+    """The angle rule of the public species builders."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
 
 
 def component_states(theta: float) -> ComponentStates:
     """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
-    return ComponentStates(*(PureState(amps) for amps in _component_amplitudes(theta)))
+    _require_finite(theta)
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
+    return ComponentStates(*(PureState(v) for v in ([c, s], [s, -c], [s, c], [c, -s])))
 
 
-def _psi1(theta: float) -> PureState:
-    phi, eta, _, _ = _component_amplitudes(theta)
-    return PureState((_kron(phi, phi) + _kron(eta, eta)) / math.sqrt(2))
-
-
-_PSI1 = _psi1(0.0)
+_PSI1 = bell_state((0, 0))
 _PSI1_AMPLITUDES = tuple(_PSI1.amplitudes.tolist())
 
 
 def psi1(theta: float = 0.0) -> PureState:
-    """First species (phi phi + eta eta)/sqrt2; identical for every theta.
+    """First species (phi phi + eta eta)/sqrt2, which is b00 for every theta.
 
-    At the default theta = 0.0 it is built once, at import, and every call
-    returns that shared immutable instance (``psi1() is psi1()``). Other
-    angles agree with it only up to rounding, so they are built afresh.
+    Every call with a finite theta returns the shared immutable
+    ``bell_state((0, 0))``, so ``psi1(theta) is psi1()``.
     """
-    if theta == 0.0 and math.copysign(1.0, theta) > 0.0:
-        return _PSI1
-    return _psi1(theta)
+    _require_finite(theta)
+    return _PSI1
 
 
 _RSQRT2 = 1.0 / math.sqrt(2)
@@ -157,6 +152,7 @@ def psi2(theta: float) -> PureState:
     Its Bell coefficients are (0, sin theta, -cos theta, 0), so it is
     orthogonal to psi1 for every theta.
     """
+    _require_finite(theta)
     return PureState(_psi2_amplitudes(theta))
 
 

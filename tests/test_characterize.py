@@ -119,7 +119,16 @@ class TestAnalyticPopulations:
                 raw = populations_analytic(spec, random_knob(rng)).raw
                 assert raw.f00 + raw.f11 == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("raw", [(0.5, -0.1, 0.0, 0.6), (0.0, 0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            (0.5, -0.1, 0.0, 0.6),
+            (0.0, 0.0, 0.0, 0.0),
+            (math.nan, 0.5, 0.0, 0.5),
+            (math.inf, 0.5, 0.0, 0.5),
+            (0.5, -math.inf, 0.0, 0.5),
+        ],
+    )
     def test_population_table_rejects_invalid_weights(self, raw):
         with pytest.raises(ValueError, match="invalid population weights"):
             PopulationTable.from_raw(Populations(*raw))
@@ -256,6 +265,15 @@ class TestCircuitRealization:
         assert record.probability == pytest.approx(prob, abs=1e-12)
         assert post is not None
         assert fidelity_up_to_phase(record.post_state, post) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_record_is_its_distribution_entry(self, seed):
+        # The shot draws from the same Born weights the table reports, bit for bit.
+        state = random_state(np.random.default_rng(seed), 2)
+        record = run_characterization_circuit(state, np.random.default_rng(seed))
+        prob, post = circuit_outcome_distribution(state)[record.outcome]
+        assert record.probability.hex() == prob.hex()
+        assert record.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()
 
     def test_post_states_knob_independent(self, rng):
         # Fixed outcome -> fixed Bell state, whatever the knob.

@@ -427,6 +427,11 @@ class TestControlKnob:
         with pytest.raises(ValueError, match="disagrees with provenance"):
             ControlKnob(1, 3e-15, RationalProvenance(2.0**-1074, 0, 2**60))
 
+    @pytest.mark.parametrize("num", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_provenance_gap_beyond_float_range_disagrees(self, num):
+        with pytest.raises(ValueError, match="disagrees with provenance"):
+            ControlKnob(1, 0.0, RationalProvenance(0.25, num, 1))
+
     @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_provenance_j(self, j):
         with pytest.raises(ValueError, match="provenance j must be finite"):

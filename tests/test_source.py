@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from bellsource import (
+    ControlKnob,
     DegenerateSourceError,
     SourceSpec,
     basis_state,
     bell_coefficients,
     bell_state,
     component_states,
+    controlled_psi2,
     emitted_state,
     fidelity_up_to_phase,
     psi1,
@@ -111,10 +113,19 @@ class TestSpecies:
         assert psi1() is psi1()
         assert psi1(0.0) is psi1()
 
-    def test_psi1_other_angles_built_afresh(self):
-        # psi1(-0.0) differs from psi1() in the sign of a zero imaginary part.
-        assert psi1(0.3) is not psi1(0.3)
-        assert psi1(-0.0) is not psi1()
+    def test_psi1_is_shared_b00_at_every_angle(self):
+        for theta in (0.0, -0.0, 0.3, -5.0, 1e300):
+            assert psi1(theta) is bell_state((0, 0))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "builder",
+        [psi1, psi2, component_states, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi1", "psi2", "component_states", "controlled_psi2"],
+    )
+    def test_species_builders_reject_non_finite_angle(self, builder, theta):
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
+            builder(theta)
 
     def test_psi2_endpoints(self):
         np.testing.assert_allclose(
