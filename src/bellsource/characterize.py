@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import ControlKnob
-from .source import SourceSpec
+from .source import _DEGENERATE_NORM, SourceSpec
 from .statevec import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
+    _ZERO_PROB,
     BellLabel,
     PureState,
     UnitaryMatrix,
@@ -117,7 +118,8 @@ class PopulationTable:
     @classmethod
     def from_raw(cls, raw: Populations) -> "PopulationTable":
         total = raw.total()
-        if min(raw.as_tuple()) < -1e-12 or not 1e-12 <= total < math.inf:  # a NaN total fails too
+        # The total is the emission's raw norm, held to its degenerate bound; NaN fails too.
+        if min(raw.as_tuple()) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
             raise ValueError(f"invalid population weights {raw.as_tuple()!r}")
         normalized = Populations(*(f / total for f in raw.as_tuple()))
         return cls(raw=raw, normalized=normalized)
@@ -274,7 +276,7 @@ def circuit_outcome_distribution(
     probs = _marginal_probabilities(final, (2, 3)).tolist()  # the weights _draw samples
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
     for ((i, j), outcome), prob in zip(_RELABEL.items(), probs):
-        result[outcome] = (prob, _surviving_pair(final, i, j, prob) if prob > 1e-12 else None)
+        result[outcome] = (prob, _surviving_pair(final, i, j, prob) if prob > _ZERO_PROB else None)
     return result
 
 

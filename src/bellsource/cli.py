@@ -42,7 +42,7 @@ from .characterize import (
     sample_histogram,
     species_moments,
 )
-from .control import ControlError, infer_parameters, region_arrays, solve_ndelta
+from .control import _REGION_CHUNK, ControlError, infer_parameters, region_arrays, solve_ndelta
 from .distortion import ControlKnob, FieldParams, controlled_emission
 from .source import SourceSpec
 from .statevec import _MAX_SHOTS, _is_integer
@@ -50,20 +50,12 @@ from .statevec import _MAX_SHOTS, _is_integer
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
-# CSV cells the region command formats per write.
-_REGION_BLOCK_CELLS = 8192
+# The config fields of the docstring's example, the only ones load_config accepts.
+_FIELDS = frozenset("gamma p1 p2_negative p2 theta1 theta2 knob shots seed".split())
 
 
 class ConfigError(ValueError):
     """Config file fails validation; the message names the violated invariant."""
-
-
-class _Fields(dict):
-    """The config object; ``get`` adds each field it looks up to ``read``."""
-
-    def get(self, key: str, default: object = None) -> object:
-        self.read.add(key)
-        return super().get(key, default)
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class ExperimentConfig:
 def _require_number(cfg: dict, key: str) -> float:
     if key not in cfg:
         raise ConfigError(f"missing required field '{key}'")
-    value = cfg.get(key)
+    value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{key}' must be a number, got {value!r}")
     try:
@@ -136,8 +128,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = _Fields(cfg)
-    cfg.read = set()
 
     gamma = _require_number(cfg, "gamma")
     p1 = _require_number(cfg, "p1")
@@ -167,8 +157,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seed = cfg.get("seed", 0)
     if not _is_integer(seed) or seed < 0:
         raise ConfigError(f"field 'seed' must be a non-negative integer, got {seed!r}")
-    if cfg.keys() - cfg.read:
-        raise ConfigError(f"unknown fields {sorted(cfg.keys() - cfg.read)}")
+    if cfg.keys() - _FIELDS:
+        raise ConfigError(f"unknown fields {sorted(cfg.keys() - _FIELDS)}")
 
     return ExperimentConfig(spec=spec, knob=knob, knob_echo=knob_echo, shots=shots, seed=seed)
 
@@ -272,7 +262,7 @@ def region(gamma: float, resolution: int) -> None:
     stdout.write("f00,f11,feasible,s_squared,ndelta\n")
     labels = [f"{value!r}," for value in scan.axis.tolist()]
     infeasible_cells = [f"{label}0,,\n" for label in labels]
-    rows_per_block = max(1, _REGION_BLOCK_CELLS // resolution)
+    rows_per_block = max(1, _REGION_CHUNK // resolution)
     for top in range(0, resolution, rows_per_block):
         block = slice(top, top + rows_per_block)
         heads = labels[block]

@@ -49,9 +49,9 @@ _FREQ_SUM_TOL = 1e-6
 # Targets this close to a feasibility bound count as on the boundary; without
 # the slack, exact boundary points flip on 1-ulp rounding (e.g. sin^2(pi/4)).
 _BOUND_TOL = 1e-12
-# Feasible points per math.asin pass in region_arrays: bounds the Python floats
-# alive at once.
-_ASIN_CHUNK = 8192
+# Items per pass over the region grid (math.asin calls in region_arrays, CSV
+# cells per write in the region command): bounds the Python objects alive at once.
+_REGION_CHUNK = 8192
 # The region scan holds about 33 bytes per grid cell at its peak (the broadcast
 # closed form's float arrays and masks), so 4096^2 cells take about 550 MB;
 # the bound is checked before any array is allocated.
@@ -257,8 +257,8 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     # round like math.sqrt and the float division; np.arcsin can differ from
     # math.asin by 2 ulp, so asin runs on Python floats, one chunk at a time.
     np.sqrt(picked, out=picked)
-    for start in range(0, picked.size, _ASIN_CHUNK):
-        chunk = picked[start : start + _ASIN_CHUNK]
+    for start in range(0, picked.size, _REGION_CHUNK):
+        chunk = picked[start : start + _REGION_CHUNK]
         chunk[:] = np.fromiter(map(math.asin, chunk.tolist()), float, chunk.size)
     picked /= 2.0 * math.pi
     ndelta = np.full(ok.shape, np.nan)
@@ -284,8 +284,8 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     Solves f00 = a c^2 + b s^2, f11 = a s^2 + b c^2 for a = cos^2 gamma and
     b = sin^2 gamma C^2, where c^2, s^2 are cos^2/sin^2 of 2 pi n delta.
     The system determinant is cos(4 pi n delta). Raises ValueError for a
-    non-finite argument, an ndelta whose 4 pi ndelta overflows, or
-    frequencies that do not sum to 1.
+    non-finite argument, a negative frequency, an ndelta whose 4 pi ndelta
+    overflows, or frequencies that do not sum to 1.
     """
     if not (
         math.isfinite(f00) and math.isfinite(f01) and math.isfinite(f11) and math.isfinite(ndelta)
@@ -293,6 +293,8 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
         raise ValueError(
             f"frequencies and ndelta must be finite, got ({f00!r}, {f01!r}, {f11!r}, {ndelta!r})"
         )
+    if min(f00, f01, f11) < 0.0:
+        raise ValueError(f"frequencies must be non-negative, got ({f00!r}, {f01!r}, {f11!r})")
     if abs(f00 + f01 + f11 - 1.0) > _FREQ_SUM_TOL:
         raise ValueError(
             f"frequencies must be normalized: f00 + f01 + f11 = {f00 + f01 + f11!r}"

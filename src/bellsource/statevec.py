@@ -225,13 +225,12 @@ def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
     return tuple(map(positions.index, targets))
 
 
-_AXES: dict[tuple[Sequence[int], int], _Axes] = {}
-_AXES.update(  # every ordered target tuple of 1..4 qubits, checked once: 84 entries
-    ((targets, n), _check_targets(targets, n))
+_AXES: dict[tuple[Sequence[int], int], _Axes] = {  # every ordered target tuple: 84 entries
+    (targets, n): tuple(q - 1 for q in targets)
     for n in range(1, MAX_QUBITS + 1)
     for t in range(1, n + 1)
     for targets in itertools.permutations(range(1, n + 1), t)
-)
+}
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: _Axes, n: int) -> np.ndarray:
@@ -338,7 +337,9 @@ def _collapse(state: PureState, axes: _Axes, bits: tuple[int, ...], prob: float)
 def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     """Born-rule index for one draw u = ``rng.random()``, by a running sum.
 
-    Equals ``min(searchsorted(cumsum(probs), u, side="right"), len(probs) - 1)``.
+    Equals ``searchsorted(cumsum(probs), u, side="right")`` for u below the sum.
+    A u in the rounding gap above it gets the last index of weight at least
+    ``_ZERO_PROB``, an outcome ``collapse_qubits`` accepts, or the last index if none is.
     """
     u = rng.random()
     total = 0.0
@@ -346,7 +347,7 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
         total += p
         if total > u:
             return k
-    return len(probs) - 1
+    return max((k for k, p in enumerate(probs) if p >= _ZERO_PROB), default=len(probs) - 1)
 
 
 def _draw(

@@ -33,6 +33,16 @@ def random_knob(rng: np.random.Generator) -> ControlKnob:
     return ControlKnob(n=int(rng.integers(0, 12)), delta=rng.uniform(-0.5, 0.5))
 
 
+class FixedDraw:
+    """Stand-in generator whose ``random()`` returns a chosen draw."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

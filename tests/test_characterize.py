@@ -12,6 +12,7 @@ from bellsource import (
     ControlKnob,
     Populations,
     PopulationTable,
+    PureState,
     SourceSpec,
     bell_state,
     circuit_outcome_distribution,
@@ -28,11 +29,15 @@ from bellsource import (
     table_populations,
 )
 from bellsource.characterize import label_to_outcome, outcome_to_label
-from conftest import random_knob, random_spec, random_state
+from conftest import FixedDraw, random_knob, random_spec, random_state
 from oracles import binomial_4sigma
 
 WORKED_SPEC = SourceSpec.from_p1_theta1(math.pi / 4, 1.0, math.pi / 2)
 WORKED_KNOB = ControlKnob(n=1, delta=0.125)
+# b00 at the edge of the 1e-9 norm tolerance: its Born weights sum to about
+# 1 - 8e-10, so the draw above falls in the gap past the last running sum.
+EDGE_PAIR = PureState(bell_state((0, 0)).amplitudes * (1 - 4e-10))
+DRAW_ABOVE_SUM = 1 - 1e-10
 
 
 class TestLabeling:
@@ -201,6 +206,14 @@ class TestProjectiveMeasurement:
         assert set(outcomes) == {(0, 0), (0, 1)}
         assert binomial_4sigma(count00, 4000, 0.5)
 
+    def test_draw_above_the_weight_sum_reports_an_emitted_outcome(self):
+        # The last Bell label, readout (1, 0), has zero weight and is never reported.
+        assert EDGE_PAIR.probabilities().sum() < DRAW_ABOVE_SUM
+        record = nonlocal_bell_measurement(EDGE_PAIR, FixedDraw(DRAW_ABOVE_SUM))
+        assert record.outcome == (0, 0)
+        assert record.probability == pytest.approx(1.0, abs=1e-9)
+        assert record.post_state is bell_state((0, 0))
+
     def test_deterministic_per_seed(self, rng):
         state = random_state(rng, 2)
         first = [
@@ -274,6 +287,15 @@ class TestCircuitRealization:
         prob, post = circuit_outcome_distribution(state)[record.outcome]
         assert record.probability.hex() == prob.hex()
         assert record.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()
+
+    def test_draw_above_the_weight_sum_reports_an_emitted_outcome(self):
+        # The last ancilla readout has zero weight: its pair over its root would be NaN.
+        record = run_characterization_circuit(EDGE_PAIR, FixedDraw(DRAW_ABOVE_SUM))
+        assert record.outcome == (0, 0)
+        assert record.probability == pytest.approx(1.0, abs=1e-9)
+        assert fidelity_up_to_phase(record.post_state, bell_state((0, 0))) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_post_states_knob_independent(self, rng):
         # Fixed outcome -> fixed Bell state, whatever the knob.

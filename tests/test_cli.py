@@ -151,6 +151,17 @@ class TestSimulate:
         assert result.stdout == ""
         assert result.stderr == f"config error: {message}\n"
 
+    def test_all_nine_fields_at_once(self, tmp_path):
+        # Every declared field in one consistent config: a misspelt name in
+        # cli._FIELDS would refuse its field here as unknown.
+        payload = {"gamma": 0.5, "p1": 0.6, "p2": -0.8, "p2_negative": True, "theta1": 0.3,
+                   "theta2": math.pi / 2 - 0.3, "knob": {"n": 1, "delta": 0.1},
+                   "shots": 10, "seed": 5}
+        assert payload.keys() == cli._FIELDS
+        config = cli.load_config(write_config(tmp_path, payload))
+        assert (config.spec.p2, config.spec.theta2) == (-0.8, math.pi / 2 - 0.3)
+        assert (config.shots, config.seed) == (10, 5)
+
     def test_unreadable_config_exit_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
@@ -796,6 +807,16 @@ class TestInfer:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "finite" in result.stderr
+
+    def test_negative_frequency_exit_3(self, runner):
+        result = runner.invoke(
+            main, ["infer", "--f00", "0.1", "--f01", "-0.1", "--f11", "1.0", "--ndelta", "0"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "precondition failed: frequencies must be non-negative, got (0.1, -0.1, 1.0)\n"
+        )
 
     def test_ndelta_overflow_exit_3(self, runner):
         result = runner.invoke(

@@ -300,6 +300,18 @@ class TestInferParameters:
                 infer_parameters(*args)
             assert not isinstance(info.value, ControlError)
 
+    def test_negative_frequency_is_bad_input(self):
+        # Checked before the sum, so (0.1, -0.5, 1.0) names the sign, not the sum.
+        for args in ((0.1, -0.1, 1.0, 0.0), (-0.2, 0.6, 0.6, 0.0), (0.6, 0.6, -0.2, 0.0),
+                     (0.1, -0.5, 1.0, 0.0)):
+            message = "frequencies must be non-negative, got (%r, %r, %r)" % args[:3]
+            with pytest.raises(ValueError) as info:
+                infer_parameters(*args)
+            assert str(info.value) == message
+            assert not isinstance(info.value, ControlError)
+        # -0.0 is not negative.
+        assert infer_parameters(0.4, -0.0, 0.6, 0.0).S_squared == 0.0
+
     def test_ndelta_overflow_is_bad_input(self):
         # ndelta is finite, but the determinant's angle 4 pi ndelta is not.
         with pytest.raises(ValueError, match=r"ndelta=1e\+308 is too large") as info:

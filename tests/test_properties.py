@@ -36,7 +36,8 @@ from bellsource import (
     sample_histogram,
     table_populations,
 )
-from bellsource.statevec import _born_index
+from bellsource.statevec import _ZERO_PROB, _born_index
+from conftest import FixedDraw
 
 # Derandomized and without an example database: the same examples on every
 # run, and nothing written next to the tests.
@@ -75,16 +76,6 @@ def test_from_field_params_accepts_its_own_provenance(J, B1, B2, max_den, n):
     assert ControlKnob(n, knob.delta, knob.provenance).ndelta == knob.ndelta
 
 
-class _FixedDraw:
-    """Stand-in generator whose ``random()`` returns a chosen draw."""
-
-    def __init__(self, u: float) -> None:
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
 @st.composite
 def weights_and_draw(draw):
     """Weights with zeros, and a draw that may equal a running sum or exceed them all."""
@@ -99,10 +90,14 @@ def weights_and_draw(draw):
 @example(case=([0.0, 0.0], 0.5))
 @example(case=([0.25, 0.0, 0.25], 0.5))
 @example(case=([0.0, 0.5, 0.5], 0.0))
+@example(case=([0.3, 0.3, 0.0], 0.7))  # a draw above the sum skips the zero-weight tail
 def test_born_index_is_clamped_searchsorted(case):
     probs, u = case
-    expected = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
-    assert _born_index(probs, _FixedDraw(u)) == expected
+    expected = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    if expected == len(probs):  # u in the gap above the sum: the last weight a collapse accepts
+        accepted = [k for k, p in enumerate(probs) if p >= _ZERO_PROB]
+        expected = accepted[-1] if accepted else len(probs) - 1
+    assert _born_index(probs, FixedDraw(u)) == expected
 
 
 # The edges of the paper's domain, listed first in each choice so that a
