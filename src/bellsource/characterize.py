@@ -27,6 +27,7 @@ from .statevec import (
     BellLabel,
     PureState,
     UnitaryMatrix,
+    _bell_lookup,
     _born_index,
     _draw,
     _fresh,
@@ -58,22 +59,21 @@ __all__ = [
 ]
 
 
-def label_to_outcome(label: BellLabel | tuple[int, int]) -> tuple[int, int]:
-    """Readout bits (i3, j4) announced for Bell label (a, b): (a, a XOR b).
+# Raw ancilla bits (the copied label bits) to the readout they report: Bell label
+# (a, b) is announced as (a, a XOR b), the only spelling of the readout order.
+_RELABEL = {label: (label.a, label.a ^ label.b) for label in BELL_LABELS}
 
-    The only spelling of the readout order; the tables below are built from it.
-    """
-    a, b = label
-    return (a, a ^ b)
+
+def label_to_outcome(label: BellLabel | tuple[int, int]) -> tuple[int, int]:
+    """Readout bits (i3, j4) announced for Bell label (a, b): (a, a XOR b)."""
+    return _bell_lookup(_RELABEL, label)
 
 
 def outcome_to_label(outcome: tuple[int, int]) -> BellLabel:
     """Bell label identified by readout bits (i3, j4); the map is an involution."""
-    return BellLabel(*label_to_outcome(outcome))
+    return BellLabel(*_bell_lookup(_RELABEL, outcome, "readout"))
 
 
-# Raw ancilla bits (the copied label bits) to the readout they report.
-_RELABEL = {label: label_to_outcome(label) for label in BELL_LABELS}
 # The readout strings "00".."11" and, in that order, the index of the label each reports.
 _OUTCOME_KEYS = tuple(sorted("%d%d" % bits for bits in _RELABEL.values()))
 _READOUT_ORDER = operator.itemgetter(*sorted(range(4), key=lambda k: _RELABEL[BELL_LABELS[k]]))
@@ -200,7 +200,7 @@ def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> M
     k = _born_index(probs, rng)
     label = BELL_LABELS[k]
     return MeasurementRecord(
-        outcome=label_to_outcome(label), post_state=bell_state(label), probability=probs[k]
+        outcome=_RELABEL[label], post_state=bell_state(label), probability=probs[k]
     )
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import SourceSpec, _require_finite, _superpose
-from .statevec import PureState, _fresh, _is_integer, bell_state
+from .statevec import _MINUS_R, _R, _ZERO, PureState, _fresh, _is_integer
 
 __all__ = [
     "BestRational",
@@ -40,12 +40,7 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
-
-# The Bell constants b00 = (r, 0, 0, r), b01 = (0, r, r, 0) and b10 = (r, 0, 0, -r)
-# as Python complex. The controlled species multiply them by complex scalars,
-# where CPython and numpy's fused complex multiply agree.
-_R, _ZERO, _, _ = bell_state((0, 0)).amplitudes.tolist()
-_MINUS_R = bell_state((1, 0)).amplitudes.tolist()[3]
+# Bell entries times complex scalars: CPython and numpy's fused complex multiply agree.
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     if not _is_integer(max_den) or max_den < 1:
         raise ValueError(f"max_den must be a positive integer, got {max_den!r}")
     max_den = int(max_den)
-    if abs(j) > 0.5:
+    if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
     a, b = j.as_integer_ratio()
     if b <= max_den:

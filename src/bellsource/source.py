@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import PureState, _fresh, bell_state
+from .statevec import _BELL_AMPLITUDES, _RSQRT2, PureState, _fresh, bell_state
 
 __all__ = [
     "ComponentStates",
@@ -113,7 +113,6 @@ def component_states(theta: float) -> ComponentStates:
 
 
 _PSI1 = bell_state((0, 0))
-_PSI1_AMPLITUDES = tuple(_PSI1.amplitudes.tolist())
 
 
 def psi1(theta: float = 0.0) -> PureState:
@@ -124,9 +123,6 @@ def psi1(theta: float = 0.0) -> PureState:
     """
     _require_finite(theta)
     return _PSI1
-
-
-_RSQRT2 = 1.0 / math.sqrt(2)
 
 
 def _div_sqrt2(z: complex) -> complex:
@@ -193,7 +189,7 @@ def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:
     """Undistorted source output and the raw squared norm of its superposition."""
     return _superpose(
         spec,
-        _PSI1_AMPLITUDES,
+        _BELL_AMPLITUDES[0, 0],
         _psi2_amplitudes(spec.theta1),
         _psi2_amplitudes(spec.theta2),
     )

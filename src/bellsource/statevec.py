@@ -147,14 +147,19 @@ class BellLabel(NamedTuple):
     b: int
 
 
-BELL_LABELS: tuple[BellLabel, ...] = (
-    BellLabel(0, 0),
-    BellLabel(0, 1),
-    BellLabel(1, 0),
-    BellLabel(1, 1),
-)
+# The one spelling of r = 1/sqrt2 and of the Bell basis, as Python complex.
+# Every imaginary zero is +0.0, so -r is complex(-r), never -complex(r).
+_RSQRT2 = 1.0 / math.sqrt(2)
+_R, _ZERO, _MINUS_R = complex(_RSQRT2), complex(0.0), complex(-_RSQRT2)
+_BELL_AMPLITUDES: dict[BellLabel, tuple[complex, complex, complex, complex]] = {
+    BellLabel(0, 0): (_R, _ZERO, _ZERO, _R),
+    BellLabel(0, 1): (_ZERO, _R, _R, _ZERO),
+    BellLabel(1, 0): (_R, _ZERO, _ZERO, _MINUS_R),
+    BellLabel(1, 1): (_ZERO, _R, _MINUS_R, _ZERO),
+}
+BELL_LABELS: tuple[BellLabel, ...] = tuple(_BELL_AMPLITUDES)
 
-HADAMARD = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+HADAMARD = UnitaryMatrix(_RSQRT2 * np.array([[1, 1], [1, -1]]))
 # Control on the first target qubit, flip on the second.
 CNOT = UnitaryMatrix(
     np.array(
@@ -213,9 +218,13 @@ def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
         return _AXES[targets, num_qubits]
     except (KeyError, TypeError):  # not in the table, or unhashable such as a list
         pass
-    if len(targets) == 0:
+    try:
+        count, distinct = len(targets), len(set(targets))
+    except TypeError:  # not a sequence, or an unhashable index such as [1]
+        raise ValueError(f"qubit indices must be a sequence of integers, got {targets!r}") from None
+    if count == 0:
         raise ValueError(f"need at least one qubit index, got {targets!r}")
-    if len(set(targets)) != len(targets):
+    if distinct != count:
         raise ValueError(f"repeated qubit index in {targets!r}")
     positions = range(1, num_qubits + 1)
     for q in targets:
@@ -272,14 +281,15 @@ def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) ->
     return UnitaryMatrix(np.stack(columns, axis=1))
 
 
-def _build_bell_state(a: int, b: int) -> PureState:
-    amps = np.zeros(4, dtype=complex)
-    amps[b] = 1.0 / math.sqrt(2)
-    amps[2 + (1 - b)] = (-1.0) ** a / math.sqrt(2)
-    return PureState(amps)
+_BELL_STATES = {label: PureState(amps) for label, amps in _BELL_AMPLITUDES.items()}
 
 
-_BELL_STATES = {label: _build_bell_state(*label) for label in BELL_LABELS}
+def _bell_lookup(table: dict, label: object, what: str = "Bell label"):
+    """``table[tuple(label)]`` for a Bell-label key: a pair of values equal to 0 or 1."""
+    try:
+        return table[tuple(label)]
+    except (KeyError, TypeError):  # not a 0/1 pair, not a sequence, or unhashable bits
+        raise ValueError(f"{what} bits must be 0/1, got {label!r}") from None
 
 
 def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
@@ -292,14 +302,11 @@ def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
     and returns the shared immutable instance, so
     ``bell_state(l) is bell_state(l)``.
     """
-    a, b = label
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError(f"Bell label bits must be 0/1, got {label!r}")
-    return _BELL_STATES[a, b]
+    return _bell_lookup(_BELL_STATES, label)
 
 
 # Conjugated once here: bell_coefficients reads <label|state> on every shot.
-_BELL_BRAS = np.stack([bell_state(lbl).amplitudes for lbl in BELL_LABELS]).conj()
+_BELL_BRAS = np.array(tuple(_BELL_AMPLITUDES.values())).conj()
 
 
 def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, complex]:

@@ -9,6 +9,7 @@ import pytest
 
 from bellsource import (
     BELL_LABELS,
+    BellLabel,
     ControlKnob,
     Populations,
     PopulationTable,
@@ -50,6 +51,20 @@ class TestLabeling:
     def test_involution(self):
         for label in BELL_LABELS:
             assert outcome_to_label(label_to_outcome(label)) == label
+
+    def test_non_bell_labels_are_refused(self):
+        # (2, 0) used to map to (2, 2), and (0, 2) to BellLabel(0, 2).
+        for label in ((2, 0), (0, 2), (0, 1, 1), 5, ([1], 0)):
+            with pytest.raises(ValueError, match="Bell label bits must be 0/1"):
+                label_to_outcome(label)
+            with pytest.raises(ValueError, match="readout bits must be 0/1"):
+                outcome_to_label(label)
+
+    @pytest.mark.parametrize("label", [(1.0, 0), (True, False), (np.int64(1), np.int32(0))])
+    def test_equal_bits_count_as_0_and_1(self, label):
+        # (1.0, 0) used to raise TypeError from the XOR.
+        assert label_to_outcome(label) == (1, 1)
+        assert outcome_to_label(label) == BellLabel(1, 1)
 
 
 class TestSpeciesMoments:

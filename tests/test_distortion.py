@@ -314,6 +314,11 @@ class TestRationalApprox:
         with pytest.raises(ValueError, match=r"\|j\|"):
             rational_approx(0.7, 10)
 
+    def test_nan_j_is_refused(self):
+        # NaN used to fail later, in as_integer_ratio.
+        with pytest.raises(ValueError, match=r"^\|j\| <= 1/2 violated: got nan$"):
+            rational_approx(math.nan, 5)
+
     @pytest.mark.parametrize("max_den", [2.5, 3.0, True, False, 0, -4, "3", None, np.float64(3.0)])
     def test_max_den_must_be_a_positive_integer(self, max_den):
         with pytest.raises(ValueError, match="max_den must be a positive integer"):

@@ -11,6 +11,7 @@ from bellsource import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
+    BellLabel,
     ControlKnob,
     FieldParams,
     PureState,
@@ -33,7 +34,7 @@ from bellsource import (
     sample_measurements,
     tensor,
 )
-from bellsource.statevec import _AXES, _check_targets, _fresh
+from bellsource.statevec import _AXES, _BELL_AMPLITUDES, _check_targets, _fresh
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -288,6 +289,26 @@ class TestBellBasis:
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             bell_state((0, 2))
+        # Not a pair, unhashable bits and NaN miss the table as well.
+        for label in (5, (0, 1, 1), ([0], 1), (float("nan"), 0)):
+            with pytest.raises(ValueError, match="Bell label bits must be 0/1"):
+                bell_state(label)
+
+    @pytest.mark.parametrize("label", [[0, 1], (True, False), (np.int64(1), 0), (1.0, 0.0)])
+    def test_equal_labels_return_the_shared_instance(self, label):
+        assert bell_state(label) is bell_state(BellLabel(*(int(bit) for bit in label)))
+
+    def test_labels_are_the_table_keys_in_order(self):
+        assert BELL_LABELS == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert BELL_LABELS == tuple(_BELL_AMPLITUDES)
+
+    def test_imaginary_zeros_are_positive(self):
+        # complex(-r) keeps +0.0j; -complex(r) would write -0.0j into b10 and b11.
+        for label in BELL_LABELS:
+            amps = bell_state(label).amplitudes
+            assert amps.tolist() == list(_BELL_AMPLITUDES[label])
+            assert not np.signbit(amps.imag).any()
+        assert not np.signbit(HADAMARD.entries.imag).any()
 
     def test_bell_states_are_shared_instances(self):
         for label in BELL_LABELS:
@@ -539,3 +560,13 @@ class TestTargetTable:
         with pytest.raises(ValueError) as error:
             _check_targets(targets, n)
         assert str(error.value) == message
+
+    @pytest.mark.parametrize("targets", [1, [[1]], np.array([[1]]), [np.array([1, 2])]])
+    def test_rejects_bad_index_containers(self, targets):
+        # A non-sequence or an unhashable index used to raise TypeError.
+        message = f"qubit indices must be a sequence of integers, got {targets!r}"
+        with pytest.raises(ValueError) as error:
+            _check_targets(targets, 2)
+        assert str(error.value) == message
+        with pytest.raises(ValueError, match="qubit indices must be a sequence"):
+            measure_qubits(basis_state("00"), targets, np.random.default_rng(0))
