@@ -98,10 +98,12 @@ class SteeringSolution:
 
 @dataclass(frozen=True)
 class EmissionEstimate:
-    """Inferred source parameters plus the moment-consistency defect.
+    """The equivalent source with C^2 + S^2 = 1 that has the measured populations.
 
-    residual = |C^2 + S^2 - 1|; it is reported rather than folded into the
-    estimates so violations of the unit-moment assumption stay visible.
+    Populations fix a source only through c^2/N, s^2 C^2/N and s^2 S^2/N, with
+    c = cos gamma, s = sin gamma and N = c^2 + s^2 (C^2 + S^2); the estimate is
+    the true source only where N = 1 (p1 p2 sin(2 theta1) = 0). residual is its
+    |C^2 + S^2 - 1|: the input's |f00 + f01 + f11 - 1| / sin^2 gamma, up to rounding.
     """
 
     sin2_gamma: float
@@ -281,6 +283,7 @@ def region_grid(gamma: float, resolution: int) -> list[RegionPoint]:
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:
     """Recover (sin^2 gamma, C^2, S^2) from normalized frequencies at a known knob.
 
+    The estimate is the equivalent source with C^2 + S^2 = 1 (``EmissionEstimate``).
     Solves f00 = a c^2 + b s^2, f11 = a s^2 + b c^2 for a = cos^2 gamma and
     b = sin^2 gamma C^2, where c^2, s^2 are cos^2/sin^2 of 2 pi n delta.
     The system determinant is cos(4 pi n delta). Raises ValueError for a

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .source import SourceSpec, _require_finite, _superpose
-from .statevec import _MINUS_R, _R, _ZERO, PureState, _fresh, _is_integer
+from .source import SourceSpec, _emission, _require_finite, _species
+from .statevec import PureState, _fresh, _is_integer
 
 __all__ = [
     "BestRational",
@@ -40,7 +40,6 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
-# Bell entries times complex scalars: CPython and numpy's fused complex multiply agree.
 
 
 @dataclass(frozen=True)
@@ -271,47 +270,29 @@ class ControlKnob:
         return cls(n=n, delta=delta, provenance=RationalProvenance(j, num, den))
 
 
-def _control_terms(ndelta: float) -> tuple[complex, complex]:
-    """i e^{ix} sin x and e^{ix} cos x at the control angle x = 2 pi n delta."""
-    x = 2.0 * math.pi * ndelta
-    phase = cmath.exp(1j * x)
-    return 1j * phase * math.sin(x), phase * math.cos(x)
-
-
-def _cpsi1(mix: complex) -> list[complex]:
-    """Amplitudes of controlled_psi1, (1 + mix) b00 - mix b10 element by element."""
-    keep = 1.0 + mix
-    middle = keep * _ZERO - mix * _ZERO
-    return [keep * _R - mix * _R, middle, middle, keep * _R - mix * _MINUS_R]
-
-
-def _cpsi2(theta: float, mix: complex, turn: complex) -> list[complex]:
-    """Amplitudes of controlled_psi2, sin(theta) b01 - flip b10 + lift b00 element by element."""
-    sin_theta = complex(math.sin(theta))  # the real factor numpy promoted in sin(theta) * b01
-    cos_theta = math.cos(theta)
-    flip, lift = turn * cos_theta, mix * cos_theta
-    middle = sin_theta * _R - flip * _ZERO + lift * _ZERO
-    return [sin_theta * _ZERO - flip * _R + lift * _R, middle, middle,
-            sin_theta * _ZERO - flip * _MINUS_R + lift * _R]
+def _turn(knob: ControlKnob) -> complex:
+    """e^{4 pi i n delta} on |11>; n delta mod 1/2 is exact, so the angle's rounding stays small."""
+    return cmath.rect(1.0, 4.0 * math.pi * math.fmod(knob.ndelta, 0.5))
 
 
 def controlled_psi1(knob: ControlKnob) -> PureState:
     """Post-control first species.
 
-    (1 + i e^{ix} sin x) b00 - i e^{ix} sin x b10 with x = 2 pi n delta;
-    algebraically e^{ix}(cos x b00 - i sin x b10), so the norm is exactly 1.
+    (1 + i e^{ix} sin x) b00 - i e^{ix} sin x b10 with x = 2 pi n delta,
+    which is r (|00> + e^{2ix} |11>), so the norm is exactly 1.
     """
-    return PureState(_cpsi1(_control_terms(knob.ndelta)[0]))
+    return PureState(_species(1.0, 0.0, 0.0, _turn(knob)))
 
 
 def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
     """Post-control second species at angle theta.
 
-    sin(theta) b01 - e^{ix} cos x cos(theta) b10 + i e^{ix} sin x cos(theta) b00;
+    sin(theta) b01 - e^{ix} cos x cos(theta) b10 + i e^{ix} sin x cos(theta) b00,
+    which is r (-cos theta, sin theta, sin theta, e^{2ix} cos theta);
     unit norm, orthogonal to controlled_psi1 at the same knob.
     """
     _require_finite(theta)
-    return PureState(_cpsi2(theta, *_control_terms(knob.ndelta)))
+    return PureState(_species(0.0, math.cos(theta), math.sin(theta), _turn(knob)))
 
 
 def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState, float]:
@@ -321,7 +302,4 @@ def controlled_emission(spec: SourceSpec, knob: ControlKnob) -> tuple[PureState,
     norm equals the undistorted value 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1)
     for every knob.
     """
-    mix, turn = _control_terms(knob.ndelta)
-    return _superpose(
-        spec, _cpsi1(mix), _cpsi2(spec.theta1, mix, turn), _cpsi2(spec.theta2, mix, turn)
-    )
+    return _emission(spec, _turn(knob))

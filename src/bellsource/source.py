@@ -11,12 +11,13 @@ normalized state and the raw squared norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statevec import _BELL_AMPLITUDES, _RSQRT2, PureState, _fresh, bell_state
+from .statevec import _RSQRT2, PureState, _fresh, bell_state
 
 __all__ = [
     "ComponentStates",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 _SPEC_TOL = 1e-9
-_Amplitudes = Sequence[complex]  # the four amplitudes of a pair, Python complex
+_Amplitudes = Sequence[complex]  # the four amplitudes of a pair, Python float or complex
 _DEGENERATE_NORM = 1e-12
 
 
@@ -99,16 +100,15 @@ class ComponentStates:
 
 
 def _require_finite(theta: float) -> None:
-    """The angle rule of the public species builders."""
-    if not math.isfinite(theta):
+    """The angle rule of the public species builders; an int past the float range fails it."""
+    if not abs(theta) <= sys.float_info.max:  # NaN fails too
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
 def component_states(theta: float) -> ComponentStates:
     """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
     _require_finite(theta)
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
     return ComponentStates(*(PureState(v) for v in ([c, s], [s, -c], [s, c], [c, -s])))
 
 
@@ -125,21 +125,15 @@ def psi1(theta: float = 0.0) -> PureState:
     return _PSI1
 
 
-def _div_sqrt2(z: complex) -> complex:
-    """``z / sqrt(2)`` as numpy divides a complex array: Smith's rule, ratio 0."""
-    return complex((z.real + z.imag * 0.0) * _RSQRT2, (z.imag - z.real * 0.0) * _RSQRT2)
+def _species(keep: float, flip: float, side: float, turn: complex = 1.0) -> list:
+    """Amplitudes r (keep - flip, side, side, turn (keep + flip)), r = 1/sqrt2.
 
-
-def _psi2_amplitudes(theta: float) -> list[complex]:
-    """Amplitudes of psi2(theta), (varphi varphi - mu mu) / sqrt2 element by element.
-
-    varphi = (s, c) and mu = (c, -s); the two middle amplitudes are the
-    same products, so they are built once.
+    That is keep b00 - flip b10 + side b01 with its |11> amplitude turned by
+    ``turn``. Every species has this form: psi1 is (1, 0, 0) and psi2(theta)
+    is (0, cos theta, sin theta); the control turns by e^{4 pi i n delta}.
     """
-    cos_half, sin_half = math.cos(theta / 2), math.sin(theta / 2)
-    c, s, minus_s = complex(cos_half), complex(sin_half), complex(-sin_half)
-    middle = _div_sqrt2(s * c - c * minus_s)
-    return [_div_sqrt2(s * s - c * c), middle, middle, _div_sqrt2(c * c - minus_s * minus_s)]
+    r_side = _RSQRT2 * side
+    return [_RSQRT2 * (keep - flip), r_side, r_side, turn * (_RSQRT2 * (keep + flip))]
 
 
 def psi2(theta: float) -> PureState:
@@ -149,27 +143,29 @@ def psi2(theta: float) -> PureState:
     orthogonal to psi1 for every theta.
     """
     _require_finite(theta)
-    return PureState(_psi2_amplitudes(theta))
+    return PureState(_species(0.0, math.cos(theta), math.sin(theta)))
 
 
 def _superpose(
     spec: SourceSpec, species1: _Amplitudes, species2_first: _Amplitudes, species2_second: _Amplitudes
 ) -> tuple[PureState, float]:
-    """superpose_species on raw species amplitudes, Python complex scalars.
+    """superpose_species on raw species amplitudes (Python float or complex).
 
-    Each amplitude repeats numpy's per-element operations on the arrays
-    (README, "bit contract of the emission kernel"). The species are unit
-    vectors by construction, so only the returned state goes through the
-    norm check of ``PureState``.
+    Real and imaginary parts are combined apart, so a real amplitude and the
+    same value held as a complex give the same bits. The raw squared norm is
+    summed in one fixed order: the real parts, then the imaginary parts.
     """
-    a1, a2 = complex(spec.alpha1), complex(spec.alpha2)
-    p1, p2 = complex(spec.p1), complex(spec.p2)
-    species = zip(species1, species2_first, species2_second)
-    raw = np.array([a1 * e + a2 * (p1 * f + p2 * g) for e, f, g in species])
-    raw_norm = float(np.vdot(raw, raw).real)
+    a1, a2, p1, p2 = spec.alpha1, spec.alpha2, spec.p1, spec.p2
+    parts = [
+        (a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
+         a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
+        for e, f, g in zip(species1, species2_first, species2_second)
+    ]
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = parts
+    raw_norm = (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3) + (i0 * i0 + i1 * i1 + i2 * i2 + i3 * i3)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return _fresh(raw / math.sqrt(raw_norm)), raw_norm
+    return _fresh(np.array(parts).view(complex).ravel() / math.sqrt(raw_norm)), raw_norm
 
 
 def superpose_species(
@@ -185,11 +181,12 @@ def superpose_species(
     return _superpose(spec, *(state.amplitudes.tolist() for state in species))
 
 
+def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
+    """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm."""
+    second = (_species(0.0, math.cos(t), math.sin(t), turn) for t in (spec.theta1, spec.theta2))
+    return _superpose(spec, _species(1.0, 0.0, 0.0, turn), *second)
+
+
 def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:
     """Undistorted source output and the raw squared norm of its superposition."""
-    return _superpose(
-        spec,
-        _BELL_AMPLITUDES[0, 0],
-        _psi2_amplitudes(spec.theta1),
-        _psi2_amplitudes(spec.theta2),
-    )
+    return _emission(spec)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sized
 from dataclasses import InitVar, dataclass, field
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -193,10 +194,12 @@ _BASIS_STATES.update({"".join(map(str, b)): state for b, state in list(_BASIS_ST
 def basis_state(bits: str | Sequence[int]) -> PureState:
     """Shared immutable basis state |b1 b2 ... bn>, built at import, from a string
     of '0'/'1' characters or a sequence of values equal to 0 or 1 (1.0 and True count)."""
-    state = _BASIS_STATES.get(bits if isinstance(bits, str) else tuple(bits))
-    if state is None:
-        raise ValueError(f"bits must be a nonempty 0/1 sequence of at most {MAX_QUBITS}, got {bits!r}")
-    return state
+    try:
+        return _BASIS_STATES[bits if isinstance(bits, str) else tuple(bits)]
+    except (KeyError, TypeError):  # not 0/1 bits, not a sequence, or unhashable bits
+        raise ValueError(
+            f"bits must be a nonempty 0/1 sequence of at most {MAX_QUBITS}, got {bits!r}"
+        ) from None
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -413,7 +416,8 @@ def collapse_qubits(
     weight, which signals inconsistent input rather than valid physics.
     """
     axes = _check_targets(indices, state.num_qubits)
-    if len(outcome) != len(axes) or any(b not in (0, 1) for b in outcome):
+    sized = isinstance(outcome, Sized)
+    if not sized or len(outcome) != len(axes) or any(b not in (0, 1) for b in outcome):
         raise ValueError(f"outcome {outcome!r} does not match {len(axes)} measured qubit(s)")
     bits = tuple(1 if b == 1 else 0 for b in outcome)
     # The marginal weights as a 2 x ... x 2 array, indexed by the outcome bits.

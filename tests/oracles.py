@@ -81,3 +81,43 @@ def binomial_4sigma(count: int, shots: int, prob: float) -> bool:
     """|count - N p| within four binomial standard deviations (exact when p is 0/1)."""
     sigma = math.sqrt(shots * prob * (1.0 - prob))
     return abs(count - shots * prob) <= 4.0 * sigma
+
+
+def controlled_emission_reference(
+    gamma: float, p1: float, p2: float, theta1: float, theta2: float, ndelta: float, dps: int = 50
+):
+    """``controlled_emission`` to ``dps`` digits at the exact binary value of each input.
+
+    Built from the definitions, not from the package's closed form: each
+    species from its single-qubit generators, projected on the Bell vectors;
+    the control as the map b00 -> t b00 - m b10, b10 -> t b10 - m b00 with
+    m = i e^{ix} sin x, t = e^{ix} cos x and x = 2 pi n delta; the raw squared
+    norm as the sum of |amplitude|^2. Returns the four normalized amplitudes
+    (mpmath ``mpc``) and the raw squared norm (``mpf``).
+    """
+    import mpmath
+
+    # x = 2 pi n delta keeps dps digits after the point only with the digits before it.
+    with mpmath.workdps(dps + max(0, math.frexp(ndelta)[1]) // 3):
+        mp, r = mpmath.mpf, 1 / mpmath.sqrt(2)
+        cos_x, sin_x = mpmath.cos_sin(2 * mpmath.pi * mp(ndelta))
+        phase = mpmath.mpc(cos_x, sin_x)  # e^{ix}
+        m, t = 1j * phase * sin_x, phase * cos_x
+
+        def controlled(theta, sign):
+            # (u u + sign v v)/sqrt2 for the generators u = (c, s), v = (s, -c) of psi1
+            # (sign +1), or u = (s, c), v = (c, -s) of psi2 (sign -1), at half the angle.
+            c, s = mpmath.cos_sin(mp(theta) / 2)
+            u, v = ((c, s), (s, -c)) if sign > 0 else ((s, c), (c, -s))
+            a00, a01, a10, a11 = (r * (u[i] * u[j] + sign * v[i] * v[j]) for i in (0, 1) for j in (0, 1))
+            # Bell coefficients on b00 = r(1, 0, 0, 1), b01 = r(0, 1, 1, 0), b10 = r(1, 0, 0, -1).
+            c00, c01, c10 = r * (a00 + a11), r * (a01 + a10), r * (a00 - a11)
+            c00, c10 = t * c00 - m * c10, t * c10 - m * c00
+            return (r * (c00 + c10), r * c01, r * c01, r * (c00 - c10))
+
+        cos_g, sin_g = mpmath.cos_sin(mp(gamma))
+        weights = (cos_g, sin_g * mp(p1), sin_g * mp(p2))
+        species = (controlled(0, 1), controlled(theta1, -1), controlled(theta2, -1))
+        raw = [sum(w * state[i] for w, state in zip(weights, species)) for i in range(4)]
+        raw_norm = sum(a.real**2 + a.imag**2 for a in raw)
+        return [a / mpmath.sqrt(raw_norm) for a in raw], raw_norm

@@ -3,14 +3,13 @@
 ``bit_digest`` feeds the exact bytes of every result below into one SHA-256:
 outcomes, probabilities (as float hex) and amplitude buffers. All draws come
 from one seeded generator, so a change to the number or order of draws moves
-every later byte as well. The pinned digests were computed before the shot
-path was reworked (``evolution_digest`` before the state-vector core was, and
-``emission_digest`` before the emission builders moved from numpy arrays to
-Python complex scalars); an optimisation must keep them.
+every later byte as well. The digests were last pinned when the emission
+builders moved to their closed form (README, "Notes on the math"); an
+optimisation must keep them.
 
 ``emission_digest`` covers the emission builders at the domain edges, where
-signed zeros show: it is what holds the scalar kernel to the bit contract in
-README ("Notes on the math").
+signed zeros show: it pins the bytes of the closed form, its part-by-part
+superposition and its fixed-order raw norm.
 
 The circuit routes multiply by 16 x 16 gates through numpy's matmul, so the
 digest also pins the BLAS matrix-vector kernel of the machine it runs on.

@@ -274,6 +274,12 @@ class TestInferParameters:
         assert est.S_squared == pytest.approx(0.8, abs=1e-12)
         assert est.residual < 1e-12
 
+    def test_residual_is_the_sum_defect_over_sin2_gamma(self):
+        # The frequencies sum to 1 + 3e-8, so the estimate's C^2 + S^2 is 1 + 3e-8 / sin^2 gamma.
+        f00, f01, f11 = 0.4, 0.4, 0.2 + 3e-8
+        est = infer_parameters(f00, f01, f11, 1 / 12)
+        assert est.residual == pytest.approx(abs(f00 + f01 + f11 - 1.0) / est.sin2_gamma, rel=1e-7)
+
     def test_no_mismatch_decouples(self, rng):
         for _ in range(25):
             gamma = rng.uniform(0.2, math.pi / 2 - 0.05)

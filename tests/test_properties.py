@@ -34,6 +34,7 @@ from bellsource import (
     rational_approx,
     run_characterization_circuit,
     sample_histogram,
+    species_moments,
     table_populations,
 )
 from bellsource.statevec import _ZERO_PROB, _born_index
@@ -217,6 +218,46 @@ def test_inference_round_trip_over_spec_and_knob(spec, knob):
     tolerance = 1e-9 + 2**-52 / abs(math.cos(4.0 * math.pi * knob.ndelta))
     for a, b in zip(back.as_tuple(), target.as_tuple()):
         assert abs(a - b) <= tolerance
+
+
+def _normalized(gamma: float, c_squared: float, s_squared: float, ndelta: float) -> list[float]:
+    """Closed-form populations over N = cos^2 gamma + sin^2 gamma (C^2 + S^2)."""
+    norm = math.cos(gamma) ** 2 + math.sin(gamma) ** 2 * (c_squared + s_squared)
+    return [f / norm for f in table_populations(gamma, c_squared, s_squared, ndelta).as_tuple()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(spec=sources, knob=direct_knobs | field_knobs,
+       others=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+@example(spec=SourceSpec.from_p1_theta1(0.9, 0.8, 0.6), knob=ControlKnob(1, 0.1), others=[0.3, 1.7])
+def test_inferred_source_is_equivalent_at_every_knob(spec, knob, others):
+    """Inference returns the source with C^2 + S^2 = 1 that is equivalent to the
+    true one: both give the same normalized populations at every knob.
+
+    Normalized populations see a source only through c^2/N, s^2 C^2/N and
+    s^2 S^2/N, so no knob tells the two apart, although sin^2 gamma differs
+    wherever N != 1 (0.7506 against 0.6136 in the explicit example). The
+    tolerance is the inference round trip's, 1e-9 + 2**-52 / |cos(4 pi n delta)|.
+    The residual is the sum defect of the frequencies over sin^2 gamma.
+    """
+    if _raw_norm(spec) < 1e-11:
+        return
+    moments = species_moments(spec)
+    truth = (spec.gamma, moments.C**2, moments.S**2)
+    f00, f01, _, f11 = _normalized(*truth, knob.ndelta)
+    try:
+        estimate = infer_parameters(f00, f01, f11, knob.ndelta)
+    except ControlError:
+        return
+    det = abs(math.cos(4.0 * math.pi * knob.ndelta))
+    defect = abs(f00 + f01 + f11 - 1.0) / estimate.sin2_gamma
+    assert abs(estimate.residual - defect) <= 2**-49 / (det * estimate.sin2_gamma)
+    gamma = math.asin(math.sqrt(estimate.sin2_gamma))
+    tolerance = 1e-9 + 2**-52 / det
+    for ndelta in [knob.ndelta, *others]:
+        inferred = _normalized(gamma, estimate.C_squared, estimate.S_squared, ndelta)
+        for a, b in zip(inferred, _normalized(*truth, ndelta)):
+            assert abs(a - b) <= tolerance
 
 
 def _sample_stdout(spec: SourceSpec, knob: ControlKnob, shots: int, seed: int) -> bytes:

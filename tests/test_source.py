@@ -127,6 +127,18 @@ class TestSpecies:
         with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
             builder(theta)
 
+    # Raised OverflowError: int too large to convert to float.
+    @pytest.mark.parametrize(
+        "builder",
+        [psi1, psi2, component_states, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi1", "psi2", "component_states", "controlled_psi2"],
+    )
+    def test_species_builders_reject_an_int_past_the_float_range(self, builder):
+        for theta in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
+                builder(theta)
+        assert builder(10**300) is not None  # a large int inside the float range is an angle
+
     def test_psi2_endpoints(self):
         np.testing.assert_allclose(
             psi2(math.pi / 2).amplitudes, bell_state((0, 1)).amplitudes, atol=1e-15

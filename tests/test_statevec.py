@@ -140,6 +140,12 @@ class TestBasisState:
         with pytest.raises(ValueError, match="nonempty 0/1 sequence"):
             basis_state(bits)
 
+    # Raised TypeError: 5 is not iterable, and the tuple of [[0]] is not hashable.
+    @pytest.mark.parametrize("bits", [5, [[0]]])
+    def test_rejects_a_non_sequence_or_unhashable_bits_with_value_error(self, bits):
+        with pytest.raises(ValueError, match="nonempty 0/1 sequence"):
+            basis_state(bits)
+
 
 class TestTensor:
     def test_basis_product(self):
@@ -450,6 +456,11 @@ class TestMeasurement:
     def test_collapse_rejects_an_outcome_that_is_not_one_bit_per_qubit(self, outcome):
         with pytest.raises(ValueError, match=r"does not match 1 measured qubit\(s\)"):
             collapse_qubits(bell_state((0, 0)), (1,), outcome)
+
+    def test_collapse_rejects_a_non_sequence_outcome_with_value_error(self):
+        # Raised TypeError: object of type 'int' has no len().
+        with pytest.raises(ValueError, match=r"outcome 0 does not match 1 measured qubit\(s\)"):
+            collapse_qubits(basis_state("00"), (1,), 0)
 
     @pytest.mark.parametrize("outcome", [(1.0,), (True,), [np.int64(1)]])
     def test_collapse_takes_values_equal_to_a_bit(self, outcome):
