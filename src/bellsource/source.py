@@ -108,7 +108,8 @@ def _require_finite(theta: float) -> None:
 def component_states(theta: float) -> ComponentStates:
     """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
     _require_finite(theta)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    c = math.cos(theta / 2)
+    s = math.sin(theta / 2)
     return ComponentStates(*(PureState(v) for v in ([c, s], [s, -c], [s, c], [c, -s])))
 
 

@@ -97,7 +97,8 @@ def controlled_emission_reference(
     """
     import mpmath
 
-    # x = 2 pi n delta keeps dps digits after the point only with the digits before it.
+    # x = 2 pi n delta keeps dps digits after the point only with one more digit for
+    # every 3 bits of n delta before it.
     with mpmath.workdps(dps + max(0, math.frexp(ndelta)[1]) // 3):
         mp, r = mpmath.mpf, 1 / mpmath.sqrt(2)
         cos_x, sin_x = mpmath.cos_sin(2 * mpmath.pi * mp(ndelta))
@@ -109,7 +110,9 @@ def controlled_emission_reference(
             # (sign +1), or u = (s, c), v = (c, -s) of psi2 (sign -1), at half the angle.
             c, s = mpmath.cos_sin(mp(theta) / 2)
             u, v = ((c, s), (s, -c)) if sign > 0 else ((s, c), (c, -s))
-            a00, a01, a10, a11 = (r * (u[i] * u[j] + sign * v[i] * v[j]) for i in (0, 1) for j in (0, 1))
+            a00, a01, a10, a11 = (
+                r * (u[i] * u[j] + sign * v[i] * v[j]) for i in (0, 1) for j in (0, 1)
+            )
             # Bell coefficients on b00 = r(1, 0, 0, 1), b01 = r(0, 1, 1, 0), b10 = r(1, 0, 0, -1).
             c00, c01, c10 = r * (a00 + a11), r * (a01 + a10), r * (a00 - a11)
             c00, c10 = t * c00 - m * c10, t * c10 - m * c00
