@@ -23,6 +23,7 @@ from .statevec import (
     BELL_LABELS,
     CNOT,
     HADAMARD,
+    _ROWS,
     _ZERO_PROB,
     BellLabel,
     PureState,
@@ -31,6 +32,7 @@ from .statevec import (
     _born_index,
     _draw,
     _fresh,
+    _is_finite,
     _marginal_probabilities,
     _multinomial,
     basis_state,
@@ -141,7 +143,11 @@ def table_populations(
     f01 = S^2 sin^2(g)
     f10 = 0
     f11 = C^2 sin^2(g) cos^2(x) + cos^2(g) sin^2(x)      with x = 2 pi n delta.
+    A NaN or infinite argument, or an int past the float range, raises ValueError.
     """
+    args = (gamma, c_squared, s_squared, ndelta)
+    if not all(map(_is_finite, args)):
+        raise ValueError(f"gamma, C^2, S^2 and ndelta must be finite, got {args!r}")
     x = 2.0 * math.pi * ndelta
     cos2_g = math.cos(gamma) ** 2
     sin2_g = math.sin(gamma) ** 2
@@ -225,26 +231,30 @@ def circuit_realization(
     ancilla readout. The gates are input-independent; the argument fixes
     and validates the measured pair.
     """
-    if state12.num_qubits != 2:
-        raise ValueError(f"characterization measures a 2-qubit pair, got {state12.num_qubits}")
+    _check_pair(state12)
     return _GATES, dict(_RELABEL)
 
 
+def _check_pair(state12: PureState) -> None:
+    if state12.num_qubits != 2:
+        raise ValueError(f"characterization measures a 2-qubit pair, got {state12.num_qubits}")
+
+
 _ANCILLAS = basis_state("00")
+_ANCILLA_AXES = (2, 3)  # qubits 3, 4: raw readout k, the label bits, is layout row k
 
 
 def _run_gates(state12: PureState) -> PureState:
-    gates, _ = circuit_realization(state12)
+    _check_pair(state12)
     amps = tensor(state12, _ANCILLAS).amplitudes
-    for gate in gates:
+    for gate in _GATES:
         amps = gate.entries @ amps
     return _fresh(amps)
 
 
-def _surviving_pair(final: PureState, i: int, j: int, prob: float) -> PureState:
-    """Pair left by ancilla readout (i, j) of weight ``prob``: its block over sqrt(prob)."""
-    block = final.amplitudes.reshape(2, 2, 2, 2)[:, :, i, j]
-    return _fresh((block / math.sqrt(prob)).reshape(-1))
+def _surviving_pair(final: PureState, k: int, prob: float) -> PureState:
+    """Pair left by ancilla readout k of weight ``prob``: its layout row over sqrt(prob)."""
+    return _fresh(final.amplitudes[_ROWS[_ANCILLA_AXES, 4][k]] / math.sqrt(prob))
 
 
 def run_characterization_circuit(
@@ -258,10 +268,9 @@ def run_characterization_circuit(
     (the division a collapse makes), not constructed.
     """
     final = _run_gates(state12)
-    (i, j), prob = _draw(final, (2, 3), rng)
-    return MeasurementRecord(
-        outcome=_RELABEL[i, j], post_state=_surviving_pair(final, i, j, prob), probability=prob
-    )
+    k, prob = _draw(final, _ANCILLA_AXES, rng)
+    pair = _surviving_pair(final, k, prob)
+    return MeasurementRecord(outcome=_RELABEL[BELL_LABELS[k]], post_state=pair, probability=prob)
 
 
 def circuit_outcome_distribution(
@@ -273,10 +282,10 @@ def circuit_outcome_distribution(
     the state is None for outcomes of zero weight.
     """
     final = _run_gates(state12)
-    probs = _marginal_probabilities(final, (2, 3)).tolist()  # the weights _draw samples
+    probs = _marginal_probabilities(final, _ANCILLA_AXES).tolist()  # the weights _draw samples
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
-    for ((i, j), outcome), prob in zip(_RELABEL.items(), probs):
-        result[outcome] = (prob, _surviving_pair(final, i, j, prob) if prob > _ZERO_PROB else None)
+    for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs)):
+        result[outcome] = (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)
     return result
 
 

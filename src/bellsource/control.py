@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _is_integer
+from .statevec import _is_finite, _is_integer
 
 __all__ = [
     "ControlError",
@@ -160,7 +160,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     or sin^2 gamma vanishes.
     """
     _check_gamma(gamma)
-    if not (math.isfinite(f00) and math.isfinite(f11)):
+    if not (_is_finite(f00) and _is_finite(f11)):
         raise ValueError(f"target populations must be finite, got ({f00!r}, {f11!r})")
     if f00 < 0.0 or f11 < 0.0:
         raise ValueError(f"target populations must be non-negative, got ({f00!r}, {f11!r})")
@@ -290,9 +290,7 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     non-finite argument, a negative frequency, an ndelta whose 4 pi ndelta
     overflows, or frequencies that do not sum to 1.
     """
-    if not (
-        math.isfinite(f00) and math.isfinite(f01) and math.isfinite(f11) and math.isfinite(ndelta)
-    ):
+    if not all(map(_is_finite, (f00, f01, f11, ndelta))):
         raise ValueError(
             f"frequencies and ndelta must be finite, got ({f00!r}, {f01!r}, {f11!r}, {ndelta!r})"
         )

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import SourceSpec, _emission, _require_finite, _species
-from .statevec import PureState, _fresh, _is_integer
+from .statevec import PureState, _fresh, _is_finite, _is_integer
 
 __all__ = [
     "BestRational",
@@ -102,13 +102,18 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     """
     if state.num_qubits != 2:
         raise ValueError(f"evolution is defined on 2-qubit states, got {state.num_qubits}")
+
+    def require(*named: tuple[str, float]) -> None:  # each value before any arithmetic on it
+        for name, value in named:
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
+
+    require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
     J, bm = fp.J, fp.b_minus
+    require(("B1 - B2", bm), ("t", t))
     omega = math.hypot(bm, 2.0 * J)
     e00, e11 = -J + fp.B1 + fp.B2, -J - fp.B1 - fp.B2
-    for name, value in (("J", J), ("B1", fp.B1), ("B2", fp.B2), ("B1 - B2", bm), ("t", t),
-                        ("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
+    require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
     a0, a1, a2, a3 = state.amplitudes.tolist()
     if omega != 0.0:
         phase = cmath.exp(-1j * J * t)
@@ -126,12 +131,12 @@ def j_parameter(fp: FieldParams) -> float:
 
     Raises ValueError for a NaN or infinite J, B1, B2 or B1 - B2, or a zero denominator.
     """
-    if not (math.isfinite(fp.J) and math.isfinite(fp.B1) and math.isfinite(fp.B2)):
+    if not (_is_finite(fp.J) and _is_finite(fp.B1) and _is_finite(fp.B2)):
         raise ValueError(
             f"J, B1 and B2 must be finite, got J={fp.J!r}, B1={fp.B1!r}, B2={fp.B2!r}"
         )
     bm = fp.b_minus
-    if not math.isfinite(bm):
+    if not _is_finite(bm):
         raise ValueError(f"B1 - B2 must be finite, got {bm!r} for B1={fp.B1!r}, B2={fp.B2!r}")
     denom = math.hypot(bm, 2.0 * fp.J)
     if denom == 0.0:
@@ -246,7 +251,7 @@ class ControlKnob:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")
         if self.provenance is not None:
             j, num, den = self.provenance
-            if not math.isfinite(j):
+            if not _is_finite(j):
                 raise ValueError(f"provenance j must be finite, got {j!r}")
             if not (_is_integer(num) and _is_integer(den)):
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")

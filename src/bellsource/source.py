@@ -11,13 +11,12 @@ normalized state and the raw squared norm.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statevec import _RSQRT2, PureState, _fresh, bell_state
+from .statevec import _RSQRT2, PureState, _fresh, _is_finite, bell_state
 
 __all__ = [
     "ComponentStates",
@@ -45,7 +44,8 @@ class SourceSpec:
 
     Invariants checked on construction: p1^2 + p2^2 = 1 and
     theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2]; a NaN or
-    infinite parameter, or a weight whose square overflows, fails them.
+    infinite parameter, an int angle past the float range (its sum reads nan),
+    or a weight whose square overflows fails them.
     The state amplitudes are alpha1 = cos(gamma), alpha2 = sin(gamma).
     """
 
@@ -62,7 +62,8 @@ class SourceSpec:
             weight = math.inf
         if not abs(weight - 1.0) <= _SPEC_TOL:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
-        angle_sum = self.theta1 + self.theta2
+        finite = _is_finite(self.theta1) and _is_finite(self.theta2)  # no sum past the float range
+        angle_sum = self.theta1 + self.theta2 if finite else math.nan
         if not abs(angle_sum - math.pi / 2) <= _SPEC_TOL:
             raise ValueError(f"theta1 + theta2 = pi/2 violated: got {angle_sum!r}")
         if not 0.0 <= self.gamma <= math.pi / 2:
@@ -101,7 +102,7 @@ class ComponentStates:
 
 def _require_finite(theta: float) -> None:
     """The angle rule of the public species builders; an int past the float range fails it."""
-    if not abs(theta) <= sys.float_info.max:  # NaN fails too
+    if not _is_finite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 

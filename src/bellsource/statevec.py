@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Sized
 from dataclasses import InitVar, dataclass, field
 from numbers import Integral
@@ -46,7 +47,6 @@ _UNITARY_TOL = 1e-12
 _ZERO_PROB = 1e-12
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 _QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
-_IN_ORDER = {n: tuple(range(n)) for n in range(1, MAX_QUBITS + 1)}
 _Axes = tuple[int, ...]  # 0-based qubit axes, in target order
 
 
@@ -57,6 +57,11 @@ class ZeroProbabilityError(ValueError):
 def _is_integer(value: object) -> bool:
     """An integer count: any ``numbers.Integral`` but bool. Exact ints skip the ABC check."""
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def _is_finite(value: float) -> bool:
+    """A finite real: NaN, the infinities and an int past the float range fail, unconverted."""
+    return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,16 +250,24 @@ _AXES: dict[tuple[Sequence[int], int], _Axes] = {  # every ordered target tuple:
 }
 
 
-def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: _Axes, n: int) -> np.ndarray:
-    t = len(axes)
-    if axes == _IN_ORDER.get(n):
-        # Whole register in order: the permutation is the identity. Same
-        # (2**t, 1) operand as the general path, so the same matmul bits.
-        return (matrix @ amps.reshape(2**t, -1)).reshape(-1)
+def _layout(axes: _Axes, n: int) -> np.ndarray:
+    """Row k: the flat positions whose ``axes`` bits spell k (big-endian), in register order."""
     order = axes + tuple(i for i in range(n) if i not in axes)
-    psi = amps.reshape((2,) * n).transpose(order).reshape(2**t, -1)
-    psi = matrix @ psi
-    return psi.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+    rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(axes), -1)
+    rows.setflags(write=False)
+    return rows
+
+
+# The one qubit layout, read-only: every gate, marginal and collapse takes its rows here.
+_ROWS = {(axes, n): _layout(axes, n) for (_, n), axes in _AXES.items()}
+
+
+def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: _Axes, n: int) -> np.ndarray:
+    """``matrix`` on the axes: one matmul on the C-contiguous gathered rows, scattered back."""
+    rows = _ROWS[axes, n]
+    out = np.empty_like(amps)
+    out[rows] = matrix @ amps[rows]
+    return out
 
 
 def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> _Axes:
@@ -326,22 +339,16 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
 
 
 def _marginal_probabilities(state: PureState, axes: _Axes) -> np.ndarray:
-    """Born weights of the measured subset, flattened in the axes' bit order."""
-    n = state.num_qubits
-    rest = tuple(i for i in range(n) if i not in axes)
-    abs2 = state.probabilities().reshape((2,) * n)
-    return abs2.transpose(axes + rest).reshape(2 ** len(axes), -1).sum(axis=1)
+    """Born weights of the measured subset: entry k sums layout row k."""
+    return state.probabilities()[_ROWS[axes, state.num_qubits]].sum(axis=1)
 
 
-def _collapse(state: PureState, axes: _Axes, bits: tuple[int, ...], prob: float) -> PureState:
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    selector: list[object] = [slice(None)] * n
-    for ax, bit in zip(axes, bits):
-        selector[ax] = bit
-    collapsed = np.zeros(psi.shape, complex)
-    collapsed[tuple(selector)] = psi[tuple(selector)] / math.sqrt(prob)
-    return _fresh(collapsed.reshape(-1))
+def _collapse(state: PureState, axes: _Axes, k: int, prob: float) -> PureState:
+    """Layout row k over the root of its weight ``prob``, zeros elsewhere."""
+    row = _ROWS[axes, state.num_qubits][k]
+    collapsed = np.zeros(state.amplitudes.size, complex)
+    collapsed[row] = state.amplitudes[row] / math.sqrt(prob)
+    return _fresh(collapsed)
 
 
 def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
@@ -360,13 +367,11 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return max((k for k, p in enumerate(probs) if p >= _ZERO_PROB), default=len(probs) - 1)
 
 
-def _draw(
-    state: PureState, axes: _Axes, rng: np.random.Generator
-) -> tuple[tuple[int, ...], float]:
-    """Outcome bits of the measured axes, drawn by the Born rule, and their weight."""
+def _draw(state: PureState, axes: _Axes, rng: np.random.Generator) -> tuple[int, float]:
+    """Born-rule outcome k of the measured axes (their bits spell k) and its weight."""
     probs = _marginal_probabilities(state, axes).tolist()
     k = _born_index(probs, rng)
-    return _bits_of(k, len(axes)), probs[k]
+    return k, probs[k]
 
 
 def _multinomial(shots: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -390,8 +395,8 @@ def measure_qubits(
     of ``indices``, collapsed state, outcome probability).
     """
     axes = _check_targets(indices, state.num_qubits)
-    bits, prob = _draw(state, axes, rng)
-    return bits, _collapse(state, axes, bits, prob), prob
+    k, prob = _draw(state, axes, rng)
+    return _bits_of(k, len(axes)), _collapse(state, axes, k, prob), prob
 
 
 def sample_measurements(
@@ -420,10 +425,10 @@ def collapse_qubits(
     if not sized or len(outcome) != len(axes) or any(b not in (0, 1) for b in outcome):
         raise ValueError(f"outcome {outcome!r} does not match {len(axes)} measured qubit(s)")
     bits = tuple(1 if b == 1 else 0 for b in outcome)
-    # The marginal weights as a 2 x ... x 2 array, indexed by the outcome bits.
-    prob = float(_marginal_probabilities(state, axes).reshape([2] * len(bits))[bits])
+    k = int("".join(map(str, bits)), 2)
+    prob = float(_marginal_probabilities(state, axes)[k])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(
             f"outcome {bits} has probability {prob!r}; collapse is undefined"
         )
-    return _collapse(state, axes, bits, prob), prob
+    return _collapse(state, axes, k, prob), prob

@@ -15,6 +15,7 @@ from bellsource import (
     ControlKnob,
     FieldParams,
     PureState,
+    RationalProvenance,
     SourceSpec,
     UnitaryMatrix,
     ZeroProbabilityError,
@@ -28,13 +29,19 @@ from bellsource import (
     emitted_state,
     evolve,
     expand_unitary,
+    feasible,
     fidelity_up_to_phase,
+    infer_parameters,
+    j_parameter,
     measure_qubits,
+    psi1,
     run_characterization_circuit,
     sample_measurements,
+    solve_ndelta,
+    table_populations,
     tensor,
 )
-from bellsource.statevec import _AXES, _BELL_AMPLITUDES, _check_targets, _fresh
+from bellsource.statevec import _AXES, _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -581,3 +588,85 @@ class TestTargetTable:
         assert str(error.value) == message
         with pytest.raises(ValueError, match="qubit indices must be a sequence"):
             measure_qubits(basis_state("00"), targets, np.random.default_rng(0))
+
+
+class TestLayoutTable:
+    @staticmethod
+    def spelled(index: int, axes, n: int) -> int:
+        """The integer the ``axes`` bits of a register index spell, by shifts and masks."""
+        k = 0
+        for ax in axes:
+            k = (k << 1) | ((index >> (n - 1 - ax)) & 1)
+        return k
+
+    def test_has_one_entry_per_valid_axes_tuple(self):
+        assert set(_ROWS) == {(axes, n) for (_, n), axes in _AXES.items()}
+
+    def test_rows_are_a_permutation_of_the_register(self):
+        for (axes, n), rows in _ROWS.items():
+            assert rows.shape == (2 ** len(axes), 2 ** (n - len(axes)))
+            assert sorted(rows.ravel().tolist()) == list(range(2**n))
+
+    def test_row_k_holds_the_indices_whose_axes_bits_spell_k_in_register_order(self):
+        for (axes, n), rows in _ROWS.items():
+            for k, row in enumerate(rows.tolist()):
+                assert row == [i for i in range(2**n) if self.spelled(i, axes, n) == k]
+
+    def test_is_read_only(self):
+        for rows in _ROWS.values():
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1
+
+
+# Each raised OverflowError: int too large to convert to float.
+_PAST_FLOAT_RANGE = {
+    "solve_ndelta-f00": (lambda x: solve_ndelta(0.5, x, 0.1), "target populations must be finite"),
+    "solve_ndelta-f11": (lambda x: solve_ndelta(0.5, 0.1, x), "target populations must be finite"),
+    "feasible": (lambda x: feasible(0.5, x, 0.1), "target populations must be finite"),
+    "infer_parameters-f01": (
+        lambda x: infer_parameters(0.3, x, 0.3, 0.1), "frequencies and ndelta must be finite"
+    ),
+    "infer_parameters-ndelta": (
+        lambda x: infer_parameters(0.4, 0.3, 0.3, x), "frequencies and ndelta must be finite"
+    ),
+    "j_parameter-J": (lambda x: j_parameter(FieldParams(x, 0.5, 0.1)), "J, B1 and B2 must be finite"),
+    "from_field_params-B2": (
+        lambda x: ControlKnob.from_field_params(FieldParams(1.0, 0.5, x), 10),
+        "J, B1 and B2 must be finite",
+    ),
+    "ControlKnob-provenance-j": (
+        lambda x: ControlKnob(1, 0.1, RationalProvenance(x, 1, 2)), "provenance j must be finite"
+    ),
+    "evolve-J": (lambda x: evolve(psi1(), FieldParams(x, 0.5, 0.1), 1.0), "^J must be finite"),
+    "evolve-B1": (lambda x: evolve(psi1(), FieldParams(1.0, x, 0.1), 1.0), "^B1 must be finite"),
+    "table_populations-gamma": (
+        lambda x: table_populations(x, 0.5, 0.5, 0.1), "gamma, C.2, S.2 and ndelta must be finite"
+    ),
+    "table_populations-ndelta": (
+        lambda x: table_populations(0.5, 0.5, 0.5, x), "gamma, C.2, S.2 and ndelta must be finite"
+    ),
+    "SourceSpec-theta1": (
+        lambda x: SourceSpec(0.5, 1.0, 0.0, x, 0.0), r"theta1 \+ theta2 = pi/2 violated: got nan"
+    ),
+    "SourceSpec-theta2": (
+        lambda x: SourceSpec(0.5, 1.0, 0.0, 0.0, x), r"theta1 \+ theta2 = pi/2 violated: got nan"
+    ),
+}
+
+
+class TestFiniteRule:
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize(
+        "call, message", list(_PAST_FLOAT_RANGE.values()), ids=list(_PAST_FLOAT_RANGE)
+    )
+    def test_an_int_past_the_float_range_is_a_value_error(self, call, message, value):
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_table_populations_rejects_nan(self, position):
+        args = [0.5, 0.5, 0.5, 0.1]
+        args[position] = math.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            table_populations(*args)
