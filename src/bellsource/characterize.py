@@ -32,9 +32,9 @@ from .statevec import (
     _born_index,
     _draw,
     _fresh,
-    _is_finite,
     _marginal_probabilities,
     _multinomial,
+    _require_finite,
     basis_state,
     bell_coefficients,
     bell_state,
@@ -145,9 +145,7 @@ def table_populations(
     f11 = C^2 sin^2(g) cos^2(x) + cos^2(g) sin^2(x)      with x = 2 pi n delta.
     A NaN or infinite argument, or an int past the float range, raises ValueError.
     """
-    args = (gamma, c_squared, s_squared, ndelta)
-    if not all(map(_is_finite, args)):
-        raise ValueError(f"gamma, C^2, S^2 and ndelta must be finite, got {args!r}")
+    _require_finite("gamma, C^2, S^2 and ndelta", gamma, c_squared, s_squared, ndelta)
     x = 2.0 * math.pi * ndelta
     cos2_g = math.cos(gamma) ** 2
     sin2_g = math.sin(gamma) ** 2

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _is_finite, _is_integer
+from .statevec import _is_integer, _require_finite
 
 __all__ = [
     "ControlError",
@@ -160,8 +160,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     or sin^2 gamma vanishes.
     """
     _check_gamma(gamma)
-    if not (_is_finite(f00) and _is_finite(f11)):
-        raise ValueError(f"target populations must be finite, got ({f00!r}, {f11!r})")
+    _require_finite("target populations", f00, f11)
     if f00 < 0.0 or f11 < 0.0:
         raise ValueError(f"target populations must be non-negative, got ({f00!r}, {f11!r})")
     if f00 + f11 > 1.0 + _BOUND_TOL:
@@ -290,10 +289,7 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     non-finite argument, a negative frequency, an ndelta whose 4 pi ndelta
     overflows, or frequencies that do not sum to 1.
     """
-    if not all(map(_is_finite, (f00, f01, f11, ndelta))):
-        raise ValueError(
-            f"frequencies and ndelta must be finite, got ({f00!r}, {f01!r}, {f11!r}, {ndelta!r})"
-        )
+    _require_finite("frequencies and ndelta", f00, f01, f11, ndelta)
     if min(f00, f01, f11) < 0.0:
         raise ValueError(f"frequencies must be non-negative, got ({f00!r}, {f01!r}, {f11!r})")
     if abs(f00 + f01 + f11 - 1.0) > _FREQ_SUM_TOL:

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .source import SourceSpec, _emission, _require_finite, _species
-from .statevec import PureState, _fresh, _is_finite, _is_integer
+from .source import SourceSpec, _emission, _species
+from .statevec import PureState, _fresh, _is_finite, _is_integer, _require_finite
 
 __all__ = [
     "BestRational",
@@ -251,8 +251,7 @@ class ControlKnob:
             raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")
         if self.provenance is not None:
             j, num, den = self.provenance
-            if not _is_finite(j):
-                raise ValueError(f"provenance j must be finite, got {j!r}")
+            _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
             if den < 1:
@@ -296,7 +295,7 @@ def controlled_psi2(theta: float, knob: ControlKnob) -> PureState:
     which is r (-cos theta, sin theta, sin theta, e^{2ix} cos theta);
     unit norm, orthogonal to controlled_psi1 at the same knob.
     """
-    _require_finite(theta)
+    _require_finite("theta", theta)
     return PureState(_species(0.0, math.cos(theta), math.sin(theta), _turn(knob)))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import _RSQRT2, PureState, _fresh, _is_finite, bell_state
+from .statevec import _RSQRT2, PureState, _fresh, _is_finite, _require_finite, bell_state
 
 __all__ = [
     "ComponentStates",
@@ -100,15 +100,9 @@ class ComponentStates:
     mu: PureState
 
 
-def _require_finite(theta: float) -> None:
-    """The angle rule of the public species builders; an int past the float range fails it."""
-    if not _is_finite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-
-
 def component_states(theta: float) -> ComponentStates:
     """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
-    _require_finite(theta)
+    _require_finite("theta", theta)
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
     return ComponentStates(*(PureState(v) for v in ([c, s], [s, -c], [s, c], [c, -s])))
@@ -123,7 +117,7 @@ def psi1(theta: float = 0.0) -> PureState:
     Every call with a finite theta returns the shared immutable
     ``bell_state((0, 0))``, so ``psi1(theta) is psi1()``.
     """
-    _require_finite(theta)
+    _require_finite("theta", theta)
     return _PSI1
 
 
@@ -144,7 +138,7 @@ def psi2(theta: float) -> PureState:
     Its Bell coefficients are (0, sin theta, -cos theta, 0), so it is
     orthogonal to psi1 for every theta.
     """
-    _require_finite(theta)
+    _require_finite("theta", theta)
     return PureState(_species(0.0, math.cos(theta), math.sin(theta)))
 
 

@@ -64,6 +64,13 @@ def _is_finite(value: float) -> bool:
     return abs(value) <= sys.float_info.max
 
 
+def _require_finite(what: str, *values: float) -> None:
+    """The finite rule's one refusal: ValueError naming ``what`` and the value (or values)."""
+    if not all(map(_is_finite, values)):
+        shown = values[0] if len(values) == 1 else values
+        raise ValueError(f"{what} must be finite, got {shown!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over 1..4 qubits.
