@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import SourceSpec, _emission, _species
-from .statevec import PureState, _fresh, _is_finite, _is_integer, _require_finite
+from .statevec import (PureState, _complex_array, _fresh, _is_finite, _is_integer, _or_infinity,
+                       _require_finite)
 
 __all__ = [
     "BestRational",
@@ -62,7 +63,7 @@ class HamiltonianMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = _complex_array(self.entries)
         if m.shape != (4, 4):
             raise ValueError(f"Hamiltonian must be 4x4, got {m.shape}")
         if not np.isfinite(m).all():
@@ -79,17 +80,13 @@ class HamiltonianMatrix:
 
 def hamiltonian(fp: FieldParams) -> HamiltonianMatrix:
     """-J(XX + YY + ZZ) + B1 Z1 + B2 Z2 in the computational basis."""
-    J, B1, B2 = fp.J, fp.B1, fp.B2
-    m = np.array(
-        [
-            [-J + B1 + B2, 0.0, 0.0, 0.0],
-            [0.0, J + B1 - B2, -2.0 * J, 0.0],
-            [0.0, -2.0 * J, J - B1 + B2, 0.0],
-            [0.0, 0.0, 0.0, -J - B1 - B2],
-        ],
-        dtype=complex,
-    )
-    return HamiltonianMatrix(m)
+    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int past the range: as a float
+    return HamiltonianMatrix([
+        [-J + B1 + B2, 0.0, 0.0, 0.0],
+        [0.0, J + B1 - B2, -2.0 * J, 0.0],
+        [0.0, -2.0 * J, J - B1 + B2, 0.0],
+        [0.0, 0.0, 0.0, -J - B1 - B2],
+    ])
 
 
 def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
@@ -112,7 +109,7 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     J, bm = fp.J, fp.b_minus
     require(("B1 - B2", bm), ("t", t))
     omega = math.hypot(bm, 2.0 * J)
-    e00, e11 = -J + fp.B1 + fp.B2, -J - fp.B1 - fp.B2
+    e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
     require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
     a0, a1, a2, a3 = state.amplitudes.tolist()
     if omega != 0.0:
@@ -152,6 +149,11 @@ class BestRational(NamedTuple):
     delta: float
 
 
+def _ratio(j: float) -> tuple[int, int]:
+    """The exact integer ratio of j; a numpy integer is taken as the equal Python int."""
+    return (int(j), 1) if _is_integer(j) else j.as_integer_ratio()
+
+
 def _gap(j: float, num: int, den: int) -> float:
     """j - num/den, correctly rounded: ``float(Fraction(j) - Fraction(num, den))``.
 
@@ -159,7 +161,7 @@ def _gap(j: float, num: int, den: int) -> float:
     difference over the exact common denominator gives the same bits. A gap
     beyond the float range rounds to an infinity of its sign.
     """
-    a, b = j.as_integer_ratio()
+    a, b = _ratio(j)
     difference = a * den - num * b
     try:
         return difference / (b * den)
@@ -181,7 +183,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     max_den = int(max_den)
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    a, b = j.as_integer_ratio()
+    a, b = _ratio(j)
     if b <= max_den:
         return BestRational(a, b, 0.0)
     p0, q0, p1, q1 = 0, 1, 1, 0

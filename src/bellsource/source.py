@@ -10,13 +10,15 @@ normalized state and the raw squared norm.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .statevec import _RSQRT2, PureState, _fresh, _is_finite, _require_finite, bell_state
+from .statevec import (_RSQRT2, PureState, _fresh, _is_finite, _or_infinity, _require_finite,
+                       bell_state)
 
 __all__ = [
     "ComponentStates",
@@ -56,10 +58,9 @@ class SourceSpec:
     theta2: float
 
     def __post_init__(self) -> None:
-        try:
-            weight = self.p1**2 + self.p2**2
-        except OverflowError:  # a finite weight whose square leaves the float range
-            weight = math.inf
+        weight = math.inf  # and stays so where a float square leaves the float range and raises
+        with np.errstate(over="ignore"), contextlib.suppress(OverflowError):  # numpy's reads inf
+            weight = _or_infinity(self.p1**2 + self.p2**2)  # as does an int sum past the range
         if not abs(weight - 1.0) <= _SPEC_TOL:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
         finite = _is_finite(self.theta1) and _is_finite(self.theta2)  # no sum past the float range
@@ -87,7 +88,7 @@ class SourceSpec:
         p2 = math.sqrt(max(0.0, 1.0 - p1**2))
         if p2_negative:
             p2 = -p2
-        return cls(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=math.pi / 2 - theta1)
+        return cls(gamma, p1, p2, theta1, math.pi / 2 - _or_infinity(theta1))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,9 @@ def _is_integer(value: object) -> bool:
 
 
 def _is_finite(value: float) -> bool:
-    """A finite real: NaN, the infinities and an int past the float range fail, unconverted."""
-    return abs(value) <= sys.float_info.max
+    """A finite real: NaN, the infinities and an int past the float range fail, compared exactly
+    (a numpy scalar as the Python number it holds: numpy would cast the bound to a float32)."""
+    return abs(value.item() if isinstance(value, np.generic) else value) <= sys.float_info.max
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -69,6 +70,19 @@ def _require_finite(what: str, *values: float) -> None:
     if not all(map(_is_finite, values)):
         shown = values[0] if len(values) == 1 else values
         raise ValueError(f"{what} must be finite, got {shown!r}")
+
+
+def _or_infinity(value: float) -> float:
+    """``value``, or the float infinity of its sign past the float range (NaN stays NaN)."""
+    return value if _is_finite(value) or value != value else math.inf if value > 0 else -math.inf
+
+
+def _complex_array(values: object) -> np.ndarray:
+    """A new complex array of ``values``: the one entry conversion of the state and matrix types."""
+    try:
+        return np.array(values, dtype=complex)
+    except OverflowError:  # numpy's, for an int past the float range
+        raise ValueError("entries must be finite, got an int past the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +100,11 @@ class PureState:
     num_qubits: int = field(init=False)
 
     def __post_init__(self, normalize: bool) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _complex_array(self.amplitudes).reshape(-1)
         if normalize and amps.size in _QUBITS_OF_SIZE:  # a bad length fails in _fresh
             # The norm divides the amplitudes here, so it decides their bits.
-            norm = float(np.linalg.norm(amps))
+            with np.errstate(over="ignore"):  # a sum of squares past the float range reads inf
+                norm = float(np.linalg.norm(amps))
             if not math.isfinite(norm):
                 raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
             if norm < 1e-12:
@@ -143,11 +158,12 @@ class UnitaryMatrix:
     dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = _complex_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
         _check_unitary_dim(m.shape[0])
-        defect = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge or infinite entry: inf or nan
+            defect = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
         if not defect <= _UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (U U+ deviates from I by {defect!r})")
         m.setflags(write=False)

@@ -1,8 +1,10 @@
-"""The package's public names: exactly the union of its library modules' ``__all__``."""
+"""The package's public names: exactly the union of its library modules' ``__all__``;
+the finite rule's refusal spelled by its owner and the sites it cannot serve."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -28,3 +30,16 @@ def test_the_package_has_no_other_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(exported)
+
+
+def test_the_finite_refusal_is_written_only_by_its_owner_and_three_sites():
+    """Outside ``statevec._require_finite`` and ``_complex_array``, only messages with their
+    own context spell the refusal: ``j_parameter`` and ``evolve`` name the fields and t,
+    and ``HamiltonianMatrix`` shows its non-finite entries."""
+    text = "must be finite, got"
+    distortion = importlib.import_module("bellsource.distortion")
+    owners = [importlib.import_module("bellsource.statevec"), distortion.j_parameter,
+              distortion.evolve, distortion.HamiltonianMatrix]
+    in_owners = [inspect.getsource(owner).count(text) for owner in owners]
+    assert all(in_owners)
+    assert sum(inspect.getsource(module).count(text) for module in MODULES) == sum(in_owners)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bellsource import (
     BellLabel,
     ControlKnob,
     FieldParams,
+    HamiltonianMatrix,
     PureState,
     RationalProvenance,
     SourceSpec,
@@ -31,17 +33,21 @@ from bellsource import (
     expand_unitary,
     feasible,
     fidelity_up_to_phase,
+    hamiltonian,
     infer_parameters,
     j_parameter,
     measure_qubits,
     psi1,
+    psi2,
+    rational_approx,
     run_characterization_circuit,
     sample_measurements,
     solve_ndelta,
     table_populations,
     tensor,
 )
-from bellsource.statevec import _AXES, _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh
+from bellsource.statevec import (_AXES, _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh,
+                                 _is_finite)
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -670,3 +676,87 @@ class TestFiniteRule:
         args[position] = math.nan
         with pytest.raises(ValueError, match="must be finite"):
             table_populations(*args)
+
+
+def no_warning(call):
+    """``call()`` with every warning an error, whatever the session's filters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+class TestNumpyScalars:
+    """numpy numbers are accepted numbers: the finite rule and the rational reads take them."""
+
+    def test_the_finite_rule_reads_a_numpy_scalar_as_its_number(self):
+        # Each used to cast the float bound to float32: "overflow encountered in cast".
+        assert no_warning(lambda: _is_finite(np.float32(3e38)))
+        assert not no_warning(lambda: _is_finite(np.float32("inf")))
+        assert not no_warning(lambda: _is_finite(np.float32("nan")))
+        assert no_warning(lambda: _is_finite(np.int64(2**63 - 1)))
+        assert not _is_finite(10**400) and _is_finite(10**308)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: solve_ndelta(0.7, np.float32(0.3), 0.3), lambda: psi2(np.float32(0.3)),
+         lambda: infer_parameters(np.float32(0.4), 0.3, 0.3, 0.1)],
+        ids=["solve_ndelta", "psi2", "infer_parameters"],
+    )
+    def test_a_float32_argument_raises_no_warning(self, call):
+        no_warning(call)
+
+    def test_a_numpy_integer_j_is_the_equal_python_int(self):
+        # Each raised AttributeError: no as_integer_ratio on numpy.int64.
+        assert rational_approx(np.int64(0), 4) == rational_approx(0, 4)
+        knob = ControlKnob(1, 0.0, RationalProvenance(np.int64(0), 0, 1))
+        assert knob.ndelta == 0.0
+
+
+class TestPastTheFloatRange:
+    """A derived value past the float range reads as an infinity, as a float one does."""
+
+    def test_an_int_sector_energy_past_the_float_range(self):
+        # Raised OverflowError: the exact int energy -J + B1 + B2 met the float t.
+        with pytest.raises(ValueError, match=r"^E00 \* t must be finite, got inf for "):
+            evolve(psi1(), FieldParams(0, 10**308, 10**308), 1.0)
+
+    @pytest.mark.parametrize("p1, p2", [(10**200, 0), (np.float32(1e38), 0.0)],
+                             ids=["int", "float32"])
+    def test_a_weight_whose_square_leaves_the_float_range(self, p1, p2):
+        # The ints raised OverflowError; the float32 warned "overflow encountered in scalar power".
+        with pytest.raises(ValueError, match=r"^p1\^2 \+ p2\^2 = 1 violated: got inf$"):
+            no_warning(lambda: SourceSpec(0.5, p1, p2, 0.3, math.pi / 2 - 0.3))
+
+    def test_from_p1_theta1_with_an_int_angle_past_the_float_range(self):
+        # Raised OverflowError at pi/2 - theta1; a float inf already read nan.
+        for theta1 in (10**400, math.inf):
+            with pytest.raises(ValueError, match=r"^theta1 \+ theta2 = pi/2 violated: got nan$"):
+                SourceSpec.from_p1_theta1(0.7, 0.6, theta1)
+
+
+class TestEntryConversion:
+    """PureState, UnitaryMatrix and HamiltonianMatrix share one checked entry conversion."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: PureState([10**400, 0]), lambda: UnitaryMatrix([[10**400, 0], [0, 1]]),
+         lambda: HamiltonianMatrix(np.diag([10**400, 0, 0, 0])),
+         lambda: hamiltonian(FieldParams(10**400, 0, 0))],
+        ids=["PureState", "UnitaryMatrix", "HamiltonianMatrix", "hamiltonian"],
+    )
+    def test_an_int_past_the_float_range_is_a_value_error(self, call):
+        # Each raised OverflowError: int too large to convert to float.
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: UnitaryMatrix([[math.inf, 0], [0, 1]]), r"deviates from I by nan"),
+         (lambda: UnitaryMatrix([[1e200, 0], [0, 1]]), r"deviates from I by inf"),
+         (lambda: PureState([1e308, 1e308], normalize=True), "non-finite norm inf")],
+        ids=["unitary-inf", "unitary-1e200", "normalize-1e308"],
+    )
+    def test_an_overflowing_check_raises_no_warning(self, call, message):
+        # Each warned first: invalid value or overflow in matmul, overflow in dot.
+        with pytest.raises(ValueError, match=message):
+            no_warning(call)
