@@ -80,7 +80,7 @@ class HamiltonianMatrix:
 
 def hamiltonian(fp: FieldParams) -> HamiltonianMatrix:
     """-J(XX + YY + ZZ) + B1 Z1 + B2 Z2 in the computational basis."""
-    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int past the range: as a float
+    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int past the float range reads inf
     return HamiltonianMatrix([
         [-J + B1 + B2, 0.0, 0.0, 0.0],
         [0.0, J + B1 - B2, -2.0 * J, 0.0],
@@ -149,11 +149,6 @@ class BestRational(NamedTuple):
     delta: float
 
 
-def _ratio(j: float) -> tuple[int, int]:
-    """The exact integer ratio of j; a numpy integer is taken as the equal Python int."""
-    return (int(j), 1) if _is_integer(j) else j.as_integer_ratio()
-
-
 def _gap(j: float, num: int, den: int) -> float:
     """j - num/den, correctly rounded: ``float(Fraction(j) - Fraction(num, den))``.
 
@@ -161,7 +156,7 @@ def _gap(j: float, num: int, den: int) -> float:
     difference over the exact common denominator gives the same bits. A gap
     beyond the float range rounds to an infinity of its sign.
     """
-    a, b = _ratio(j)
+    a, b = j.as_integer_ratio()
     difference = a * den - num * b
     try:
         return difference / (b * den)
@@ -176,14 +171,14 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     at most max_den lies strictly closer); delta = j - num/den. This is
     ``Fraction(j).limit_denominator(max_den)``, same loop and tie rule, on
     the integer ratio of j. ``max_den`` must be a positive integer (bool
-    excluded); a numpy integer is taken as the equal Python int.
+    excluded); a numpy integer, as ``max_den`` or ``j``, is taken as the equal Python int.
     """
     if not _is_integer(max_den) or max_den < 1:
         raise ValueError(f"max_den must be a positive integer, got {max_den!r}")
     max_den = int(max_den)
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    a, b = _ratio(j)
+    a, b = (int(j) if _is_integer(j) else j).as_integer_ratio()
     if b <= max_den:
         return BestRational(a, b, 0.0)
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -258,7 +253,7 @@ class ControlKnob:
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
-            implied = _gap(j, int(num), int(den))
+            implied = _gap(int(j) if _is_integer(j) else j, int(num), int(den))
             if abs(self.delta - implied) > _PROVENANCE_TOL:
                 raise ValueError(
                     f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"

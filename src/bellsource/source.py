@@ -60,9 +60,9 @@ class SourceSpec:
     def __post_init__(self) -> None:
         p1, p2 = self.p1, self.p2
         if not (abs(p1) <= 2 and abs(p2) <= 2 and abs(p1**2 + p2**2 - 1.0) <= _SPEC_TOL):
-            weight = math.inf  # and stays so where a float square leaves the float range and raises
+            weight = math.inf  # kept where a float square leaves the float range and raises
             with np.errstate(over="ignore"), contextlib.suppress(OverflowError):  # numpy's: inf
-                weight = _or_infinity(p1**2 + p2**2)  # as is an int sum past the range
+                weight = _or_infinity(p1**2 + p2**2)  # an int sum past the range reads inf too
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
         finite = _is_finite(self.theta1) and _is_finite(self.theta2)  # no sum past the float range
         angle_sum = self.theta1 + self.theta2 if finite else math.nan

@@ -60,9 +60,10 @@ def _is_integer(value: object) -> bool:
 
 
 def _is_finite(value: float) -> bool:
-    """A finite real: NaN, the infinities and an int past the float range fail, compared exactly
-    (a numpy scalar as the Python number it holds: numpy would cast the bound to a float32)."""
-    return abs(value.item() if isinstance(value, np.generic) else value) <= sys.float_info.max
+    """A finite real: NaN, the infinities and an int past the float range fail, compared exactly."""
+    if type(value) is not float and isinstance(value, np.generic):  # numpy would cast the bound
+        value = value.item()  # to a float32 operand's type, where it overflows
+    return abs(value) <= sys.float_info.max
 
 
 def _require_finite(what: str, *values: float) -> None:
