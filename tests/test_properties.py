@@ -441,10 +441,10 @@ def test_cli_never_crashes_and_prints_only_strict_output(call):
                 assert _j_is_exact_within_rounding(provenance.j, fp)
 
 
-# Every public callable of the library and the numbers it takes: a call with one
-# parameter per number, and a valid value for each. Each number is drawn either
-# as a valid value or as a hostile one of an accepted kind; any ValueError is a
-# refusal. Wrong types (None, str, a non-state) are left out.
+# Every public callable of the library that takes a number: a call with one
+# parameter per number, and a valid value for each. The property below puts
+# hostile numbers of accepted kinds at each position in turn; any ValueError is
+# a refusal. Wrong types (None, str, a non-state) are left out.
 _PSI = bellsource.bell_state((0, 1))
 _KNOB = ControlKnob(3, 0.125)
 
@@ -456,10 +456,13 @@ def _fields(call):
 NUMERIC_ARGUMENTS = {
     "ControlKnob": (ControlKnob, (3, 0.125)),
     "ControlKnob+provenance": (
-        lambda n, delta, j, num, den: ControlKnob(n, delta, bellsource.RationalProvenance(j, num, den)),
+        lambda n, delta, j, num, den: ControlKnob(
+            n, delta, bellsource.RationalProvenance(j, num, den)),
         (3, 0.125, 0.375, 1, 4),
     ),
-    "ControlKnob.from_field_params": (_fields(ControlKnob.from_field_params), (1.0, 0.3, 0.1, 16, 2)),
+    "ControlKnob.from_field_params": (
+        _fields(ControlKnob.from_field_params), (1.0, 0.3, 0.1, 16, 2)
+    ),
     "HamiltonianMatrix": (
         lambda *d: bellsource.HamiltonianMatrix([[d[i] if i == k else 0.0 for k in range(4)]
                                                  for i in range(4)]),
@@ -497,7 +500,8 @@ NUMERIC_ARGUMENTS = {
         lambda shots: sample_histogram(_PSI, shots, np.random.default_rng(0)), (10,)
     ),
     "sample_measurements": (
-        lambda q, shots: bellsource.sample_measurements(_PSI, (q,), shots, np.random.default_rng(0)),
+        lambda q, shots: bellsource.sample_measurements(
+            _PSI, (q,), shots, np.random.default_rng(0)),
         (1, 10),
     ),
     "small_mismatch_estimate": (_fields(bellsource.small_mismatch_estimate), (1.0, 0.3, 0.1)),
@@ -534,6 +538,8 @@ def _kinds(value):
 
 
 _HOSTILE_KINDS = [kind for value in _HOSTILE for kind in _kinds(value)]
+
+
 def test_the_numeric_argument_table_names_every_public_callable():
     public = {name for name, value in vars(bellsource).items()
               if not name.startswith("_") and callable(value)
@@ -565,8 +571,8 @@ def _refused_only_by_value_error(name, args):
        kind=st.integers(0, 3))
 def test_a_hostile_number_of_an_accepted_kind_is_refused_with_a_value_error(first, second, kind):
     """At each numeric position of each table entry: ``first`` with every other number
-    valid (of the drawn kind where that kind holds it), then ``second`` at the next
-    position too."""
+    valid (as the drawn kind, or the last of its kinds that holds it), then ``second``
+    at the next position too."""
     for name, (_, valid) in NUMERIC_ARGUMENTS.items():
         base = [_kinds(value)[min(kind, len(_kinds(value)) - 1)] for value in valid]
         for i in range(len(base)):
