@@ -80,12 +80,12 @@ class HamiltonianMatrix:
 
 def hamiltonian(fp: FieldParams) -> HamiltonianMatrix:
     """-J(XX + YY + ZZ) + B1 Z1 + B2 Z2 in the computational basis."""
-    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int past the float range reads inf
+    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int field or sum past the range: inf
     return HamiltonianMatrix([
-        [-J + B1 + B2, 0.0, 0.0, 0.0],
-        [0.0, J + B1 - B2, -2.0 * J, 0.0],
-        [0.0, -2.0 * J, J - B1 + B2, 0.0],
-        [0.0, 0.0, 0.0, -J - B1 - B2],
+        [_or_infinity(-J + B1 + B2), 0.0, 0.0, 0.0],
+        [0.0, _or_infinity(J + B1 - B2), -2.0 * J, 0.0],
+        [0.0, -2.0 * J, _or_infinity(J - B1 + B2), 0.0],
+        [0.0, 0.0, 0.0, _or_infinity(-J - B1 - B2)],
     ])
 
 
@@ -149,14 +149,18 @@ class BestRational(NamedTuple):
     delta: float
 
 
-def _gap(j: float, num: int, den: int) -> float:
-    """j - num/den, correctly rounded: ``float(Fraction(j) - Fraction(num, den))``.
+def _ratio(j: float) -> tuple[int, int]:
+    return (int(j) if _is_integer(j) else j).as_integer_ratio()  # numpy ints have no such method
+
+
+def _gap(ratio: tuple[int, int], num: int, den: int) -> float:
+    """j - num/den, j given as its integer ``ratio``: ``float(Fraction(j) - Fraction(num, den))``.
 
     Python's int true division is correctly rounded, so the exact integer
     difference over the exact common denominator gives the same bits. A gap
     beyond the float range rounds to an infinity of its sign.
     """
-    a, b = j.as_integer_ratio()
+    a, b = ratio
     difference = a * den - num * b
     try:
         return difference / (b * den)
@@ -178,7 +182,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     max_den = int(max_den)
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    a, b = (int(j) if _is_integer(j) else j).as_integer_ratio()
+    a, b = _ratio(j)
     if b <= max_den:
         return BestRational(a, b, 0.0)
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -198,7 +202,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
         num, den = p1, q1
     else:
         num, den = pk, qk
-    return BestRational(num, den, _gap(j, num, den))
+    return BestRational(num, den, _gap((a, b), num, den))
 
 
 def small_mismatch_estimate(fp: FieldParams) -> float:
@@ -253,7 +257,7 @@ class ControlKnob:
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
-            implied = _gap(int(j) if _is_integer(j) else j, int(num), int(den))
+            implied = _gap(_ratio(j), int(num), int(den))
             if abs(self.delta - implied) > _PROVENANCE_TOL:
                 raise ValueError(
                     f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -132,7 +133,7 @@ def _raw_norm(spec: SourceSpec) -> float:
     return 1.0 + math.sin(spec.gamma) ** 2 * 2.0 * spec.p1 * spec.p2 * math.sin(2.0 * spec.theta1)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(spec=sources, knob=direct_knobs | field_knobs)
 @example(spec=SourceSpec.from_p1_theta1(0.0, 0.6, 0.3), knob=ControlKnob(1, 0.125 - 1e-12))
 @example(spec=SourceSpec.from_p1_theta1(math.pi / 2, 1.0, 0.3, True),
@@ -549,21 +550,39 @@ def test_the_numeric_argument_table_names_every_public_callable():
     assert not named & NO_NUMERIC_ARGUMENT
 
 
-def _refused_only_by_value_error(name, args):
-    """Only ValueError (or a subclass) escapes; Python numbers raise no warning.
+# Calls whose arithmetic on numpy scalars still warns where Python floats
+# overflow or divide quietly into the infinity or NaN a later check refuses
+# (ROADMAP item 5): each may warn so when a numpy scalar meets one of its
+# extremes, and never otherwise. The finite extremes are +-1e308, a zero,
+# +-5e-324 and an int past the float range; hamiltonian checks its fields only
+# as entries, so the infinities (inf - inf) count there too.
+_FINITE_EXTREMES = frozenset({1e308, -1e308, 0.0, 5e-324, -5e-324, 10**400, -(10**400)})
+_NUMPY_ARITHMETIC_WARNS = dict.fromkeys((
+    "ControlKnob+provenance", "ControlKnob.from_field_params", "SourceSpec", "evolve",
+    "feasible", "infer_ndelta", "infer_parameters", "j_parameter", "small_mismatch_estimate",
+    "solve_ndelta", "table_populations",
+), _FINITE_EXTREMES) | {"hamiltonian": _FINITE_EXTREMES | {math.inf, -math.inf}}
+_NUMPY_ARITHMETIC = re.compile(r"(overflow|invalid value|divide by zero) encountered in ")
 
-    A numpy scalar's own arithmetic still warns where a Python float overflows
-    quietly to the infinity the next check refuses (ROADMAP item 5), so warnings
-    are asserted absent only when every number is a Python one.
-    """
+
+def _numpy_arithmetic_warning(name, args, caught):
+    extremes = _NUMPY_ARITHMETIC_WARNS.get(name, ())
+    return (any(isinstance(arg, np.generic) for arg in args)
+            and any(arg in extremes for arg in args)
+            and issubclass(caught.category, RuntimeWarning)
+            and _NUMPY_ARITHMETIC.match(str(caught.message)) is not None)
+
+
+def _refused_only_by_value_error(name, args):
+    """Only ValueError (or a subclass) escapes, and no warning but a known numpy one."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             NUMERIC_ARGUMENTS[name][0](*args)
         except ValueError:
             pass
-    if not any(isinstance(arg, np.generic) for arg in args):
-        assert not caught, (name, args, [str(w.message) for w in caught])
+    unexpected = [w for w in caught if not _numpy_arithmetic_warning(name, args, w)]
+    assert not unexpected, (name, args, [str(w.message) for w in unexpected])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

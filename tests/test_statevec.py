@@ -727,6 +727,11 @@ class TestPastTheFloatRange:
         with pytest.raises(ValueError, match=r"^p1\^2 \+ p2\^2 = 1 violated: got inf$"):
             no_warning(lambda: SourceSpec(0.5, p1, p2, 0.3, math.pi / 2 - 0.3))
 
+    def test_an_int_hamiltonian_entry_past_the_float_range(self):
+        # Raised the conversion's "an int past the float range": the exact sum J + B1 - B2.
+        with pytest.raises(ValueError, match=r"^Hamiltonian entries must be finite, got "):
+            hamiltonian(FieldParams(10**308, 10**308, 0))
+
     def test_from_p1_theta1_with_an_int_angle_past_the_float_range(self):
         # Raised OverflowError at pi/2 - theta1; a float inf already read nan.
         for theta1 in (10**400, math.inf):
