@@ -239,7 +239,7 @@ def _check_pair(state12: PureState) -> None:
 
 
 _ANCILLAS = basis_state("00")
-_ANCILLA_AXES = (2, 3)  # qubits 3, 4: raw readout k, the label bits, is layout row k
+_ANCILLA_ROWS = _ROWS[(3, 4), 4]  # raw readout k of qubits 3, 4, the label bits, is row k
 
 
 def _run_gates(state12: PureState) -> PureState:
@@ -252,7 +252,7 @@ def _run_gates(state12: PureState) -> PureState:
 
 def _surviving_pair(final: PureState, k: int, prob: float) -> PureState:
     """Pair left by ancilla readout k of weight ``prob``: its layout row over sqrt(prob)."""
-    return _fresh(final.amplitudes[_ROWS[_ANCILLA_AXES, 4][k]] / math.sqrt(prob))
+    return _fresh(final.amplitudes[_ANCILLA_ROWS[k]] / math.sqrt(prob))
 
 
 def run_characterization_circuit(
@@ -266,7 +266,7 @@ def run_characterization_circuit(
     (the division a collapse makes), not constructed.
     """
     final = _run_gates(state12)
-    k, prob = _draw(final, _ANCILLA_AXES, rng)
+    k, prob = _draw(final, _ANCILLA_ROWS, rng)
     pair = _surviving_pair(final, k, prob)
     return MeasurementRecord(outcome=_RELABEL[BELL_LABELS[k]], post_state=pair, probability=prob)
 
@@ -280,7 +280,7 @@ def circuit_outcome_distribution(
     the state is None for outcomes of zero weight.
     """
     final = _run_gates(state12)
-    probs = _marginal_probabilities(final, _ANCILLA_AXES).tolist()  # the weights _draw samples
+    probs = _marginal_probabilities(final, _ANCILLA_ROWS).tolist()  # the weights _draw samples
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
     for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs)):
         result[outcome] = (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)

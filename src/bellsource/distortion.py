@@ -45,11 +45,17 @@ _PROVENANCE_TOL = 1e-15
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Exchange coupling J and local field strengths B1, B2 (energy units)."""
+    """Exchange coupling J and local field strengths B1, B2 (energy units); a numpy scalar
+    field is held as the Python number it equals, so no field arithmetic wraps or warns."""
 
     J: float
     B1: float
     B2: float
+
+    def __post_init__(self) -> None:
+        for name in ("J", "B1", "B2"):
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
 
     @property
     def b_minus(self) -> float:
@@ -108,6 +114,7 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
     J, bm = fp.J, fp.b_minus
     require(("B1 - B2", bm), ("t", t))
+    t = t.item() if isinstance(t, np.generic) else t  # as a field: Python arithmetic from here
     omega = math.hypot(bm, 2.0 * J)
     e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
     require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))

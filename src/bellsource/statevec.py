@@ -47,7 +47,6 @@ _UNITARY_TOL = 1e-12
 _ZERO_PROB = 1e-12
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 _QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
-_Axes = tuple[int, ...]  # 0-based qubit axes, in target order
 
 
 class ZeroProbabilityError(ValueError):
@@ -243,11 +242,11 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return _fresh(_kron(a.amplitudes, b.amplitudes))
 
 
-def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
-    """0-based axes of one or more distinct qubit indices, each equal to one of 1..num_qubits
-    (2.0 and True count as 2 and 1, 2.9 is rejected); from ``_AXES`` if there."""
+def _check_targets(targets: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Layout rows of one or more distinct qubit indices, each equal to one of 1..num_qubits
+    (2.0 and True count as 2 and 1, 2.9 is rejected): the ``_ROWS`` entry of the targets."""
     try:
-        return _AXES[targets, num_qubits]
+        return _ROWS[targets, num_qubits]
     except (KeyError, TypeError):  # not in the table, or unhashable such as a list
         pass
     try:
@@ -263,48 +262,45 @@ def _check_targets(targets: Sequence[int], num_qubits: int) -> _Axes:
         if q not in positions:
             detail = f"{q} out of range" if _is_integer(q) else f"{q!r} is not an integer in"
             raise ValueError(f"qubit index {detail} 1..{num_qubits}")
-    return tuple(map(positions.index, targets))
+    return _ROWS[tuple(targets), num_qubits]
 
 
-_AXES: dict[tuple[Sequence[int], int], _Axes] = {  # every ordered target tuple: 84 entries
-    (targets, n): tuple(q - 1 for q in targets)
+def _layout(targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Row k: the flat positions whose ``targets`` bits spell k (big-endian), in register order."""
+    order = [q - 1 for q in targets] + [i for i in range(n) if i + 1 not in targets]
+    rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(targets), -1)
+    rows.setflags(write=False)
+    return rows
+
+
+# The one qubit layout, read-only, keyed by every ordered target tuple (84 entries): every
+# gate, marginal and collapse takes its rows here.
+_ROWS: dict[tuple[Sequence[int], int], np.ndarray] = {
+    (targets, n): _layout(targets, n)
     for n in range(1, MAX_QUBITS + 1)
     for t in range(1, n + 1)
     for targets in itertools.permutations(range(1, n + 1), t)
 }
 
 
-def _layout(axes: _Axes, n: int) -> np.ndarray:
-    """Row k: the flat positions whose ``axes`` bits spell k (big-endian), in register order."""
-    order = axes + tuple(i for i in range(n) if i not in axes)
-    rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(axes), -1)
-    rows.setflags(write=False)
-    return rows
-
-
-# The one qubit layout, read-only: every gate, marginal and collapse takes its rows here.
-_ROWS = {(axes, n): _layout(axes, n) for (_, n), axes in _AXES.items()}
-
-
-def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, axes: _Axes, n: int) -> np.ndarray:
-    """``matrix`` on the axes: one matmul on the C-contiguous gathered rows, scattered back."""
-    rows = _ROWS[axes, n]
+def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix`` on ``rows``: one matmul on the C-contiguous gathered rows, scattered back."""
     out = np.empty_like(amps)
     out[rows] = matrix @ amps[rows]
     return out
 
 
-def _gate_axes(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> _Axes:
-    axes = _check_targets(targets, num_qubits)
-    if u.dim != 2 ** len(axes):
-        raise ValueError(f"unitary of dim {u.dim} does not act on {len(axes)} qubit(s)")
-    return axes
+def _gate_rows(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> np.ndarray:
+    rows = _check_targets(targets, num_qubits)
+    if u.dim != len(rows):
+        raise ValueError(f"unitary of dim {u.dim} does not act on {len(targets)} qubit(s)")
+    return rows
 
 
 def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) -> PureState:
     """Apply ``u`` to the ordered target qubits, identity elsewhere."""
-    axes = _gate_axes(u, targets, state.num_qubits)
-    return _fresh(_apply_matrix(state.amplitudes, u.entries, axes, state.num_qubits))
+    rows = _gate_rows(u, targets, state.num_qubits)
+    return _fresh(_apply_matrix(state.amplitudes, u.entries, rows))
 
 
 def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> UnitaryMatrix:
@@ -313,11 +309,8 @@ def expand_unitary(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) ->
         if type(num_qubits) in (int, float) and 0 < num_qubits <= 64:  # a real size: name its dim
             _check_unitary_dim(2**num_qubits)
         raise ValueError(f"num_qubits must be an integer 1, 2 or 4, got {num_qubits!r}")
-    axes = _gate_axes(u, targets, num_qubits)
-    columns = [
-        _apply_matrix(e, u.entries, axes, num_qubits)
-        for e in np.eye(2**num_qubits, dtype=complex)
-    ]
+    rows = _gate_rows(u, targets, num_qubits)
+    columns = [_apply_matrix(e, u.entries, rows) for e in np.eye(2**num_qubits, dtype=complex)]
     return UnitaryMatrix(np.stack(columns, axis=1))
 
 
@@ -362,14 +355,13 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
     return min(abs(a.inner(b)), 1.0)
 
 
-def _marginal_probabilities(state: PureState, axes: _Axes) -> np.ndarray:
+def _marginal_probabilities(state: PureState, rows: np.ndarray) -> np.ndarray:
     """Born weights of the measured subset: entry k sums layout row k."""
-    return state.probabilities()[_ROWS[axes, state.num_qubits]].sum(axis=1)
+    return state.probabilities()[rows].sum(axis=1)
 
 
-def _collapse(state: PureState, axes: _Axes, k: int, prob: float) -> PureState:
-    """Layout row k over the root of its weight ``prob``, zeros elsewhere."""
-    row = _ROWS[axes, state.num_qubits][k]
+def _collapse(state: PureState, row: np.ndarray, prob: float) -> PureState:
+    """The amplitudes at layout ``row`` over the root of its weight ``prob``, zeros elsewhere."""
     collapsed = np.zeros(state.amplitudes.size, complex)
     collapsed[row] = state.amplitudes[row] / math.sqrt(prob)
     return _fresh(collapsed)
@@ -391,9 +383,9 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return max((k for k, p in enumerate(probs) if p >= _ZERO_PROB), default=len(probs) - 1)
 
 
-def _draw(state: PureState, axes: _Axes, rng: np.random.Generator) -> tuple[int, float]:
-    """Born-rule outcome k of the measured axes (their bits spell k) and its weight."""
-    probs = _marginal_probabilities(state, axes).tolist()
+def _draw(state: PureState, rows: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
+    """Born-rule outcome k over the layout ``rows`` (the measured bits spell k) and its weight."""
+    probs = _marginal_probabilities(state, rows).tolist()
     k = _born_index(probs, rng)
     return k, probs[k]
 
@@ -418,9 +410,9 @@ def measure_qubits(
     state), collapses and renormalizes. Returns (outcome bits in the order
     of ``indices``, collapsed state, outcome probability).
     """
-    axes = _check_targets(indices, state.num_qubits)
-    k, prob = _draw(state, axes, rng)
-    return _bits_of(k, len(axes)), _collapse(state, axes, k, prob), prob
+    rows = _check_targets(indices, state.num_qubits)
+    k, prob = _draw(state, rows, rng)
+    return _bits_of(k, len(indices)), _collapse(state, rows[k], prob), prob
 
 
 def sample_measurements(
@@ -432,8 +424,8 @@ def sample_measurements(
     multinomial step. Entry k counts the outcome whose bits (in ``indices``
     order) spell k in binary.
     """
-    axes = _check_targets(indices, state.num_qubits)
-    return _multinomial(shots, _marginal_probabilities(state, axes), rng)
+    rows = _check_targets(indices, state.num_qubits)
+    return _multinomial(shots, _marginal_probabilities(state, rows), rng)
 
 
 def collapse_qubits(
@@ -444,15 +436,15 @@ def collapse_qubits(
     Raises ZeroProbabilityError when the requested outcome has no Born
     weight, which signals inconsistent input rather than valid physics.
     """
-    axes = _check_targets(indices, state.num_qubits)
+    rows = _check_targets(indices, state.num_qubits)
     sized = isinstance(outcome, Sized)
-    if not sized or len(outcome) != len(axes) or any(b not in (0, 1) for b in outcome):
-        raise ValueError(f"outcome {outcome!r} does not match {len(axes)} measured qubit(s)")
+    if not sized or len(outcome) != len(indices) or any(b not in (0, 1) for b in outcome):
+        raise ValueError(f"outcome {outcome!r} does not match {len(indices)} measured qubit(s)")
     bits = tuple(1 if b == 1 else 0 for b in outcome)
     k = int("".join(map(str, bits)), 2)
-    prob = float(_marginal_probabilities(state, axes)[k])
+    prob = float(_marginal_probabilities(state, rows)[k])
     if prob < _ZERO_PROB:
         raise ZeroProbabilityError(
             f"outcome {bits} has probability {prob!r}; collapse is undefined"
         )
-    return _collapse(state, axes, k, prob), prob
+    return _collapse(state, rows[k], prob), prob

@@ -190,6 +190,16 @@ class TestEvolve:
         with pytest.raises(ValueError, match=message):
             evolve(psi1(), fp, 1.0)
 
+    def test_numpy_integer_fields_evolve_as_the_equal_python_ints(self):
+        # B1 - B2 = 2**63 wrapped to -2**63 in int64 (a RuntimeWarning), and the
+        # state came back as the complex conjugate of the Python-int result.
+        big = 2**62
+        expected = evolve(bell_state((0, 1)), FieldParams(1, big, -big), 1e-18)
+        fp = FieldParams(np.int64(1), np.int64(big), np.int64(-big))
+        out = evolve(bell_state((0, 1)), fp, np.float64(1e-18))
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert fp == FieldParams(1, big, -big) and type(fp.B1) is int
+
 
 class TestInteractionRatio:
     def test_homogeneous_field(self):

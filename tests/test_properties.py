@@ -554,14 +554,12 @@ def test_the_numeric_argument_table_names_every_public_callable():
 # overflow or divide quietly into the infinity or NaN a later check refuses
 # (ROADMAP item 5): each may warn so when a numpy scalar meets one of its
 # extremes, and never otherwise. The finite extremes are +-1e308, a zero,
-# +-5e-324 and an int past the float range; hamiltonian checks its fields only
-# as entries, so the infinities (inf - inf) count there too.
+# +-5e-324 and an int past the float range.
 _FINITE_EXTREMES = frozenset({1e308, -1e308, 0.0, 5e-324, -5e-324, 10**400, -(10**400)})
 _NUMPY_ARITHMETIC_WARNS = dict.fromkeys((
-    "ControlKnob+provenance", "ControlKnob.from_field_params", "SourceSpec", "evolve",
-    "feasible", "infer_ndelta", "infer_parameters", "j_parameter", "small_mismatch_estimate",
+    "ControlKnob+provenance", "SourceSpec", "feasible", "infer_ndelta", "infer_parameters",
     "solve_ndelta", "table_populations",
-), _FINITE_EXTREMES) | {"hamiltonian": _FINITE_EXTREMES | {math.inf, -math.inf}}
+), _FINITE_EXTREMES)
 _NUMPY_ARITHMETIC = re.compile(r"(overflow|invalid value|divide by zero) encountered in ")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -46,8 +47,7 @@ from bellsource import (
     table_populations,
     tensor,
 )
-from bellsource.statevec import (_AXES, _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh,
-                                 _is_finite)
+from bellsource.statevec import _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh, _is_finite
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -548,21 +548,23 @@ class TestStateValidator:
 class TestTargetTable:
     # A list is unhashable, so it always takes the validating path.
     def test_holds_every_valid_ordered_target_tuple(self):
-        assert len(_AXES) == 84
-        for (targets, n), axes in _AXES.items():
-            assert axes == tuple(q - 1 for q in targets)
-            assert _check_targets(list(targets), n) == axes
+        assert len(_ROWS) == 84
+        for (targets, n), rows in _ROWS.items():
+            assert _check_targets(targets, n) is rows
+            assert _check_targets(list(targets), n) is rows
 
     @pytest.mark.parametrize(
-        "targets, n, axes",
-        [((3, 1), 4, (2, 0)), (np.array([3, 1]), 4, (2, 0)),
-         ((np.int64(3), np.int32(1)), 4, (2, 0)), ([np.int64(3), 1], 4, (2, 0)),
-         ((1.0,), 1, (0,)), ([2.0, 1], 2, (1, 0)), ((5, 1), 5, (4, 0)),
+        "targets, n, key",
+        [((3, 1), 4, (3, 1)), (np.array([3, 1]), 4, (3, 1)),
+         ((np.int64(3), np.int32(1)), 4, (3, 1)), ([np.int64(3), 1], 4, (3, 1)),
+         ((1.0,), 1, (1,)), ([2.0, 1], 2, (2, 1)), ((4, 2, 3, 1), 4, (4, 2, 3, 1)),
          # A bool counts as its integer value on both paths.
-         ((True, 2), 2, (0, 1)), ([np.float64(3.0)], 4, (2,))],
+         ((True, 2), 2, (1, 2)), ([np.float64(3.0)], 4, (3,))],
     )
-    def test_lookup_equals_the_validator(self, targets, n, axes):
-        assert _check_targets(targets, n) == _check_targets(list(targets), n) == axes
+    def test_lookup_equals_the_validator(self, targets, n, key):
+        rows = _ROWS[key, n]
+        assert _check_targets(targets, n) is rows
+        assert _check_targets(list(targets), n) is rows
 
     @pytest.mark.parametrize(
         "targets, n, message",
@@ -595,28 +597,54 @@ class TestTargetTable:
         with pytest.raises(ValueError, match="qubit indices must be a sequence"):
             measure_qubits(basis_state("00"), targets, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("targets", [(2,), (3, 1), (4, 2), (2, 4, 1, 3)])
+    def test_public_calls_give_the_same_bytes_for_tuple_list_and_numpy_targets(self, targets):
+        state = random_state(np.random.default_rng(5), 4)
+        u = UnitaryMatrix(random_unitary(2 ** len(targets), np.random.default_rng(6)))
+        outcome = (1,) * len(targets)
+
+        def outputs(t):
+            bits, measured, p_measured = measure_qubits(state, t, np.random.default_rng(0))
+            collapsed, p_collapsed = collapse_qubits(state, t, outcome)
+            return (
+                apply_unitary(state, u, t).amplitudes.tobytes(),
+                expand_unitary(u, t, 4).entries.tobytes(),
+                bits, measured.amplitudes.tobytes(), p_measured,
+                collapsed.amplitudes.tobytes(), p_collapsed,
+                sample_measurements(state, t, 1000, np.random.default_rng(0)).tobytes(),
+            )
+
+        expected = outputs(targets)
+        for t in (list(targets), np.array(targets), tuple(map(np.int64, targets))):
+            assert outputs(t) == expected
+
 
 class TestLayoutTable:
     @staticmethod
-    def spelled(index: int, axes, n: int) -> int:
-        """The integer the ``axes`` bits of a register index spell, by shifts and masks."""
+    def spelled(index: int, targets, n: int) -> int:
+        """The integer the ``targets`` bits of a register index spell, by shifts and masks."""
         k = 0
-        for ax in axes:
-            k = (k << 1) | ((index >> (n - 1 - ax)) & 1)
+        for q in targets:
+            k = (k << 1) | ((index >> (n - q)) & 1)
         return k
 
-    def test_has_one_entry_per_valid_axes_tuple(self):
-        assert set(_ROWS) == {(axes, n) for (_, n), axes in _AXES.items()}
+    def test_has_one_entry_per_valid_ordered_target_tuple(self):
+        assert set(_ROWS) == {
+            (targets, n)
+            for n in range(1, 5)
+            for t in range(1, n + 1)
+            for targets in itertools.permutations(range(1, n + 1), t)
+        }
 
     def test_rows_are_a_permutation_of_the_register(self):
-        for (axes, n), rows in _ROWS.items():
-            assert rows.shape == (2 ** len(axes), 2 ** (n - len(axes)))
+        for (targets, n), rows in _ROWS.items():
+            assert rows.shape == (2 ** len(targets), 2 ** (n - len(targets)))
             assert sorted(rows.ravel().tolist()) == list(range(2**n))
 
-    def test_row_k_holds_the_indices_whose_axes_bits_spell_k_in_register_order(self):
-        for (axes, n), rows in _ROWS.items():
+    def test_row_k_holds_the_indices_whose_target_bits_spell_k_in_register_order(self):
+        for (targets, n), rows in _ROWS.items():
             for k, row in enumerate(rows.tolist()):
-                assert row == [i for i in range(2**n) if self.spelled(i, axes, n) == k]
+                assert row == [i for i in range(2**n) if self.spelled(i, targets, n) == k]
 
     def test_is_read_only(self):
         for rows in _ROWS.values():
