@@ -24,6 +24,7 @@ from .statevec import (
     CNOT,
     HADAMARD,
     _ROWS,
+    _RSQRT2,
     _ZERO_PROB,
     BellLabel,
     PureState,
@@ -35,11 +36,9 @@ from .statevec import (
     _marginal_probabilities,
     _multinomial,
     _require_finite,
-    basis_state,
     bell_coefficients,
     bell_state,
     expand_unitary,
-    tensor,
 )
 
 __all__ = [
@@ -238,16 +237,21 @@ def _check_pair(state12: PureState) -> None:
         raise ValueError(f"characterization measures a 2-qubit pair, got {state12.num_qubits}")
 
 
-_ANCILLAS = basis_state("00")
 _ANCILLA_ROWS = _ROWS[(3, 4), 4]  # raw readout k of qubits 3, 4, the label bits, is row k
 
 
 def _run_gates(state12: PureState) -> PureState:
+    """The register ``_GATES`` make of ``state12 (x) |00>``, built by their structure."""
     _check_pair(state12)
-    amps = tensor(state12, _ANCILLAS).amplitudes
-    for gate in _GATES:
-        amps = gate.entries @ amps
-    return _fresh(amps)
+    x00, x01, x10, x11 = state12.amplitudes.tolist()
+    r = _RSQRT2
+    # CNOT(1, 2) and H(1) turn the pair into its Bell coefficients c_ab, two butterflies;
+    # CNOT(1, 3) and CNOT(2, 4) only move each c_ab to |a b a b>.
+    c00, c10, c01, c11 = (x00 + x11) * r, (x00 - x11) * r, (x01 + x10) * r, (x01 - x10) * r
+    # H(1) puts r c_ab at |0 b a b> and (-1)^a r c_ab at |1 b a b>; CNOT(1, 2) flips that b.
+    c00, c10, c01, c11 = r * c00, r * c10, r * c01, r * c11
+    final = [c00, 0j, c10, 0j, 0j, c01, 0j, c11, 0j, c01, 0j, -c11, c00, 0j, -c10, 0j]
+    return _fresh(np.array(final))
 
 
 def _surviving_pair(final: PureState, k: int, prob: float) -> PureState:
@@ -260,6 +264,8 @@ def run_characterization_circuit(
 ) -> MeasurementRecord:
     """Execute the ancilla circuit and measure qubits 3, 4.
 
+    The gates run by their structure, butterflies and moves in Python complex
+    arithmetic, so no matrix product (and no BLAS kernel) sets the register's bits.
     Independent of :func:`nonlocal_bell_measurement`: the outcome is drawn
     from the ancillas' Born weights in the final register, and the surviving
     pair state is that register's selected block over the root of its weight

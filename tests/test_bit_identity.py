@@ -3,19 +3,25 @@
 ``bit_digest`` feeds the exact bytes of every result below into one SHA-256:
 outcomes, probabilities (as float hex) and amplitude buffers. All draws come
 from one seeded generator, so a change to the number or order of draws moves
-every later byte as well. The digests were last pinned when the emission
-builders moved to their closed form (README, "Notes on the math"); an
-optimisation must keep them.
+every later byte as well. ``bit_digest`` and ``readout_digest`` were last
+pinned when the circuit shot came to build its register by the gates'
+structure, the other two when the emission builders moved to their closed
+form (README, "Notes on the math"); an optimisation must keep them.
 
 ``emission_digest`` covers the emission builders at the domain edges, where
 signed zeros show: it pins the bytes of the closed form, its part-by-part
 superposition and its fixed-order raw norm.
 
-The circuit routes multiply by 16 x 16 gates through numpy's matmul, so the
-digest also pins the BLAS matrix-vector kernel of the machine it runs on.
-The emission and evolution builders call ``math.sin``, ``cos`` and ``exp``,
-so the digests also pin the libm variant glibc selects for the host's CPU
-(ROADMAP item 2).
+The circuit shot and ``circuit_outcome_distribution`` build their register
+by the gates' structure in Python arithmetic. Only the gate-by-gate route of
+``evolution_digest`` still multiplies by 16 x 16 gates through numpy's
+matmul, with ``apply_unitary``'s user matrices, so that digest pins the BLAS
+matrix-vector kernel of the machine it runs on. ``bit_digest`` pins it too,
+through ``np.linalg.norm`` in the ``PureState(normalize=True)`` of its random
+inputs. ``readout_digest`` and ``emission_digest`` read the same under the
+OpenBLAS SkylakeX, Haswell and Nehalem kernels. The emission and evolution
+builders call ``math.sin``, ``cos`` and ``exp``, so the digests also pin the
+libm variant glibc selects for the host's CPU (ROADMAP item 2).
 """
 
 from __future__ import annotations

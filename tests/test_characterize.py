@@ -15,6 +15,7 @@ from bellsource import (
     PopulationTable,
     PureState,
     SourceSpec,
+    basis_state,
     bell_state,
     circuit_outcome_distribution,
     circuit_realization,
@@ -28,8 +29,9 @@ from bellsource import (
     sample_histogram,
     species_moments,
     table_populations,
+    tensor,
 )
-from bellsource.characterize import label_to_outcome, outcome_to_label
+from bellsource.characterize import _run_gates, label_to_outcome, outcome_to_label
 from conftest import FixedDraw, random_knob, random_spec, random_state
 from oracles import binomial_4sigma
 
@@ -312,12 +314,31 @@ class TestCircuitRealization:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("kind", ["random", "source", "bell"])
+    def test_register_is_the_product_of_the_six_gates(self, kind):
+        # The structural kernel against the 16 x 16 gates applied to pair (x) |00>.
+        rng = np.random.default_rng(31)
+        pairs = {
+            "random": lambda: random_state(rng, 2),
+            "source": lambda: controlled_emission(random_spec(rng), random_knob(rng))[0],
+            "bell": lambda: bell_state(BELL_LABELS[int(rng.integers(4))]),
+        }[kind]
+        for _ in range(300):
+            pair = pairs()
+            reference = tensor(pair, basis_state("00")).amplitudes
+            for gate in circuit_realization(pair)[0]:
+                reference = gate.entries @ reference
+            assert np.max(np.abs(_run_gates(pair).amplitudes - reference)) <= 4 * 2**-52
+
     def test_post_states_knob_independent(self, rng):
-        # Fixed outcome -> fixed Bell state, whatever the knob.
+        # Fixed outcome -> fixed Bell state, whatever the knob; readout (1, 0), the
+        # paper's f10, has weight exactly 0.0 for every source-reachable pair.
         spec = random_spec(rng)
         for _ in range(20):
             state, _ = controlled_emission(spec, random_knob(rng))
-            for outcome, (prob, post) in circuit_outcome_distribution(state).items():
+            distribution = circuit_outcome_distribution(state)
+            assert distribution[(1, 0)][0] == 0.0
+            for outcome, (prob, post) in distribution.items():
                 if post is None:
                     continue
                 target = bell_state(outcome_to_label(outcome))
