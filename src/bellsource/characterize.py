@@ -262,14 +262,12 @@ def _surviving_pair(final: PureState, k: int, prob: float) -> PureState:
 def run_characterization_circuit(
     state12: PureState, rng: np.random.Generator
 ) -> MeasurementRecord:
-    """Execute the ancilla circuit and measure qubits 3, 4.
+    """Execute the ancilla circuit by its gates' structure and measure qubits 3, 4.
 
-    The gates run by their structure, butterflies and moves in Python complex
-    arithmetic, so no matrix product (and no BLAS kernel) sets the register's bits.
-    Independent of :func:`nonlocal_bell_measurement`: the outcome is drawn
-    from the ancillas' Born weights in the final register, and the surviving
-    pair state is that register's selected block over the root of its weight
-    (the division a collapse makes), not constructed.
+    Independent of :func:`nonlocal_bell_measurement` and of the BLAS kernel (no matrix
+    product): the outcome is drawn from the ancillas' Born weights in the final register,
+    and the surviving pair state is that register's selected block over the root of its
+    weight (the division a collapse makes), not constructed.
     """
     final = _run_gates(state12)
     k, prob = _draw(final, _ANCILLA_ROWS, rng)

@@ -159,6 +159,8 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     counts as on the boundary), DegenerateSteeringError when the denominator
     or sin^2 gamma vanishes.
     """
+    if not type(gamma) is type(f00) is type(f11) is float:  # numpy scalar arithmetic would warn
+        gamma, f00, f11 = (v.item() if isinstance(v, np.generic) else v for v in (gamma, f00, f11))
     _check_gamma(gamma)
     _require_finite("target populations", f00, f11)
     if f00 < 0.0 or f11 < 0.0:

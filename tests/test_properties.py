@@ -557,8 +557,7 @@ def test_the_numeric_argument_table_names_every_public_callable():
 # +-5e-324 and an int past the float range.
 _FINITE_EXTREMES = frozenset({1e308, -1e308, 0.0, 5e-324, -5e-324, 10**400, -(10**400)})
 _NUMPY_ARITHMETIC_WARNS = dict.fromkeys((
-    "ControlKnob+provenance", "SourceSpec", "feasible", "infer_ndelta", "infer_parameters",
-    "solve_ndelta", "table_populations",
+    "ControlKnob+provenance", "SourceSpec", "infer_parameters", "table_populations",
 ), _FINITE_EXTREMES)
 _NUMPY_ARITHMETIC = re.compile(r"(overflow|invalid value|divide by zero) encountered in ")
 
