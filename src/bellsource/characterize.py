@@ -4,9 +4,9 @@ The measurement contract: a Bell label (a, b) is reported as the outcome
 (a, a XOR b) on two ancilla readout bits, so the label (1,0) species shows
 up as outcome 11 and outcome 10 belongs to the species that the source can
 never emit (f10 is identically zero on source-reachable states). The
-measured pair survives in the identified Bell state. Two independent
-routes are provided: direct Born-rule projection in the Bell basis, and a
-four-qubit ancilla circuit realization proven equivalent by tests.
+measured pair survives in the identified Bell state. Two routes read the
+pair's Bell coefficients (statevec.bell_coefficients): direct Born-rule projection,
+and a four-qubit ancilla circuit realization proven equivalent by tests.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .statevec import (
     _fresh,
     _marginal_probabilities,
     _multinomial,
+    _python_number,
     _require_finite,
     bell_coefficients,
     bell_state,
@@ -144,6 +145,7 @@ def table_populations(
     f11 = C^2 sin^2(g) cos^2(x) + cos^2(g) sin^2(x)      with x = 2 pi n delta.
     A NaN or infinite argument, or an int past the float range, raises ValueError.
     """
+    gamma, c_squared, s_squared, ndelta = map(_python_number, (gamma, c_squared, s_squared, ndelta))
     _require_finite("gamma, C^2, S^2 and ndelta", gamma, c_squared, s_squared, ndelta)
     x = 2.0 * math.pi * ndelta
     cos2_g = math.cos(gamma) ** 2
@@ -170,17 +172,12 @@ def _bell_weights(state12: PureState) -> list[float]:
     return [abs(c) ** 2 for c in bell_coefficients(state12)]
 
 
-def _readout_weights(state12: PureState) -> tuple[float, float, float, float]:
-    """Born weights of the readouts 00, 01, 10, 11: entry k is readout k = 2*i3 + j4."""
-    return _READOUT_ORDER(_bell_weights(state12))
-
-
 def populations_exact(state12: PureState) -> PopulationTable:
     """Born-rule population table of a normalized 2-qubit state.
 
     Raw and normalized views coincide because the input is already physical.
     """
-    pops = Populations(*_readout_weights(state12))
+    pops = Populations(*_READOUT_ORDER(_bell_weights(state12)))
     return PopulationTable(raw=pops, normalized=pops)
 
 
@@ -243,11 +240,10 @@ _ANCILLA_ROWS = _ROWS[(3, 4), 4]  # raw readout k of qubits 3, 4, the label bits
 def _run_gates(state12: PureState) -> PureState:
     """The register ``_GATES`` make of ``state12 (x) |00>``, built by their structure."""
     _check_pair(state12)
-    x00, x01, x10, x11 = state12.amplitudes.tolist()
-    r = _RSQRT2
-    # CNOT(1, 2) and H(1) turn the pair into its Bell coefficients c_ab, two butterflies;
+    # CNOT(1, 2) and H(1) turn the pair into its Bell coefficients c_ab (bell_coefficients);
     # CNOT(1, 3) and CNOT(2, 4) only move each c_ab to |a b a b>.
-    c00, c10, c01, c11 = (x00 + x11) * r, (x00 - x11) * r, (x01 + x10) * r, (x01 - x10) * r
+    c00, c01, c10, c11 = bell_coefficients(state12)
+    r = _RSQRT2
     # H(1) puts r c_ab at |0 b a b> and (-1)^a r c_ab at |1 b a b>; CNOT(1, 2) flips that b.
     c00, c10, c01, c11 = r * c00, r * c10, r * c01, r * c11
     final = [c00, 0j, c10, 0j, 0j, c01, 0j, c11, 0j, c01, 0j, -c11, c00, 0j, -c10, 0j]
@@ -264,10 +260,10 @@ def run_characterization_circuit(
 ) -> MeasurementRecord:
     """Execute the ancilla circuit by its gates' structure and measure qubits 3, 4.
 
-    Independent of :func:`nonlocal_bell_measurement` and of the BLAS kernel (no matrix
-    product): the outcome is drawn from the ancillas' Born weights in the final register,
-    and the surviving pair state is that register's selected block over the root of its
-    weight (the division a collapse makes), not constructed.
+    It shares only ``bell_coefficients`` with :func:`nonlocal_bell_measurement` and makes no
+    matrix product: the outcome is drawn from the ancillas' Born weights in the register, and
+    the surviving pair state is that register's selected block over the root of its weight
+    (the division a collapse makes), not constructed.
     """
     final = _run_gates(state12)
     k, prob = _draw(final, _ANCILLA_ROWS, rng)
@@ -285,10 +281,8 @@ def circuit_outcome_distribution(
     """
     final = _run_gates(state12)
     probs = _marginal_probabilities(final, _ANCILLA_ROWS).tolist()  # the weights _draw samples
-    result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
-    for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs)):
-        result[outcome] = (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)
-    return result
+    return {outcome: (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)
+            for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs))}
 
 
 def sample_histogram(
@@ -299,5 +293,5 @@ def sample_histogram(
     Each shot measures a freshly prepared copy; the counts are drawn in one
     multinomial step. Keys are the readout strings "00".."11".
     """
-    counts = _multinomial(shots, np.array(_readout_weights(state12)), rng)
+    counts = _multinomial(shots, np.array(_READOUT_ORDER(_bell_weights(state12))), rng)
     return {key: int(c) for key, c in zip(_OUTCOME_KEYS, counts)}

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _is_integer, _require_finite
+from .statevec import _is_integer, _python_number, _require_finite
 
 __all__ = [
     "ControlError",
@@ -159,8 +159,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     counts as on the boundary), DegenerateSteeringError when the denominator
     or sin^2 gamma vanishes.
     """
-    if not type(gamma) is type(f00) is type(f11) is float:  # numpy scalar arithmetic would warn
-        gamma, f00, f11 = (v.item() if isinstance(v, np.generic) else v for v in (gamma, f00, f11))
+    gamma, f00, f11 = map(_python_number, (gamma, f00, f11))  # numpy arithmetic would warn
     _check_gamma(gamma)
     _require_finite("target populations", f00, f11)
     if f00 < 0.0 or f11 < 0.0:
@@ -291,6 +290,7 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     non-finite argument, a negative frequency, an ndelta whose 4 pi ndelta
     overflows, or frequencies that do not sum to 1.
     """
+    f00, f01, f11, ndelta = map(_python_number, (f00, f01, f11, ndelta))
     _require_finite("frequencies and ndelta", f00, f01, f11, ndelta)
     if min(f00, f01, f11) < 0.0:
         raise ValueError(f"frequencies must be non-negative, got ({f00!r}, {f01!r}, {f11!r})")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .source import SourceSpec, _emission, _species
 from .statevec import (PureState, _complex_array, _fresh, _is_finite, _is_integer, _or_infinity,
-                       _require_finite)
+                       _python_number, _require_finite)
 
 __all__ = [
     "BestRational",
@@ -54,8 +54,8 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         for name in ("J", "B1", "B2"):
-            if isinstance(value := getattr(self, name), np.generic):
-                object.__setattr__(self, name, value.item())
+            if type(value := getattr(self, name)) is not float:
+                object.__setattr__(self, name, _python_number(value))
 
     @property
     def b_minus(self) -> float:
@@ -114,7 +114,7 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
     J, bm = fp.J, fp.b_minus
     require(("B1 - B2", bm), ("t", t))
-    t = t.item() if isinstance(t, np.generic) else t  # as a field: Python arithmetic from here
+    t = _python_number(t)  # as a field: Python arithmetic from here
     omega = math.hypot(bm, 2.0 * J)
     e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
     require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
@@ -156,10 +156,6 @@ class BestRational(NamedTuple):
     delta: float
 
 
-def _ratio(j: float) -> tuple[int, int]:
-    return (int(j) if _is_integer(j) else j).as_integer_ratio()  # numpy ints have no such method
-
-
 def _gap(ratio: tuple[int, int], num: int, den: int) -> float:
     """j - num/den, j given as its integer ``ratio``: ``float(Fraction(j) - Fraction(num, den))``.
 
@@ -189,7 +185,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     max_den = int(max_den)
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    a, b = _ratio(j)
+    a, b = _python_number(j).as_integer_ratio()  # numpy ints have no such method
     if b <= max_den:
         return BestRational(a, b, 0.0)
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -251,25 +247,25 @@ class ControlKnob:
     ndelta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.n
+        n, delta = _python_number(self.n), _python_number(self.delta)
         # The upper bound keeps n * delta a finite float.
         if not _is_integer(n) or not 0 <= n <= sys.float_info.max:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        if not abs(self.delta) <= 0.5:
-            raise ValueError(f"|delta| <= 1/2 violated: got {self.delta!r}")
+        if not abs(delta) <= 0.5:
+            raise ValueError(f"|delta| <= 1/2 violated: got {delta!r}")
         if self.provenance is not None:
-            j, num, den = self.provenance
+            j, num, den = map(_python_number, self.provenance)
             _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
             if den < 1:
                 raise ValueError(f"provenance denominator must be >= 1, got {den}")
-            implied = _gap(_ratio(j), int(num), int(den))
-            if abs(self.delta - implied) > _PROVENANCE_TOL:
+            implied = _gap(j.as_integer_ratio(), int(num), int(den))
+            if abs(delta - implied) > _PROVENANCE_TOL:
                 raise ValueError(
-                    f"delta {self.delta!r} disagrees with provenance j - Q(j) = {implied!r}"
+                    f"delta {delta!r} disagrees with provenance j - Q(j) = {implied!r}"
                 )
-        ndelta = self.n * self.delta
+        ndelta = n * delta
         if not math.isfinite(2.0 * math.pi * ndelta):
             raise ValueError(f"2 pi n delta overflows: n * delta = {ndelta!r}")
         object.__setattr__(self, "ndelta", ndelta)

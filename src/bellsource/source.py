@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevec import (_RSQRT2, PureState, _fresh, _is_finite, _or_infinity, _require_finite,
-                       bell_state)
+from .statevec import (_RSQRT2, PureState, _fresh, _is_finite, _or_infinity, _python_number,
+                       _require_finite, _squared_norm, bell_state)
 
 __all__ = [
     "ComponentStates",
@@ -47,7 +47,7 @@ class SourceSpec:
     Invariants checked on construction: p1^2 + p2^2 = 1 and
     theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2]; a NaN or
     infinite parameter, an int angle past the float range (its sum reads nan),
-    or a weight whose square overflows fails them.
+    or a weight whose square overflows fails them. numpy fields are held as Python numbers.
     The state amplitudes are alpha1 = cos(gamma), alpha2 = sin(gamma).
     """
 
@@ -58,10 +58,13 @@ class SourceSpec:
     theta2: float
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "p1", "p2", "theta1", "theta2"):
+            if type(value := getattr(self, name)) is not float:
+                object.__setattr__(self, name, _python_number(value))
         p1, p2 = self.p1, self.p2
         if not (abs(p1) <= 2 and abs(p2) <= 2 and abs(p1**2 + p2**2 - 1.0) <= _SPEC_TOL):
             weight = math.inf  # kept where a float square leaves the float range and raises
-            with np.errstate(over="ignore"), contextlib.suppress(OverflowError):  # numpy's: inf
+            with contextlib.suppress(OverflowError):
                 weight = _or_infinity(p1**2 + p2**2)  # an int sum past the range reads inf too
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
         finite = _is_finite(self.theta1) and _is_finite(self.theta2)  # no sum past the float range
@@ -84,6 +87,7 @@ class SourceSpec:
         cls, gamma: float, p1: float, theta1: float, p2_negative: bool = False
     ) -> "SourceSpec":
         """Complete a spec from (gamma, p1, theta1); p2 and theta2 are derived."""
+        p1, theta1 = _python_number(p1), _python_number(theta1)  # derived in Python floats too
         if not abs(p1) <= 1.0:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} is not at most 1")
         p2 = math.sqrt(max(0.0, 1.0 - p1**2))
@@ -150,20 +154,16 @@ def _superpose(
     """superpose_species on raw species amplitudes (Python float or complex).
 
     Real and imaginary parts are combined apart, so a real amplitude and the
-    same value held as a complex give the same bits. The raw squared norm is
-    summed in one fixed order: the real parts, then the imaginary parts.
+    same value held as a complex give the same bits.
     """
     a1, a2, p1, p2 = spec.alpha1, spec.alpha2, spec.p1, spec.p2
-    parts = [
-        (a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
-         a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
-        for e, f, g in zip(species1, species2_first, species2_second)
-    ]
-    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = parts
-    raw_norm = (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3) + (i0 * i0 + i1 * i1 + i2 * i2 + i3 * i3)
+    parts = [complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
+                     a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
+             for e, f, g in zip(species1, species2_first, species2_second)]
+    raw_norm = _squared_norm(parts)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return _fresh(np.array(parts).view(complex).ravel() / math.sqrt(raw_norm)), raw_norm
+    return _fresh(np.array(parts) / math.sqrt(raw_norm)), raw_norm
 
 
 def superpose_species(

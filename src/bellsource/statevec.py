@@ -58,11 +58,14 @@ def _is_integer(value: object) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+def _python_number(value: object) -> object:
+    """``value``, or the Python number a numpy scalar holds: no later arithmetic wraps or warns."""
+    return value if type(value) is float or not isinstance(value, np.generic) else value.item()
+
+
 def _is_finite(value: float) -> bool:
     """A finite real: NaN, the infinities and an int past the float range fail, compared exactly."""
-    if type(value) is not float and isinstance(value, np.generic):  # numpy would cast the bound
-        value = value.item()  # to a float32 operand's type, where it overflows
-    return abs(value) <= sys.float_info.max
+    return abs(value if type(value) is float else _python_number(value)) <= sys.float_info.max
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -85,6 +88,15 @@ def _complex_array(values: object) -> np.ndarray:
         raise ValueError("entries must be finite, got an int past the float range") from None
 
 
+def _squared_norm(values: Sequence[complex]) -> float:
+    """Sum of |v|^2: the real squares, the imaginary squares, then both; ``*`` overflows to inf."""
+    re = im = 0.0
+    for v in values:
+        re += v.real * v.real
+        im += v.imag * v.imag
+    return re + im
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over 1..4 qubits.
@@ -102,9 +114,7 @@ class PureState:
     def __post_init__(self, normalize: bool) -> None:
         amps = _complex_array(self.amplitudes).reshape(-1)
         if normalize and amps.size in _QUBITS_OF_SIZE:  # a bad length fails in _fresh
-            # The norm divides the amplitudes here, so it decides their bits.
-            with np.errstate(over="ignore"):  # a sum of squares past the float range reads inf
-                norm = float(np.linalg.norm(amps))
+            norm = math.sqrt(_squared_norm(amps.tolist()))
             if not math.isfinite(norm):
                 raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
             if norm < 1e-12:
@@ -338,16 +348,13 @@ def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
     return _bell_lookup(_BELL_STATES, label)
 
 
-# Conjugated once here: bell_coefficients reads <label|state> on every shot.
-_BELL_BRAS = np.array(tuple(_BELL_AMPLITUDES.values())).conj()
-
-
 def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (c00, c01, c10, c11) of a 2-qubit state in the Bell basis."""
+    """Coefficients (c00, c01, c10, c11) of a 2-qubit state in the Bell basis, by butterflies."""
     if state.num_qubits != 2:
         raise ValueError(f"Bell decomposition needs a 2-qubit state, got {state.num_qubits}")
-    c = _BELL_BRAS @ state.amplitudes
-    return (complex(c[0]), complex(c[1]), complex(c[2]), complex(c[3]))
+    x00, x01, x10, x11 = state.amplitudes.tolist()
+    r = _RSQRT2
+    return ((x00 + x11) * r, (x01 + x10) * r, (x00 - x11) * r, (x01 - x10) * r)
 
 
 def fidelity_up_to_phase(a: PureState, b: PureState) -> float:

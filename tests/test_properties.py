@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 import tempfile
 import warnings
@@ -550,36 +549,15 @@ def test_the_numeric_argument_table_names_every_public_callable():
     assert not named & NO_NUMERIC_ARGUMENT
 
 
-# Calls whose arithmetic on numpy scalars still warns where Python floats
-# overflow or divide quietly into the infinity or NaN a later check refuses
-# (ROADMAP item 5): each may warn so when a numpy scalar meets one of its
-# extremes, and never otherwise. The finite extremes are +-1e308, a zero,
-# +-5e-324 and an int past the float range.
-_FINITE_EXTREMES = frozenset({1e308, -1e308, 0.0, 5e-324, -5e-324, 10**400, -(10**400)})
-_NUMPY_ARITHMETIC_WARNS = dict.fromkeys((
-    "ControlKnob+provenance", "SourceSpec", "infer_parameters", "table_populations",
-), _FINITE_EXTREMES)
-_NUMPY_ARITHMETIC = re.compile(r"(overflow|invalid value|divide by zero) encountered in ")
-
-
-def _numpy_arithmetic_warning(name, args, caught):
-    extremes = _NUMPY_ARITHMETIC_WARNS.get(name, ())
-    return (any(isinstance(arg, np.generic) for arg in args)
-            and any(arg in extremes for arg in args)
-            and issubclass(caught.category, RuntimeWarning)
-            and _NUMPY_ARITHMETIC.match(str(caught.message)) is not None)
-
-
 def _refused_only_by_value_error(name, args):
-    """Only ValueError (or a subclass) escapes, and no warning but a known numpy one."""
+    """Only ValueError (or a subclass) escapes, and no warning at all."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             NUMERIC_ARGUMENTS[name][0](*args)
         except ValueError:
             pass
-    unexpected = [w for w in caught if not _numpy_arithmetic_warning(name, args, w)]
-    assert not unexpected, (name, args, [str(w.message) for w in unexpected])
+    assert not caught, (name, args, [str(w.message) for w in caught])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

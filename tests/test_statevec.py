@@ -733,6 +733,32 @@ class TestNumpyScalars:
     def test_a_float32_argument_raises_no_warning(self, call):
         no_warning(call)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: ControlKnob(3, np.float32(-0.0), RationalProvenance(1e308, 1, 4)),
+          r"^delta -0\.0 disagrees with provenance j - Q\(j\) = 1e\+308$"),
+         (lambda: SourceSpec(0.3, 1.0, 0.0, np.float32(0.0), 1e308),
+          r"^theta1 \+ theta2 = pi/2 violated: got 1e\+308$"),
+         (lambda: infer_parameters(0.3, 0.4, 0.3, np.float64(1e308)),
+          r"^ndelta=1e\+308 is too large: 4 pi ndelta overflows$"),
+         (lambda: table_populations(0.3, 0.5, 0.5, np.float64(1e308)), r"^math domain error$")],
+        ids=["ControlKnob+provenance", "SourceSpec", "infer_parameters", "table_populations"],
+    )
+    def test_a_numpy_scalar_at_a_finite_extreme_raises_no_warning(self, call, message):
+        # Each warned first: "overflow encountered in cast" or "in scalar multiply".
+        with pytest.raises(ValueError, match=message):
+            no_warning(call)
+
+    def test_a_source_spec_holds_numpy_fields_as_python_numbers(self):
+        # The float32 weights made float32 parts, and the emission raised numpy's
+        # "When changing to a larger dtype" error; from_p1_theta1 derived p2 in float32.
+        spec = SourceSpec(0.7, np.float32(1.0), np.float32(0.0), np.float64(0.3), math.pi / 2 - 0.3)
+        assert [type(v) for v in (spec.gamma, spec.p1, spec.p2, spec.theta1)] == [float] * 4
+        assert emitted_state(spec)[0].amplitudes.tobytes() == emitted_state(
+            SourceSpec(0.7, 1.0, 0.0, 0.3, math.pi / 2 - 0.3))[0].amplitudes.tobytes()
+        derived = SourceSpec.from_p1_theta1(0.7, np.float32(0.6), np.float32(0.3))
+        assert derived.p2 == math.sqrt(1.0 - float(np.float32(0.6)) ** 2)
+
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
         # Each raised AttributeError: no as_integer_ratio on numpy.int64.
         assert rational_approx(np.int64(0), 4) == rational_approx(0, 4)
@@ -748,11 +774,13 @@ class TestPastTheFloatRange:
         with pytest.raises(ValueError, match=r"^E00 \* t must be finite, got inf for "):
             evolve(psi1(), FieldParams(0, 10**308, 10**308), 1.0)
 
-    @pytest.mark.parametrize("p1, p2", [(10**200, 0), (np.float32(1e38), 0.0)],
+    @pytest.mark.parametrize("p1, p2, weight", [(10**200, 0, "inf"),
+                                                (np.float32(1e38), 0.0, r"9\.999999360571395e\+75")],
                              ids=["int", "float32"])
-    def test_a_weight_whose_square_leaves_the_float_range(self, p1, p2):
-        # The ints raised OverflowError; the float32 warned "overflow encountered in scalar power".
-        with pytest.raises(ValueError, match=r"^p1\^2 \+ p2\^2 = 1 violated: got inf$"):
+    def test_a_weight_whose_square_leaves_the_float_range(self, p1, p2, weight):
+        # The ints raised OverflowError; the float32 warned "overflow encountered in scalar power"
+        # and read inf. It is now held as the Python float it equals, whose square is finite.
+        with pytest.raises(ValueError, match=rf"^p1\^2 \+ p2\^2 = 1 violated: got {weight}$"):
             no_warning(lambda: SourceSpec(0.5, p1, p2, 0.3, math.pi / 2 - 0.3))
 
     def test_an_int_hamiltonian_entry_past_the_float_range(self):
@@ -786,8 +814,14 @@ class TestEntryConversion:
         "call, message",
         [(lambda: UnitaryMatrix([[math.inf, 0], [0, 1]]), r"deviates from I by nan"),
          (lambda: UnitaryMatrix([[1e200, 0], [0, 1]]), r"deviates from I by inf"),
-         (lambda: PureState([1e308, 1e308], normalize=True), "non-finite norm inf")],
-        ids=["unitary-inf", "unitary-1e200", "normalize-1e308"],
+         (lambda: PureState([1e308, 1e308], normalize=True), "non-finite norm inf"),
+         (lambda: PureState([math.inf, 0], normalize=True), "non-finite norm inf"),
+         (lambda: PureState([math.nan, 0], normalize=True), "non-finite norm nan"),
+         (lambda: PureState([math.inf, math.nan], normalize=True), "non-finite norm nan"),
+         (lambda: PureState([1e200, 1e200], normalize=True), "non-finite norm inf"),
+         (lambda: PureState([1e-200, 1e-200], normalize=True), "normalize a zero vector")],
+        ids=["unitary-inf", "unitary-1e200", "normalize-1e308", "normalize-inf",
+             "normalize-nan", "normalize-inf-nan", "normalize-1e200", "normalize-1e-200"],
     )
     def test_an_overflowing_check_raises_no_warning(self, call, message):
         # Each warned first: invalid value or overflow in matmul, overflow in dot.
