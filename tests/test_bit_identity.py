@@ -3,25 +3,26 @@
 ``bit_digest`` feeds the exact bytes of every result below into one SHA-256:
 outcomes, probabilities (as float hex) and amplitude buffers. All draws come
 from one seeded generator, so a change to the number or order of draws moves
-every later byte as well. ``bit_digest`` and ``readout_digest`` were last
-pinned when the circuit shot came to build its register by the gates'
-structure, the other two when the emission builders moved to their closed
-form (README, "Notes on the math"); an optimisation must keep them.
+every later byte as well. All four digests were last pinned when
+``bell_coefficients`` came to compute the Bell basis change by butterflies and
+``PureState(normalize=True)`` its norm by ``statevec._squared_norm`` (README,
+"Byte-identical output"); an optimisation must keep them.
 
 ``emission_digest`` covers the emission builders at the domain edges, where
 signed zeros show: it pins the bytes of the closed form, its part-by-part
 superposition and its fixed-order raw norm.
 
-The circuit shot and ``circuit_outcome_distribution`` build their register
-by the gates' structure in Python arithmetic. Only the gate-by-gate route of
-``evolution_digest`` still multiplies by 16 x 16 gates through numpy's
-matmul, with ``apply_unitary``'s user matrices, so that digest pins the BLAS
-matrix-vector kernel of the machine it runs on. ``bit_digest`` pins it too,
-through ``np.linalg.norm`` in the ``PureState(normalize=True)`` of its random
-inputs. ``readout_digest`` and ``emission_digest`` read the same under the
-OpenBLAS SkylakeX, Haswell and Nehalem kernels. The emission and evolution
+Every report byte is computed in Python arithmetic or elementwise numpy, with
+no BLAS call: the Bell coefficients, the normalize norm, the circuit register
+and the emission. Only the gate-by-gate route of ``evolution_digest`` still
+multiplies by 16 x 16 gates through numpy's matmul, with ``apply_unitary``'s
+user matrices, so that digest pins the BLAS matrix-vector kernel of the
+machine it runs on. The other three read the same under the OpenBLAS
+SkylakeX, Haswell, Nehalem and Prescott kernels. The emission and evolution
 builders call ``math.sin``, ``cos`` and ``exp``, so the digests also pin the
-libm variant glibc selects for the host's CPU (ROADMAP item 2).
+libm variant glibc selects for the host's CPU, and the seeded draws pin
+numpy's Generator streams (``test_numpy_generator_streams_are_pinned``;
+ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def bit_digest(count: int, seed: int = 0) -> str:
         feed((), 1.0, tensor(factor, basis))
         feed((), 1.0, tensor(basis, factor))
     return h.hexdigest()
+
+
+def test_numpy_generator_streams_are_pinned():
+    """The two draws every seeded byte rests on: ``Generator.random`` (each shot's Born
+    draw) and ``Generator.multinomial`` (each histogram). NEP 19 lets numpy change
+    them between releases; such a change fails here by name before any digest."""
+    rng = np.random.default_rng(0)
+    assert [rng.random().hex() for _ in range(3)] == [
+        "0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]
+    assert rng.multinomial(10**6, [0.1, 0.2, 0.3, 0.4]).tolist() == [99482, 200479, 299243, 400796]
 
 
 def test_seeded_shot_and_primitive_bits_are_pinned():
