@@ -349,7 +349,7 @@ class TestConfigEdges:
         )
         assert explicit.exit_code == 0
         assert _sha256(explicit) == (
-            "43f28bb312f3ef941400d0e14d4c732ca09507855c96e6a8b9cb3cee9fdf7924"
+            "127daa76abec155eac06374fc7cc5843656dabf9411300308eb86a2480654096"
         )
         derived = runner.invoke(main, ["simulate", worked_config(tmp_path, p1=1.0000000001)])
         assert derived.exit_code == 2
@@ -445,12 +445,12 @@ DIGEST_CONFIGS = {
 # when the emission moved to its closed form.
 STDOUT_DIGESTS = {
     ('field', 0): (
-        '9e4e21c88e52184b3141d4b8987f5a0fa5f9b42a42464f160cb433065a237c80',
-        '62f0ec7b1d425ddbcd24546920e87de616923e11122d122b0f1ef9d30d9b981f',
+        '2cba2da44733037f364df29bbd74d1215703156dec73d769d412e8fbdf49a311',
+        '096719b75cd3ba0e410681a9a8dbea515efc2240d91200645fa40831b407be8d',
     ),
     ('field', 7): (
-        'ed74cd02a258f878a8f54e1d34aca85b169c96a5cfdfc7f9b6a2aadd92587dee',
-        '6ef6f7f52fb6d152162a2320ba9c371bc6ea0d3ae06b78ed7b21028995501283',
+        '4455a38f7804bb458b60a4c73162561cbc7b5e33a3446108864e8dd4dbd56591',
+        '02f962671893ff9ca0a882e14cc2677988e1d74578a25e47e22358794ab2c5d2',
     ),
     ('field_half_pi', 0): (
         '0da2b4d0b24ee6d241faab3a7ab05e25dfd5b0272dc84219e5ee7cd6fbf2d481',
@@ -461,20 +461,20 @@ STDOUT_DIGESTS = {
         '9da32825e236d57953fe1f172406cdf0156109ff2074d2529d6230b6304b2d51',
     ),
     ('field_small', 0): (
-        '3bc0da77cecc86c5effd56cb6dc244de8448e268b9ae31f938942a6f75dc8b74',
-        '922dc75496d1bd30a9844379eda472e5ad5209de883a3d34b61e626733f03949',
+        '40d415ecd1d1a900963ab27d4d70a73e184df06b53da881d97bdf9585411df51',
+        '4a6e3be72c700a92ebfe71340c8df7aee0d9452869a7a5954403d9ae1cd0799f',
     ),
     ('field_small', 7): (
-        'cb78eb8f0e9abc1f0b150489ceed6c8a952486f9bd66c1038f0adef6a8da9038',
-        '63af8d76d984ceb4f71e7a85261812917e9b6dea5a06c60ce32cd2222566c6cc',
+        '74ba8148353270a2905bb895d72ef937bd6d3ed812f04c22c05620bb174e40a2',
+        'e6956008e920ec9b1bd6d79c8d3964386bfc8013c303dd297c5527d30bbcc595',
     ),
     ('gamma_half_pi', 0): (
-        'cda8c4eee509d5c494323adfe8e27f3337b6e458f33ce87fb03e7f44107e338e',
-        '991cfd199043ea56889e41d2e5a2d0bfe621fb7ac93e7e2394bdb5db12cb96fd',
+        '83a4be24840dc90d8dad4d900b87f6c4c4809c4a94fcd3d65ef1eef68d204ee4',
+        '934e8778f650bbd194eb918af7b7c750c797ca74dec571fd7dd9a719f16aaf9a',
     ),
     ('gamma_half_pi', 7): (
-        '619f805f9abfbd741a25dfe0f6695cc43339f3459eb293badf3674382c438037',
-        '68e6f9bf55fc474332ef2e441125aca8637ba03852f033583a9a8a1d80871947',
+        'e4a8ab473dfa9dde8780fd345ff6c40a2ff5996dc2fae1b4e78a9099a5306f65',
+        '6b646d5037a1824cc814b8a537130b85ab69265dd1a7fd4c3d0bc71d844344d4',
     ),
     ('gamma_small', 0): (
         'df6930ec323b3fd6fe3ccff091a5d240f439fb55c8cd691e19bcbf7087d924bf',
@@ -493,20 +493,20 @@ STDOUT_DIGESTS = {
         'e57f1ed3504f4bbc3a73f45d1925d0d2d79a322d183b3d1951e81f7990c45bd1',
     ),
     ('p2_negative', 0): (
-        '600df25528d0f926a9fd9810bde295320ffd204c1c947ea79c127d5c57b44efd',
-        'b2eae75ca30c83abc227fe0693bd474121f90613459c1fa3880339189b0ba487',
+        'f142c88882a48435aea0c9001b880e4ff49eef8bf3038ae47746b5e4eb58afa5',
+        'a5d280c818d53063bf997788426f585cf4651de96db6a46de1dc4dc17bc7c654',
     ),
     ('p2_negative', 7): (
-        '723ec27e908196a89357596d956b77b5825e580c882cd2a428bca7319068ab11',
-        'f020adb81ed89cfc140bcd0cf75850f6621532505d566f89f3f06ce77a51fa47',
+        'f9fdc676380390c80017e97c2cede2e620e4baf73a739071858dd65e48ca26b7',
+        'bd1a744d851ee054fcbe7bbd8193dda4d61c888d4280d0ab23a85116ec993303',
     ),
     ('worked', 0): (
-        '89b276a5145316eecf2307a2b9dee40eede572722fbb44ec6977b15d1d69a2a5',
-        '8b397bf1679bf7a5dd31f738c94ac4322ccd08a678f1e7d080e718e17a51d524',
+        '0d9a46d6c6715cef07d1f79f7771d9b9192d1f76f19ebd007d7381595a56253a',
+        '431ee5f9fcb8a4f445db255e4bc382c9942d9ab288b56ed82b60896e100b6080',
     ),
     ('worked', 7): (
-        '7dbd839724ede1d3f625573a126e922865fba8917b81c2c466964fb539d54680',
-        'cc6bbea763e4bac83f1c3cd3a9dd3bb3b1e158dc518f6f026fe259a34fb2e925',
+        '46f1cda15c2ecd00162b103179842cc39b2cfbd0687a4a6e40eef3185731b5fc',
+        '590a32284bd327cc93cfeb8ee2f2f2c5acd8cab833798cffee76daf682f2a68c',
     ),
 }
 
