@@ -281,8 +281,10 @@ def circuit_outcome_distribution(
     """
     final = _run_gates(state12)
     probs = _marginal_probabilities(final, _ANCILLA_ROWS).tolist()  # the weights _draw samples
-    return {outcome: (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)
-            for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs))}
+    result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
+    for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs)):
+        result[outcome] = (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)
+    return result
 
 
 def sample_histogram(

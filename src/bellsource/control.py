@@ -157,9 +157,8 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     ValueError for gamma outside (0, pi/2] or a negative or non-finite
     target, InfeasibleError when a bound fails by more than 1e-12 (closer
     counts as on the boundary), DegenerateSteeringError when the denominator
-    or sin^2 gamma vanishes. The solve designs a source with C^2 + S^2 = 1
-    (raw norm N = 1): for a given source with N != 1 the knob steers wrong
-    (README, "Notes on the math").
+    or sin^2 gamma vanishes. It designs a source with C^2 + S^2 = 1 (raw norm
+    N = 1); a given source with N != 1 it steers wrong (README, "Notes on the math").
     """
     gamma, f00, f11 = map(_python_number, (gamma, f00, f11))  # numpy arithmetic would warn
     _check_gamma(gamma)
