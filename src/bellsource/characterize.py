@@ -143,11 +143,13 @@ def table_populations(
     f01 = S^2 sin^2(g)
     f10 = 0
     f11 = C^2 sin^2(g) cos^2(x) + cos^2(g) sin^2(x)      with x = 2 pi n delta.
-    A NaN or infinite argument, or an int past the float range, raises ValueError.
+    NaN, an infinity, an int past the float range or an overflowing 2 pi ndelta raises ValueError.
     """
     gamma, c_squared, s_squared, ndelta = map(_python_number, (gamma, c_squared, s_squared, ndelta))
     _require_finite("gamma, C^2, S^2 and ndelta", gamma, c_squared, s_squared, ndelta)
     x = 2.0 * math.pi * ndelta
+    if not math.isfinite(x):
+        raise ValueError(f"ndelta={ndelta!r} is too large: 2 pi ndelta overflows")
     cos2_g = math.cos(gamma) ** 2
     sin2_g = math.sin(gamma) ** 2
     cos2_x = math.cos(x) ** 2

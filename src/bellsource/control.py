@@ -39,9 +39,7 @@ __all__ = [
     "solve_ndelta",
     "feasible",
     "region_arrays",
-    "region_grid",
     "infer_parameters",
-    "infer_ndelta",
 ]
 
 _SINGULAR_TOL = 1e-9
@@ -137,9 +135,14 @@ def _steering_terms(gamma, f00, f11):
     return s_req, denom, math.cos(gamma) ** 2 - f00
 
 
+def _within01(value):
+    """``value`` in [0, 1] up to the slack, for a float or elementwise for an array; NaN is not."""
+    return (-_BOUND_TOL <= value) & (value <= 1.0 + _BOUND_TOL)
+
+
 def _clamp01(value: float, bound: str) -> float:
     """``value`` clamped to [0, 1]; InfeasibleError(bound) if it misses by more than the slack."""
-    if not -_BOUND_TOL <= value <= 1.0 + _BOUND_TOL:
+    if not _within01(value):
         raise InfeasibleError(bound, f"got {value!r}")
     return min(max(value, 0.0), 1.0)
 
@@ -223,9 +226,9 @@ def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarr
         s_req, denom, numer = _steering_terms(gamma, axis[:, None], axis[None, :])
         quotient = numer / denom
     ok = axis[:, None] + axis[None, :] <= 1.0 + _BOUND_TOL
-    ok &= (-_BOUND_TOL <= s_req) & (s_req <= 1.0 + _BOUND_TOL)
+    ok &= _within01(s_req)
     ok &= denom != 0.0
-    ok &= (-_BOUND_TOL <= quotient) & (quotient <= 1.0 + _BOUND_TOL)
+    ok &= _within01(quotient)
     return ok, quotient
 
 
@@ -267,18 +270,6 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     ndelta = np.full(ok.shape, np.nan)
     ndelta[ok] = picked
     return RegionArrays(axis, ok, s_squared, ndelta)
-
-
-def region_grid(gamma: float, resolution: int) -> list[RegionPoint]:
-    """feasible(gamma, f00, f11) over region_arrays' grid, as RegionPoints.
-
-    Row-major: f00 varies slowest. The per-point view, one scalar solve per
-    target, for plotting the steering region slice at the given gamma;
-    region_arrays, the kernel the region command uses, validates the
-    arguments and supplies the axis, so this raises ValueError as it does.
-    """
-    axis = region_arrays(gamma, resolution).axis.tolist()
-    return [feasible(gamma, f00, f11) for f00 in axis for f11 in axis]
 
 
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:
@@ -326,12 +317,3 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
         S_squared=s_squared,
         residual=abs(c_squared + s_squared - 1.0),
     )
-
-
-def infer_ndelta(f00: float, f11: float, gamma: float) -> float:
-    """Principal control value explaining measured (f00, f11) at known gamma.
-
-    Raises the solve_ndelta failures when the pair is not reachable.
-    """
-    return solve_ndelta(gamma, f00, f11).ndelta_principal
-

@@ -182,10 +182,10 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     """
     if not _is_integer(max_den) or max_den < 1:
         raise ValueError(f"max_den must be a positive integer, got {max_den!r}")
-    max_den = int(max_den)
+    max_den, j = int(max_den), _python_number(j)  # numpy ints have no as_integer_ratio
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
-    a, b = _python_number(j).as_integer_ratio()  # numpy ints have no such method
+    a, b = j.as_integer_ratio()
     if b <= max_den:
         return BestRational(a, b, 0.0)
     p0, q0, p1, q1 = 0, 1, 1, 0

@@ -69,10 +69,11 @@ def _is_finite(value: float) -> bool:
 
 
 def _require_finite(what: str, *values: float) -> None:
-    """The finite rule's one refusal: ValueError naming ``what`` and the value (or values)."""
+    """The finite rule's one refusal: ValueError naming ``what`` and the value (or values),
+    each numpy scalar shown as the Python number it holds."""
     if not all(map(_is_finite, values)):
-        shown = values[0] if len(values) == 1 else values
-        raise ValueError(f"{what} must be finite, got {shown!r}")
+        shown = tuple(map(_python_number, values))
+        raise ValueError(f"{what} must be finite, got {(shown[0] if len(shown) == 1 else shown)!r}")
 
 
 def _or_infinity(value: float) -> float:

@@ -155,6 +155,13 @@ class TestAnalyticPopulations:
         with pytest.raises(ValueError, match="invalid population weights"):
             PopulationTable.from_raw(Populations(*raw))
 
+    # Raised "math domain error" from math.cos(inf): the knob is finite, 2 pi ndelta is not.
+    @pytest.mark.parametrize("ndelta", [1e308, 3e307, -1e308])
+    def test_table_populations_refuses_an_overflowing_knob(self, ndelta):
+        with pytest.raises(ValueError) as info:
+            table_populations(0.3, 0.5, 0.5, ndelta)
+        assert str(info.value) == f"ndelta={ndelta!r} is too large: 2 pi ndelta overflows"
+
     def test_table_populations_direct(self):
         pops = table_populations(math.pi / 3, 0.2, 0.8, 0.0)
         assert pops.f00 == pytest.approx(0.25, abs=1e-12)

@@ -17,11 +17,9 @@ from bellsource import (
     UnidentifiableSourceError,
     controlled_emission,
     feasible,
-    infer_ndelta,
     infer_parameters,
     populations_exact,
     region_arrays,
-    region_grid,
     solve_ndelta,
     table_populations,
 )
@@ -58,6 +56,28 @@ class TestSolveNdelta:
         sol = solve_ndelta(gamma, f00, f11)
         assert sol.s_squared == pytest.approx(0.0, abs=1e-12)
         assert sol.required_C_squared == pytest.approx(c2, abs=1e-12)
+        # Rounding in cos^2(pi/4) leaves a ~1e-16 numerator, which the square
+        # root inflates to ~1e-8 in the angle; the sin^2 view stays at 1e-9.
+        for c2 in (0.1, 0.5, 0.9):
+            recovered = solve_ndelta(math.pi / 4, 0.5, c2 * 0.5).ndelta_principal
+            assert recovered == pytest.approx(0.0, abs=1e-7)
+            assert math.sin(2 * math.pi * recovered) ** 2 < 1e-9
+
+    def test_round_trip_200_random(self, rng):
+        done = 0
+        while done < 200:
+            gamma = rng.uniform(0.1, math.pi / 2)
+            tau = rng.uniform(0.0, math.pi / 2)
+            ndelta = rng.uniform(0.0, 0.25)
+            pops = table_populations(gamma, math.cos(tau) ** 2, math.sin(tau) ** 2, ndelta)
+            try:
+                recovered = solve_ndelta(gamma, pops.f00, pops.f11).ndelta_principal
+            except (InfeasibleError, DegenerateSteeringError):
+                continue
+            lhs = math.sin(2 * math.pi * recovered) ** 2
+            rhs = math.sin(2 * math.pi * ndelta) ** 2
+            assert lhs == pytest.approx(rhs, abs=1e-9)
+            done += 1
 
     def test_moment_split_consistency(self):
         sol = solve_ndelta(1.1, 0.25, 0.35)
@@ -160,10 +180,6 @@ SIGNED_ZERO_GAMMAS = [0.9272952180016123, 1.2490457723982544]
 
 
 class TestRegionGrid:
-    def test_resolution_precondition(self):
-        with pytest.raises(ValueError, match="resolution"):
-            region_grid(math.pi / 4, 1)
-
     # 3.5 built a 4 x 4 grid whose axis ran to 1.2.
     @pytest.mark.parametrize("resolution", [3.5, 3.0, True])
     def test_resolution_must_be_an_integer(self, resolution):
@@ -183,49 +199,28 @@ class TestRegionGrid:
             region_arrays(3.0, 11)
 
     def test_row_major_layout(self):
-        grid = region_grid(math.pi / 4, 3)
-        assert len(grid) == 9
-        assert [(p.f00_target, p.f11_target) for p in grid[:3]] == [
-            (0.0, 0.0),
-            (0.0, 0.5),
-            (0.0, 1.0),
-        ]
+        # Entry [i, j] is (f00, f11) = (axis[i], axis[j]); flattened, f00 varies
+        # slowest, the order of the region command's rows.
+        scan = region_arrays(math.pi / 4, 3)
+        axis = scan.axis.tolist()
+        assert axis == [0.0, 0.5, 1.0]
+        points = [feasible(math.pi / 4, f00, f11) for f00 in axis for f11 in axis]
+        assert scan.feasible.ravel().tolist() == [p.feasible for p in points]
+        expected = [p.solution.s_squared if p.feasible else math.nan for p in points]
+        np.testing.assert_array_equal(scan.s_squared.ravel(), expected)
+        assert scan.s_squared[0, 1] == 1.0  # not symmetric: about 2e-16 at [1, 0]
 
     def test_quarter_pi_slice(self):
-        grid = region_grid(math.pi / 4, 101)
-        feasible_points = [p for p in grid if p.feasible]
-        assert feasible_points
-        match = [
-            p
-            for p in grid
-            if abs(p.f00_target - 0.30) < 1e-12 and abs(p.f11_target - 0.30) < 1e-12
-        ]
-        assert len(match) == 1 and match[0].feasible
+        scan = region_arrays(math.pi / 4, 101)
+        assert scan.feasible.any()
+        (i,) = np.flatnonzero(np.abs(scan.axis - 0.30) < 1e-12)
+        assert scan.feasible[i, i]
+        assert scan.ndelta[i, i] == pytest.approx(0.125, abs=1e-12)
 
     def test_probability_bound_propagates(self):
-        for point in region_grid(math.pi / 4, 21):
-            if point.f00_target + point.f11_target > 1.0:
-                assert not point.feasible
-
-    def test_grid_matches_per_point_calls(self):
-        grid = region_grid(1.0, 11)
-        values = [i / 10 for i in range(11)]
-        direct = [feasible(1.0, f00, f11) for f00 in values for f11 in values]
-        assert [p.feasible for p in grid] == [p.feasible for p in direct]
-
-    @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
-    @pytest.mark.parametrize(
-        "gamma", [1e-3, 0.3, math.pi / 4, 1.2, math.pi / 2, *SIGNED_ZERO_GAMMAS]
-    )
-    def test_grid_bitwise_equals_per_point_calls(self, gamma, resolution):
-        values = [i / (resolution - 1) for i in range(resolution)]
-        direct = [feasible(gamma, f00, f11) for f00 in values for f11 in values]
-        grid = region_grid(gamma, resolution)
-        assert len(grid) == len(direct)
-        for point, expected in zip(grid, direct):
-            assert point == expected
-            # repr tells -0.0 from 0.0, which == does not.
-            assert repr(point) == repr(expected)
+        scan = region_arrays(math.pi / 4, 21)
+        over = scan.axis[:, None] + scan.axis[None, :] > 1.0
+        assert over.any() and not scan.feasible[over].any()
 
     @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
     @pytest.mark.parametrize(
@@ -253,17 +248,16 @@ class TestRegionGrid:
         message = rf"resolution must be at most {_MAX_RESOLUTION}, got {_MAX_RESOLUTION + 1}"
         with pytest.raises(ValueError, match=message):
             region_arrays(0.5, _MAX_RESOLUTION + 1)
-        with pytest.raises(ValueError, match=message):
-            region_grid(0.5, _MAX_RESOLUTION + 1)
 
     def test_underflowing_sin_gamma_is_infeasible_not_a_crash(self):
         # sin(1e-200)**2 underflows to 0; the required S^2 is then undetermined.
         with pytest.raises(DegenerateSteeringError, match="underflows"):
             solve_ndelta(1e-200, 0.3, 0.3)
-        grid = region_grid(1e-200, 3)
-        assert not any(p.feasible for p in grid)
-        values = [0.0, 0.5, 1.0]
-        assert grid == [feasible(1e-200, f00, f11) for f00 in values for f11 in values]
+        scan = region_arrays(1e-200, 3)
+        assert not scan.feasible.any()
+        assert np.isnan(scan.s_squared).all() and np.isnan(scan.ndelta).all()
+        values = scan.axis.tolist()
+        assert not any(feasible(1e-200, f00, f11).feasible for f00 in values for f11 in values)
 
 
 class TestInferParameters:
@@ -348,35 +342,3 @@ class TestInferParameters:
             assert est.S_squared == pytest.approx(math.sin(theta1) ** 2, abs=1e-9)
             assert est.residual < 1e-9
 
-
-class TestInferNdelta:
-    def test_worked_point(self):
-        assert infer_ndelta(0.3, 0.3, math.pi / 4) == pytest.approx(0.125, abs=1e-12)
-
-    def test_no_mismatch_family(self):
-        # Rounding in cos^2(pi/4) leaves a ~1e-16 numerator, which the square
-        # root inflates to ~1e-8 in the angle; the sin^2 view stays at 1e-9.
-        for c2 in (0.1, 0.5, 0.9):
-            recovered = infer_ndelta(0.5, c2 * 0.5, math.pi / 4)
-            assert recovered == pytest.approx(0.0, abs=1e-7)
-            assert math.sin(2 * math.pi * recovered) ** 2 < 1e-9
-
-    def test_round_trip_200_random(self, rng):
-        done = 0
-        while done < 200:
-            gamma = rng.uniform(0.1, math.pi / 2)
-            tau = rng.uniform(0.0, math.pi / 2)
-            ndelta = rng.uniform(0.0, 0.25)
-            pops = table_populations(gamma, math.cos(tau) ** 2, math.sin(tau) ** 2, ndelta)
-            try:
-                recovered = infer_ndelta(pops.f00, pops.f11, gamma)
-            except (InfeasibleError, DegenerateSteeringError):
-                continue
-            lhs = math.sin(2 * math.pi * recovered) ** 2
-            rhs = math.sin(2 * math.pi * ndelta) ** 2
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-            done += 1
-
-    def test_infeasible_raises(self):
-        with pytest.raises(InfeasibleError):
-            infer_ndelta(0.9, 0.9, math.pi / 4)

@@ -331,6 +331,12 @@ class TestRationalApprox:
         with pytest.raises(ValueError, match=r"^\|j\| <= 1/2 violated: got nan$"):
             rational_approx(math.nan, 5)
 
+    @pytest.mark.parametrize("j", [np.float64(0.7), np.float32(-0.75), np.int64(1)],
+                             ids=["float64", "float32", "int64"])
+    def test_a_numpy_j_is_refused_as_the_python_number_it_holds(self, j):
+        with pytest.raises(ValueError, match=rf"^\|j\| <= 1/2 violated: got {j.item()!r}$"):
+            rational_approx(j, 4)
+
     @pytest.mark.parametrize("max_den", [2.5, 3.0, True, False, 0, -4, "3", None, np.float64(3.0)])
     def test_max_den_must_be_a_positive_integer(self, max_den):
         with pytest.raises(ValueError, match="max_den must be a positive integer"):

@@ -1,11 +1,16 @@
 """The package's public names: exactly the union of its library modules' ``__all__``;
-the finite rule's refusal spelled by its owner and the sites it cannot serve."""
+the finite rule's refusal spelled by its owner and the sites it cannot serve; the
+runtime dependencies the CLI loads."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +48,18 @@ def test_the_finite_refusal_is_written_only_by_its_owner_and_three_sites():
     in_owners = [inspect.getsource(owner).count(text) for owner in owners]
     assert all(in_owners)
     assert sum(inspect.getsource(module).count(text) for module in MODULES) == sum(in_owners)
+
+
+def test_the_cli_loads_no_third_party_module_but_numpy_and_click():
+    """A fresh interpreter importing ``bellsource.cli`` loads, outside the standard
+    library, only the package and its two runtime dependencies. ``-S`` keeps the
+    site hooks (``.pth`` files) from loading modules before the import."""
+    code = (
+        "import sys; before = set(sys.modules); import bellsource.cli; "
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(*sorted(new - sys.stdlib_module_names))"
+    )
+    path = os.pathsep.join([str(Path(bellsource.__file__).parents[1]), *sys.path])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.split() == ["bellsource", "click", "numpy"]

@@ -483,7 +483,6 @@ NUMERIC_ARGUMENTS = {
     "expand_unitary": (lambda n: bellsource.expand_unitary(bellsource.HADAMARD, (1,), n), (2,)),
     "feasible": (feasible, (0.7, 0.3, 0.3)),
     "hamiltonian": (_fields(bellsource.hamiltonian), (1.0, 0.3, 0.1)),
-    "infer_ndelta": (bellsource.infer_ndelta, (0.3, 0.3, 0.7)),
     "infer_parameters": (infer_parameters, (0.3, 0.4, 0.3, 0.1)),
     "j_parameter": (_fields(j_parameter), (1.0, 0.3, 0.1)),
     "label_to_outcome": (lambda a, b: bellsource.label_to_outcome((a, b)), (1, 1)),
@@ -495,7 +494,6 @@ NUMERIC_ARGUMENTS = {
     "psi2": (bellsource.psi2, (0.3,)),
     "rational_approx": (rational_approx, (0.3, 8)),
     "region_arrays": (bellsource.region_arrays, (0.7, 3)),
-    "region_grid": (bellsource.region_grid, (0.7, 3)),
     "sample_histogram": (
         lambda shots: sample_histogram(_PSI, shots, np.random.default_rng(0)), (10,)
     ),

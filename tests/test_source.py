@@ -117,14 +117,20 @@ class TestSpecies:
         for theta in (0.0, -0.0, 0.3, -5.0, 1e300):
             assert psi1(theta) is bell_state((0, 0))
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    # A numpy scalar is shown as the Python number it holds, not as np.float64(nan).
+    @pytest.mark.parametrize(
+        "theta",
+        [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"), np.float32("nan"),
+         np.float32("-inf")],
+        ids=["nan", "inf", "-inf", "float64-nan", "float64-inf", "float32-nan", "float32--inf"],
+    )
     @pytest.mark.parametrize(
         "builder",
         [psi1, psi2, component_states, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
         ids=["psi1", "psi2", "component_states", "controlled_psi2"],
     )
     def test_species_builders_reject_non_finite_angle(self, builder, theta):
-        with pytest.raises(ValueError, match=f"^theta must be finite, got {theta!r}$"):
+        with pytest.raises(ValueError, match=f"^theta must be finite, got {float(theta)!r}$"):
             builder(theta)
 
     # Raised OverflowError: int too large to convert to float.
