@@ -61,5 +61,5 @@ def test_the_cli_loads_no_third_party_module_but_numpy_and_click():
     )
     path = os.pathsep.join([str(Path(bellsource.__file__).parents[1]), *sys.path])
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": path})
+                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.split() == ["bellsource", "click", "numpy"]
