@@ -149,7 +149,7 @@ def _clamp01(value: float, bound: str) -> float:
 
 def _check_gamma(gamma: float) -> None:
     if not 0.0 < gamma <= math.pi / 2:
-        raise ValueError(f"gamma must lie in (0, pi/2], got {gamma!r}")
+        raise ValueError(f"gamma must lie in (0, pi/2], got {_python_number(gamma)!r}")
 
 
 def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:

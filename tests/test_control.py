@@ -56,28 +56,6 @@ class TestSolveNdelta:
         sol = solve_ndelta(gamma, f00, f11)
         assert sol.s_squared == pytest.approx(0.0, abs=1e-12)
         assert sol.required_C_squared == pytest.approx(c2, abs=1e-12)
-        # Rounding in cos^2(pi/4) leaves a ~1e-16 numerator, which the square
-        # root inflates to ~1e-8 in the angle; the sin^2 view stays at 1e-9.
-        for c2 in (0.1, 0.5, 0.9):
-            recovered = solve_ndelta(math.pi / 4, 0.5, c2 * 0.5).ndelta_principal
-            assert recovered == pytest.approx(0.0, abs=1e-7)
-            assert math.sin(2 * math.pi * recovered) ** 2 < 1e-9
-
-    def test_round_trip_200_random(self, rng):
-        done = 0
-        while done < 200:
-            gamma = rng.uniform(0.1, math.pi / 2)
-            tau = rng.uniform(0.0, math.pi / 2)
-            ndelta = rng.uniform(0.0, 0.25)
-            pops = table_populations(gamma, math.cos(tau) ** 2, math.sin(tau) ** 2, ndelta)
-            try:
-                recovered = solve_ndelta(gamma, pops.f00, pops.f11).ndelta_principal
-            except (InfeasibleError, DegenerateSteeringError):
-                continue
-            lhs = math.sin(2 * math.pi * recovered) ** 2
-            rhs = math.sin(2 * math.pi * ndelta) ** 2
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-            done += 1
 
     def test_moment_split_consistency(self):
         sol = solve_ndelta(1.1, 0.25, 0.35)
@@ -118,6 +96,18 @@ class TestSolveNdelta:
     def test_gamma_precondition(self):
         with pytest.raises(ValueError, match="gamma"):
             solve_ndelta(0.0, 0.3, 0.3)
+
+    @pytest.mark.parametrize("entry", [solve_ndelta, feasible, region_arrays],
+                             ids=lambda entry: entry.__name__)
+    @pytest.mark.parametrize(
+        "gamma",
+        [np.float64(3.0), np.float32(-0.0), np.float64("nan"), np.int64(2)],
+        ids=["float64", "float32", "nan", "int64"],
+    )
+    def test_a_numpy_gamma_is_refused_as_the_python_number_it_holds(self, entry, gamma):
+        message = rf"^gamma must lie in \(0, pi/2\], got {gamma.item()!r}$"
+        with pytest.raises(ValueError, match=message):
+            entry(gamma, 11) if entry is region_arrays else entry(gamma, 0.3, 0.3)
         with pytest.raises(ValueError, match="gamma"):
             solve_ndelta(2.0, 0.3, 0.3)
 
@@ -186,6 +176,10 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match=f"resolution must be an integer, got {resolution!r}"):
             region_arrays(0.7, resolution)
 
+    def test_resolution_precondition(self):
+        with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
+            region_arrays(math.pi / 4, 1)
+
     def test_arrays_layout_and_preconditions(self):
         scan = region_arrays(math.pi / 4, 5)
         assert scan.axis.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -193,8 +187,6 @@ class TestRegionGrid:
         for values in (scan.s_squared, scan.ndelta):
             assert np.isnan(values[~scan.feasible]).all()
             assert not np.isnan(values[scan.feasible]).any()
-        with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
-            region_arrays(0.5, 1)
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, pi/2\], got 3.0"):
             region_arrays(3.0, 11)
 
@@ -221,6 +213,14 @@ class TestRegionGrid:
         scan = region_arrays(math.pi / 4, 21)
         over = scan.axis[:, None] + scan.axis[None, :] > 1.0
         assert over.any() and not scan.feasible[over].any()
+
+    def test_grid_matches_per_point_calls(self):
+        scan = region_arrays(1.0, 11)
+        values = [i / 10 for i in range(11)]
+        direct = [feasible(1.0, f00, f11) for f00 in values for f11 in values]
+        assert scan.feasible.ravel().tolist() == [p.feasible for p in direct]
+        expected = [p.solution.ndelta_principal if p.feasible else math.nan for p in direct]
+        np.testing.assert_array_equal(scan.ndelta.ravel(), expected)
 
     @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
     @pytest.mark.parametrize(
@@ -342,3 +342,36 @@ class TestInferParameters:
             assert est.S_squared == pytest.approx(math.sin(theta1) ** 2, abs=1e-9)
             assert est.residual < 1e-9
 
+
+class TestInferNdelta:
+    """The inverse problem's answer, ``solve_ndelta(...).ndelta_principal``."""
+
+    def test_worked_point(self):
+        pops = table_populations(math.pi / 4, 0.2, 0.8, 0.125)
+        assert (pops.f00, pops.f11) == pytest.approx((0.3, 0.3), abs=1e-12)
+        recovered = solve_ndelta(math.pi / 4, pops.f00, pops.f11).ndelta_principal
+        assert recovered == pytest.approx(0.125, abs=1e-12)
+
+    def test_no_mismatch_family(self):
+        # Rounding in cos^2(pi/4) leaves a ~1e-16 numerator, which the square
+        # root inflates to ~1e-8 in the angle; the sin^2 view stays at 1e-9.
+        for c2 in (0.1, 0.5, 0.9):
+            recovered = solve_ndelta(math.pi / 4, 0.5, c2 * 0.5).ndelta_principal
+            assert recovered == pytest.approx(0.0, abs=1e-7)
+            assert math.sin(2 * math.pi * recovered) ** 2 < 1e-9
+
+    def test_round_trip_200_random(self, rng):
+        done = 0
+        while done < 200:
+            gamma = rng.uniform(0.1, math.pi / 2)
+            tau = rng.uniform(0.0, math.pi / 2)
+            ndelta = rng.uniform(0.0, 0.25)
+            pops = table_populations(gamma, math.cos(tau) ** 2, math.sin(tau) ** 2, ndelta)
+            try:
+                recovered = solve_ndelta(gamma, pops.f00, pops.f11).ndelta_principal
+            except (InfeasibleError, DegenerateSteeringError):
+                continue
+            lhs = math.sin(2 * math.pi * recovered) ** 2
+            rhs = math.sin(2 * math.pi * ndelta) ** 2
+            assert lhs == pytest.approx(rhs, abs=1e-9)
+            done += 1
