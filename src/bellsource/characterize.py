@@ -31,9 +31,7 @@ from .statevec import (
     UnitaryMatrix,
     _bell_lookup,
     _born_index,
-    _draw,
     _fresh,
-    _marginal_probabilities,
     _multinomial,
     _python_number,
     _require_finite,
@@ -239,8 +237,9 @@ def _check_pair(state12: PureState) -> None:
 _ANCILLA_ROWS = _ROWS[(3, 4), 4]  # raw readout k of qubits 3, 4, the label bits, is row k
 
 
-def _run_gates(state12: PureState) -> PureState:
-    """The register ``_GATES`` make of ``state12 (x) |00>``, built by their structure."""
+def _run_gates(state12: PureState) -> tuple[PureState, list[float]]:
+    """The register ``_GATES`` make of ``state12 (x) |00>``, built by their structure, and the
+    Born weights of its ancilla readouts k = 0..3, the label bits, by the same arithmetic."""
     _check_pair(state12)
     # CNOT(1, 2) and H(1) turn the pair into its Bell coefficients c_ab (bell_coefficients);
     # CNOT(1, 3) and CNOT(2, 4) only move each c_ab to |a b a b>.
@@ -249,7 +248,10 @@ def _run_gates(state12: PureState) -> PureState:
     # H(1) puts r c_ab at |0 b a b> and (-1)^a r c_ab at |1 b a b>; CNOT(1, 2) flips that b.
     c00, c10, c01, c11 = r * c00, r * c10, r * c01, r * c11
     final = [c00, 0j, c10, 0j, 0j, c01, 0j, c11, 0j, c01, 0j, -c11, c00, 0j, -c10, 0j]
-    return _fresh(np.array(final))
+    # Ancilla row k holds its r c_ab twice (once negated) and +0.0 twice, so its summed weights
+    # are q + q in any order: 2 |r c_ab|^2 equals _marginal_probabilities bit for bit.
+    weights = [2 * (z.real * z.real + z.imag * z.imag) for z in (c00, c01, c10, c11)]
+    return _fresh(np.array(final)), weights
 
 
 def _surviving_pair(final: PureState, k: int, prob: float) -> PureState:
@@ -263,12 +265,14 @@ def run_characterization_circuit(
     """Execute the ancilla circuit by its gates' structure and measure qubits 3, 4.
 
     It shares only ``bell_coefficients`` with :func:`nonlocal_bell_measurement` and makes no
-    matrix product: the outcome is drawn from the ancillas' Born weights in the register, and
-    the surviving pair state is that register's selected block over the root of its weight
-    (the division a collapse makes), not constructed.
+    matrix product: the outcome is drawn from the ancillas' Born weights, taken by
+    ``_run_gates`` from the register's four scaled coefficients (equal to the register's
+    marginal bit for bit), and the surviving pair state is that register's selected block over
+    the root of its weight (the division a collapse makes), not constructed.
     """
-    final = _run_gates(state12)
-    k, prob = _draw(final, _ANCILLA_ROWS, rng)
+    final, probs = _run_gates(state12)
+    k = _born_index(probs, rng)
+    prob = probs[k]
     pair = _surviving_pair(final, k, prob)
     return MeasurementRecord(outcome=_RELABEL[BELL_LABELS[k]], post_state=pair, probability=prob)
 
@@ -281,8 +285,7 @@ def circuit_outcome_distribution(
     Maps each relabeled outcome to (probability, surviving pair state);
     the state is None for outcomes of zero weight.
     """
-    final = _run_gates(state12)
-    probs = _marginal_probabilities(final, _ANCILLA_ROWS).tolist()  # the weights _draw samples
+    final, probs = _run_gates(state12)  # the weights the circuit shot samples
     result: dict[tuple[int, int], tuple[float, PureState | None]] = {}
     for k, (outcome, prob) in enumerate(zip(_RELABEL.values(), probs)):
         result[outcome] = (prob, _surviving_pair(final, k, prob) if prob > _ZERO_PROB else None)

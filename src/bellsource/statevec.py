@@ -218,14 +218,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b).reshape(-1)
 
 
-def _bits_of(k: int, width: int) -> tuple[int, ...]:
-    return tuple((k >> (width - 1 - i)) & 1 for i in range(width))
-
-
+# The bits of outcome k on t qubits, big-endian: _OUTCOME_BITS[t][k], built once at import.
+_OUTCOME_BITS = tuple(tuple(itertools.product((0, 1), repeat=t)) for t in range(MAX_QUBITS + 1))
 _BASIS_STATES = {
-    _bits_of(k, n): PureState(np.eye(2**n, dtype=complex)[k])
+    bits: PureState(np.eye(2**n, dtype=complex)[k])
     for n in range(1, MAX_QUBITS + 1)
-    for k in range(2**n)
+    for k, bits in enumerate(_OUTCOME_BITS[n])
 }
 _BASIS_STATES.update({"".join(map(str, b)): state for b, state in list(_BASIS_STATES.items())})
 
@@ -277,11 +275,17 @@ def _check_targets(targets: Sequence[int], num_qubits: int) -> np.ndarray:
 
 
 def _layout(targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Row k: the flat positions whose ``targets`` bits spell k (big-endian), in register order."""
+    """Row k: the flat positions whose ``targets`` bits spell k (big-endian), in register order.
+
+    The rows read line 0 of a read-only (2, 2**n) block, ``rows.base``, with the strides the
+    reshape gave them (a reduction's order follows them); line 1 is their inverse permutation,
+    ``_apply_matrix``'s gather, equal to the flat full-register entry of the inverse qubit order.
+    """
     order = [q - 1 for q in targets] + [i for i in range(n) if i + 1 not in targets]
     rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(targets), -1)
-    rows.setflags(write=False)
-    return rows
+    block = np.stack([rows.ravel(order="K"), np.argsort(rows, axis=None)])
+    block.setflags(write=False)
+    return np.ndarray(rows.shape, rows.dtype, block, strides=rows.strides)
 
 
 # The one qubit layout, read-only, keyed by every ordered target tuple (84 entries): every
@@ -295,13 +299,14 @@ _ROWS: dict[tuple[Sequence[int], int], np.ndarray] = {
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix`` on ``rows``: one matmul on the C-contiguous gathered rows, scattered back."""
-    out = np.empty_like(amps)
-    out[rows] = matrix @ amps[rows]
-    return out
+    """``matrix`` on ``rows``: one BLAS call (``ndarray.dot``) on the gathered rows, put back in
+    register order by one gather through the layout's inverse permutation (``rows.base[1]``)."""
+    return matrix.dot(amps[rows]).ravel()[rows.base[1]]
 
 
 def _gate_rows(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> np.ndarray:
+    if not isinstance(u, UnitaryMatrix):
+        raise ValueError(f"gate must be a UnitaryMatrix, got {type(u).__name__}")
     rows = _check_targets(targets, num_qubits)
     if u.dim != len(rows):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(targets)} qubit(s)")
@@ -365,7 +370,7 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
 
 def _marginal_probabilities(state: PureState, rows: np.ndarray) -> np.ndarray:
     """Born weights of the measured subset: entry k sums layout row k."""
-    return state.probabilities()[rows].sum(axis=1)
+    return np.add.reduce(state.probabilities()[rows], axis=1)
 
 
 def _collapse(state: PureState, row: np.ndarray, prob: float) -> PureState:
@@ -391,13 +396,6 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return max((k for k, p in enumerate(probs) if p >= _ZERO_PROB), default=len(probs) - 1)
 
 
-def _draw(state: PureState, rows: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
-    """Born-rule outcome k over the layout ``rows`` (the measured bits spell k) and its weight."""
-    probs = _marginal_probabilities(state, rows).tolist()
-    k = _born_index(probs, rng)
-    return k, probs[k]
-
-
 def _multinomial(shots: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Counts of ``shots`` Born draws over the weights ``probs``, in one multinomial step.
 
@@ -419,8 +417,9 @@ def measure_qubits(
     of ``indices``, collapsed state, outcome probability).
     """
     rows = _check_targets(indices, state.num_qubits)
-    k, prob = _draw(state, rows, rng)
-    return _bits_of(k, len(indices)), _collapse(state, rows[k], prob), prob
+    probs = _marginal_probabilities(state, rows).tolist()
+    k = _born_index(probs, rng)  # the measured bits spell k
+    return _OUTCOME_BITS[len(indices)][k], _collapse(state, rows[k], probs[k]), probs[k]
 
 
 def sample_measurements(

@@ -31,7 +31,8 @@ from bellsource import (
     table_populations,
     tensor,
 )
-from bellsource.characterize import _run_gates, label_to_outcome, outcome_to_label
+from bellsource.characterize import _ANCILLA_ROWS, _run_gates, label_to_outcome, outcome_to_label
+from bellsource.statevec import _marginal_probabilities
 from conftest import FixedDraw, random_knob, random_spec, random_state
 from oracles import binomial_4sigma
 
@@ -335,7 +336,36 @@ class TestCircuitRealization:
             reference = tensor(pair, basis_state("00")).amplitudes
             for gate in circuit_realization(pair)[0]:
                 reference = gate.entries @ reference
-            assert np.max(np.abs(_run_gates(pair).amplitudes - reference)) <= 4 * 2**-52
+            assert np.max(np.abs(_run_gates(pair)[0].amplitudes - reference)) <= 4 * 2**-52
+
+    @pytest.mark.parametrize("kind", ["random", "source", "bell", "signed-zero", "subnormal"])
+    def test_circuit_weights_equal_the_register_marginal_bit_for_bit(self, kind):
+        # The ancilla weights both circuit routes read, 2 |r c_ab|^2 of the scaled Bell
+        # coefficients, against the Born marginal of the register they come with.
+        rng = np.random.default_rng(2301)
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        tiny = [complex(re, im) for re in (5e-324, -1e-310) for im in (-5e-324, 2e-309)]
+
+        def sparse(fill):
+            # One real and one imaginary amplitude, every other entry drawn from ``fill``.
+            amps = [fill[int(rng.integers(len(fill)))] for _ in range(4)]
+            k1, k2 = (int(k) for k in rng.permutation(4)[:2])
+            angle = rng.uniform(-math.pi, math.pi)
+            amps[k1] = complex(math.cos(angle), zeros[int(rng.integers(4))].imag)
+            amps[k2] = complex(zeros[int(rng.integers(4))].real, math.sin(angle))
+            return PureState(amps)
+
+        pairs = {
+            "random": lambda: random_state(rng, 2),
+            "source": lambda: controlled_emission(random_spec(rng), random_knob(rng))[0],
+            "bell": lambda: bell_state(BELL_LABELS[int(rng.integers(4))]),
+            "signed-zero": lambda: sparse(zeros),
+            "subnormal": lambda: sparse(tiny),
+        }[kind]
+        for _ in range(300):
+            register, weights = _run_gates(pairs())
+            marginal = _marginal_probabilities(register, _ANCILLA_ROWS).tolist()
+            assert [w.hex() for w in weights] == [p.hex() for p in marginal]
 
     def test_post_states_knob_independent(self, rng):
         # Fixed outcome -> fixed Bell state, whatever the knob; readout (1, 0), the

@@ -47,7 +47,14 @@ from bellsource import (
     table_populations,
     tensor,
 )
-from bellsource.statevec import _BELL_AMPLITUDES, _ROWS, _check_targets, _fresh, _is_finite
+from bellsource.statevec import (
+    _BELL_AMPLITUDES,
+    _ROWS,
+    _apply_matrix,
+    _check_targets,
+    _fresh,
+    _is_finite,
+)
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
 
@@ -284,6 +291,19 @@ class TestApplyUnitary:
         message = rf"^num_qubits must be an integer 1, 2 or 4, got {num_qubits!r}$"
         with pytest.raises(ValueError, match=message):
             expand_unitary(HADAMARD, (1,), num_qubits)
+
+    @pytest.mark.parametrize(
+        "call, kind",
+        [(lambda: apply_unitary(basis_state("0000"), np.eye(16), (1, 2, 3, 4)), "ndarray"),
+         (lambda: expand_unitary(np.eye(2), (1,), 4), "ndarray"),
+         (lambda: apply_unitary(basis_state("0"), [[1, 0], [0, 1]], (1,)), "list"),
+         (lambda: expand_unitary(None, (1,), 2), "NoneType")],
+        ids=["apply-ndarray", "expand-ndarray", "apply-list", "expand-None"],
+    )
+    def test_a_gate_that_is_not_a_unitary_matrix_is_refused_naming_its_type(self, call, kind):
+        # Such a gate used to escape as AttributeError: no attribute 'dim'.
+        with pytest.raises(ValueError, match=rf"^gate must be a UnitaryMatrix, got {kind}$"):
+            call()
 
     def test_expand_unitary_matches_apply(self, rng):
         state = random_state(rng, 4)
@@ -651,6 +671,29 @@ class TestLayoutTable:
             assert not rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                rows.base[1, 0] = 1
+
+    def test_gather_line_is_the_full_register_entry_of_the_inverse_qubit_order(self):
+        for (targets, n), rows in _ROWS.items():
+            order = list(targets) + [q for q in range(1, n + 1) if q not in targets]
+            inverse_order = tuple(order.index(q) + 1 for q in range(1, n + 1))
+            gather = rows.base[1]
+            assert gather.tolist() == _ROWS[inverse_order, n].ravel().tolist()
+            assert rows.ravel()[gather].tolist() == list(range(2**n))
+
+    def test_gate_gather_equals_the_scatter_and_matmul_form_bit_for_bit(self):
+        # The gather after ndarray.dot against the scatter after matmul it replaced, with
+        # user unitaries on every layout: a BLAS kernel or numpy release where the two
+        # products take different routines fails here by name.
+        rng = np.random.default_rng(2300)
+        for (targets, n), rows in _ROWS.items():
+            for _ in range(4):
+                amps = random_state(rng, n).amplitudes
+                matrix = np.array(random_unitary(2 ** len(targets), rng), dtype=complex)
+                scattered = np.empty_like(amps)
+                scattered[rows] = matrix @ amps[rows]
+                assert _apply_matrix(amps, matrix, rows).tobytes() == scattered.tobytes()
 
 
 # Each raised OverflowError: int too large to convert to float.
