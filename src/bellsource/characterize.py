@@ -248,8 +248,8 @@ def _run_gates(state12: PureState) -> tuple[PureState, list[float]]:
     # H(1) puts r c_ab at |0 b a b> and (-1)^a r c_ab at |1 b a b>; CNOT(1, 2) flips that b.
     c00, c10, c01, c11 = r * c00, r * c10, r * c01, r * c11
     final = [c00, 0j, c10, 0j, 0j, c01, 0j, c11, 0j, c01, 0j, -c11, c00, 0j, -c10, 0j]
-    # Ancilla row k holds its r c_ab twice (once negated) and +0.0 twice, so its summed weights
-    # are q + q in any order: 2 |r c_ab|^2 equals _marginal_probabilities bit for bit.
+    # Ancilla row k holds r c_ab twice (negated once if a = 1) and +0.0 twice: its weights
+    # q, q, 0, 0 sum to 2q in any order, so this equals _marginal_probabilities bit for bit.
     weights = [2 * (z.real * z.real + z.imag * z.imag) for z in (c00, c01, c10, c11)]
     return _fresh(np.array(final)), weights
 
