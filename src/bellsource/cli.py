@@ -42,7 +42,7 @@ from .characterize import (
     sample_histogram,
     species_moments,
 )
-from .control import _REGION_CHUNK, ControlError, infer_parameters, region_arrays, solve_ndelta
+from .control import ControlError, _region_axis, _region_slabs, infer_parameters, solve_ndelta
 from .distortion import ControlKnob, FieldParams, controlled_emission
 from .source import SourceSpec
 from .statevec import _MAX_SHOTS, _is_integer
@@ -253,29 +253,27 @@ def sample(config_path: str, shots: int | None, seed: int | None) -> None:
 def region(gamma: float, resolution: int) -> None:
     """Scan steering feasibility over the (f00, f11) grid and print CSV."""
     try:
-        scan = region_arrays(gamma, resolution)
+        axis = _region_axis(gamma, resolution)
     except ValueError as exc:
         _fail(str(exc), EXIT_CONFIG)
-    # One write per block of rows: per-line echo calls cost more than the scan,
+    # One write per slab of rows: per-line echo calls cost more than the scan,
     # and one write for the whole CSV would hold all of it in memory.
     stdout = click.get_text_stream("stdout")
     stdout.write("f00,f11,feasible,s_squared,ndelta\n")
-    labels = [f"{value!r}," for value in scan.axis.tolist()]
+    labels = [f"{value!r}," for value in axis.tolist()]
     infeasible_cells = [f"{label}0,,\n" for label in labels]
-    rows_per_block = max(1, _REGION_CHUNK // resolution)
-    for top in range(0, resolution, rows_per_block):
-        block = slice(top, top + rows_per_block)
-        heads = labels[block]
+    for top, ok, s_squared, ndelta in _region_slabs(gamma, axis):
+        heads = labels[top : top + len(ok)]
         cells = infeasible_cells * len(heads)
-        flat = np.flatnonzero(scan.feasible[block])
+        flat = np.flatnonzero(ok)
         solved = zip(
             flat.tolist(),
             (flat % resolution).tolist(),
-            scan.s_squared[block].ravel()[flat].tolist(),
-            scan.ndelta[block].ravel()[flat].tolist(),
+            s_squared[ok].tolist(),
+            ndelta[ok].tolist(),
         )
-        for k, j, s_squared, ndelta in solved:
-            cells[k] = f"{labels[j]}1,{s_squared!r},{ndelta!r}\n"
+        for k, j, s, nd in solved:
+            cells[k] = f"{labels[j]}1,{s!r},{nd!r}\n"
         stdout.write(
             "".join(
                 head + head.join(cells[i * resolution : (i + 1) * resolution])

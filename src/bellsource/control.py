@@ -47,12 +47,12 @@ _FREQ_SUM_TOL = 1e-6
 # Targets this close to a feasibility bound count as on the boundary; without
 # the slack, exact boundary points flip on 1-ulp rounding (e.g. sin^2(pi/4)).
 _BOUND_TOL = 1e-12
-# Items per pass over the region grid (math.asin calls in region_arrays, CSV
-# cells per write in the region command): bounds the Python objects alive at once.
+# Cells per slab of the region scan, the grid rows solved and handed on at once (at least
+# one row): bounds the arrays and Python objects alive at once.
 _REGION_CHUNK = 8192
-# The region scan holds about 33 bytes per grid cell at its peak (the broadcast
-# closed form's float arrays and masks), so 4096^2 cells take about 550 MB;
-# the bound is checked before any array is allocated.
+# The region command holds one slab at a time, but region_arrays returns the whole grid
+# (17 bytes per cell, twice that while the slabs are joined: about 570 MB at 4096^2 cells),
+# and the scan solves each cell; the bound is checked before any grid array is allocated.
 _MAX_RESOLUTION = 4096
 
 
@@ -127,7 +127,7 @@ def _steering_terms(gamma, f00, f11):
     """(required S^2, denominator, numerator) of the steering closed form.
 
     The one place the formula lives: solve_ndelta passes Python floats and
-    region_arrays broadcasts arrays, both in this operation order, so the two
+    _region_slabs broadcasts arrays, both in this operation order, so the two
     paths round identically. sin^2(2 pi n delta) = numerator / denominator.
     """
     s_req = (1.0 - f00 - f11) / math.sin(gamma) ** 2
@@ -215,34 +215,8 @@ class RegionArrays(NamedTuple):
     ndelta: np.ndarray
 
 
-def _grid_quotient(gamma: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasibility mask and unclamped sin^2(2 pi n delta) over the grid.
-
-    _steering_terms is broadcast with f00 down and f11 across. The mask
-    applies solve_ndelta's bounds with the same slack, and counts a
-    vanishing denominator as infeasible, as feasible() does.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s_req, denom, numer = _steering_terms(gamma, axis[:, None], axis[None, :])
-        quotient = numer / denom
-    ok = axis[:, None] + axis[None, :] <= 1.0 + _BOUND_TOL
-    ok &= _within01(s_req)
-    ok &= denom != 0.0
-    ok &= _within01(quotient)
-    return ok, quotient
-
-
-def region_arrays(gamma: float, resolution: int) -> RegionArrays:
-    """Steering solutions over the uniform resolution x resolution grid on [0,1]^2.
-
-    The array-native kernel behind the region command. The grid axis is
-    arange(resolution) / (resolution - 1). The closed form is broadcast over
-    the whole grid and masked with solve_ndelta's bounds; the clamp, sqrt and
-    division then run in place on the feasible entries only, with math.asin
-    mapped over them in chunks, so every value, -0.0 included, is bit for bit
-    what solve_ndelta returns. Raises ValueError for a resolution that is not
-    an integer in [2, 4096] (bool excluded) or gamma outside (0, pi/2].
-    """
+def _region_axis(gamma: float, resolution: int) -> np.ndarray:
+    """The grid axis arange(resolution) / (resolution - 1); checks resolution, then gamma."""
     if not _is_integer(resolution):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
@@ -250,26 +224,52 @@ def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     if resolution > _MAX_RESOLUTION:
         raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}, got {resolution}")
     _check_gamma(gamma)
-    axis = np.arange(resolution) / (resolution - 1)
-    ok, quotient = _grid_quotient(gamma, axis)
-    picked = quotient[ok]
-    del quotient
-    # _clamp01 as array ops: -0.0 passes both tests and stays -0.0, as in min/max.
-    picked[picked < 0.0] = 0.0
-    picked[picked > 1.0] = 1.0
-    s_squared = np.full(ok.shape, np.nan)
-    s_squared[ok] = picked
-    # solve_ndelta's asin(sqrt(s)) / (2 pi), in place. np.sqrt and the division
-    # round like math.sqrt and the float division; np.arcsin can differ from
-    # math.asin by 2 ulp, so asin runs on Python floats, one chunk at a time.
-    np.sqrt(picked, out=picked)
-    for start in range(0, picked.size, _REGION_CHUNK):
-        chunk = picked[start : start + _REGION_CHUNK]
-        chunk[:] = np.fromiter(map(math.asin, chunk.tolist()), float, chunk.size)
-    picked /= 2.0 * math.pi
-    ndelta = np.full(ok.shape, np.nan)
-    ndelta[ok] = picked
-    return RegionArrays(axis, ok, s_squared, ndelta)
+    return np.arange(resolution) / (resolution - 1)
+
+
+def _region_slabs(gamma: float, axis: np.ndarray):
+    """Yield (first row, feasible, s_squared, ndelta) per slab of whole grid rows, f00 down.
+
+    A slab holds at most _REGION_CHUNK cells, or one row. _steering_terms is masked with
+    solve_ndelta's bounds and slack (a zero denominator is infeasible, as in feasible());
+    the clamp, sqrt, math.asin and division by 2 pi then give, bit for bit and -0.0
+    included, what solve_ndelta returns. Infeasible cells hold NaN.
+    """
+    rows = max(1, _REGION_CHUNK // axis.size)
+    for top in range(0, axis.size, rows):
+        f00 = axis[top : top + rows, None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s_req, denom, numer = _steering_terms(gamma, f00, axis)
+            quotient = numer / denom
+        ok = f00 + axis <= 1.0 + _BOUND_TOL
+        ok &= _within01(s_req)
+        ok &= denom != 0.0
+        ok &= _within01(quotient)
+        picked = quotient[ok]
+        # _clamp01 as array ops: -0.0 passes both tests and stays -0.0, as in min/max.
+        picked[picked < 0.0] = 0.0
+        picked[picked > 1.0] = 1.0
+        s_squared = np.full(ok.shape, np.nan)
+        s_squared[ok] = picked
+        # np.sqrt and the division round like math.sqrt and the float division;
+        # np.arcsin can differ from math.asin by 2 ulp, so asin runs on Python floats.
+        angles = np.fromiter(map(math.asin, np.sqrt(picked).tolist()), float, picked.size)
+        ndelta = np.full(ok.shape, np.nan)
+        ndelta[ok] = angles / (2.0 * math.pi)
+        yield top, ok, s_squared, ndelta
+
+
+def region_arrays(gamma: float, resolution: int) -> RegionArrays:
+    """Steering solutions over the uniform resolution x resolution grid on [0,1]^2.
+
+    The grid axis is arange(resolution) / (resolution - 1); the arrays join the row
+    slabs the region command writes one at a time, bit for bit solve_ndelta's values.
+    Raises ValueError for a resolution that is not an integer in [2, 4096] (bool
+    excluded) or gamma outside (0, pi/2].
+    """
+    axis = _region_axis(gamma, resolution)
+    _, *columns = zip(*_region_slabs(gamma, axis))
+    return RegionArrays(axis, *map(np.concatenate, columns))
 
 
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from bellsource import (
     ControlError,
@@ -23,6 +25,8 @@ from bellsource import (
     solve_ndelta,
     table_populations,
 )
+from bellsource import control
+from bellsource.cli import main
 from bellsource.control import _MAX_RESOLUTION
 
 
@@ -248,6 +252,27 @@ class TestRegionGrid:
         message = rf"resolution must be at most {_MAX_RESOLUTION}, got {_MAX_RESOLUTION + 1}"
         with pytest.raises(ValueError, match=message):
             region_arrays(0.5, _MAX_RESOLUTION + 1)
+
+    @pytest.mark.parametrize("resolution", [11, 101])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bytes_do_not_depend_on_the_slab_size(self, monkeypatch, chunk, resolution):
+        # The gamma whose row f00 = 0.36 prints -0.0 cells at resolution 101; tobytes()
+        # tells -0.0 from 0.0 and compares NaN, which == does not.
+        gamma = SIGNED_ZERO_GAMMAS[0]
+        args = ["region", "--gamma", repr(gamma), "--resolution", str(resolution)]
+
+        def run():
+            scan = region_arrays(gamma, resolution)
+            stdout = CliRunner().invoke(main, args).stdout_bytes
+            return [part.tobytes() for part in scan], hashlib.sha256(stdout).hexdigest()
+
+        default = run()
+        monkeypatch.setattr(control, "_REGION_CHUNK", chunk)
+        assert run() == default
+        axis = control._region_axis(gamma, resolution)
+        sizes = [ok.size for _, ok, _, _ in control._region_slabs(gamma, axis)]
+        assert sum(sizes) == resolution**2
+        assert max(sizes) <= max(resolution, chunk)
 
     def test_underflowing_sin_gamma_is_infeasible_not_a_crash(self):
         # sin(1e-200)**2 underflows to 0; the required S^2 is then undetermined.

@@ -346,7 +346,7 @@ flag_values = st.one_of(
     st.floats(allow_subnormal=True).map(repr),
     st.floats(0.0, 1.0).map(repr),
 )
-# Region grids stay small: a valid resolution up to 4096 allocates about 33 B per cell.
+# Region grids stay small: a valid resolution up to 4096 solves and prints up to 16.8M cells.
 resolutions = st.sampled_from(["0", "1", "2", "3", "11", "-5", "4097", str(2**70), "nan", "x"])
 
 

@@ -666,6 +666,19 @@ class TestLayoutTable:
             for k, row in enumerate(rows.tolist()):
                 assert row == [i for i in range(2**n) if self.spelled(i, targets, n) == k]
 
+    def test_strides_fix_the_marginal_summation_order(self):
+        # _marginal_probabilities sums each row in the order of its strides, so they
+        # are part of the pinned shot bits: targets trailing in order, such as (4,) and
+        # (3, 4) on 4 qubits, are F-strided (a C-contiguous rebuild moved 9
+        # shot/primitive digest inputs by 1 ulp); every other entry is row-major.
+        for (targets, n), rows in _ROWS.items():
+            t = len(targets)
+            trailing = t < n and targets == tuple(range(n - t + 1, n + 1))
+            expected = (1, 2**t) if trailing else (2 ** (n - t), 1)
+            assert tuple(s // rows.itemsize for s in rows.strides) == expected, (targets, n)
+        for key in [((4,), 4), ((3, 4), 4)]:
+            assert not _ROWS[key].flags.c_contiguous
+
     def test_is_read_only(self):
         for rows in _ROWS.values():
             assert not rows.flags.writeable
