@@ -269,8 +269,8 @@ def region(gamma: float, resolution: int) -> None:
         solved = zip(
             flat.tolist(),
             (flat % resolution).tolist(),
-            s_squared[ok].tolist(),
-            ndelta[ok].tolist(),
+            s_squared.tolist(),
+            ndelta.tolist(),
         )
         for k, j, s, nd in solved:
             cells[k] = f"{labels[j]}1,{s!r},{nd!r}\n"

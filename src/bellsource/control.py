@@ -50,9 +50,8 @@ _BOUND_TOL = 1e-12
 # Cells per slab of the region scan, the grid rows solved and handed on at once (at least
 # one row): bounds the arrays and Python objects alive at once.
 _REGION_CHUNK = 8192
-# The region command holds one slab at a time, but region_arrays returns the whole grid
-# (17 bytes per cell, twice that while the slabs are joined: about 570 MB at 4096^2 cells),
-# and the scan solves each cell; the bound is checked before any grid array is allocated.
+# The region command holds one slab, region_arrays the whole grid (17 bytes per cell, about
+# 285 MB at 4096^2 cells), and the scan solves each cell; checked before any grid exists.
 _MAX_RESOLUTION = 4096
 
 
@@ -194,6 +193,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
 
 def feasible(gamma: float, f00: float, f11: float) -> RegionPoint:
     """Feasibility of a steering target as a value; never raises for targets."""
+    f00, f11 = _python_number(f00), _python_number(f11)
     try:
         return RegionPoint(f00, f11, solve_ndelta(gamma, f00, f11))
     except ControlError:
@@ -233,7 +233,7 @@ def _region_slabs(gamma: float, axis: np.ndarray):
     A slab holds at most _REGION_CHUNK cells, or one row. _steering_terms is masked with
     solve_ndelta's bounds and slack (a zero denominator is infeasible, as in feasible());
     the clamp, sqrt, math.asin and division by 2 pi then give, bit for bit and -0.0
-    included, what solve_ndelta returns. Infeasible cells hold NaN.
+    included, what solve_ndelta returns: s_squared and ndelta hold the feasible cells only.
     """
     rows = max(1, _REGION_CHUNK // axis.size)
     for top in range(0, axis.size, rows):
@@ -249,27 +249,28 @@ def _region_slabs(gamma: float, axis: np.ndarray):
         # _clamp01 as array ops: -0.0 passes both tests and stays -0.0, as in min/max.
         picked[picked < 0.0] = 0.0
         picked[picked > 1.0] = 1.0
-        s_squared = np.full(ok.shape, np.nan)
-        s_squared[ok] = picked
         # np.sqrt and the division round like math.sqrt and the float division;
         # np.arcsin can differ from math.asin by 2 ulp, so asin runs on Python floats.
         angles = np.fromiter(map(math.asin, np.sqrt(picked).tolist()), float, picked.size)
-        ndelta = np.full(ok.shape, np.nan)
-        ndelta[ok] = angles / (2.0 * math.pi)
-        yield top, ok, s_squared, ndelta
+        yield top, ok, picked, angles / (2.0 * math.pi)
 
 
 def region_arrays(gamma: float, resolution: int) -> RegionArrays:
     """Steering solutions over the uniform resolution x resolution grid on [0,1]^2.
 
-    The grid axis is arange(resolution) / (resolution - 1); the arrays join the row
-    slabs the region command writes one at a time, bit for bit solve_ndelta's values.
+    The grid axis is arange(resolution) / (resolution - 1); the arrays are filled in place
+    from the row slabs the region command writes, bit for bit solve_ndelta's values.
     Raises ValueError for a resolution that is not an integer in [2, 4096] (bool
     excluded) or gamma outside (0, pi/2].
     """
     axis = _region_axis(gamma, resolution)
-    _, *columns = zip(*_region_slabs(gamma, axis))
-    return RegionArrays(axis, *map(np.concatenate, columns))
+    shape = (axis.size, axis.size)
+    grid = RegionArrays(axis, np.zeros(shape, bool), np.full(shape, np.nan), np.full(shape, np.nan))
+    for top, ok, s_squared, ndelta in _region_slabs(gamma, axis):
+        grid.feasible[top : top + len(ok)] = ok
+        grid.s_squared[top : top + len(ok)][ok] = s_squared
+        grid.ndelta[top : top + len(ok)][ok] = ndelta
+    return grid
 
 
 def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> EmissionEstimate:

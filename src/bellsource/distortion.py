@@ -235,7 +235,8 @@ class ControlKnob:
 
     All post-control formulas depend on n and delta only through the
     product n*delta. The optional provenance records the (j, Q) pair the
-    mismatch was derived from. An ``n`` that is not an integer (bool and 3.0
+    mismatch was derived from. A numpy n, delta or provenance entry is held as
+    the Python number it equals. An ``n`` that is not an integer (bool and 3.0
     included), an ``n`` beyond the float range, an ``n * delta`` whose control
     angle 2 pi n delta overflows, a NaN or infinite ``delta`` or provenance
     ``j``, and a provenance ``q_num`` or ``q_den`` that is not an integer are rejected.
@@ -255,6 +256,7 @@ class ControlKnob:
             raise ValueError(f"|delta| <= 1/2 violated: got {delta!r}")
         if self.provenance is not None:
             j, num, den = map(_python_number, self.provenance)
+            self.__dict__["provenance"] = RationalProvenance(j, num, den)
             _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
@@ -268,7 +270,7 @@ class ControlKnob:
         ndelta = n * delta
         if not math.isfinite(2.0 * math.pi * ndelta):
             raise ValueError(f"2 pi n delta overflows: n * delta = {ndelta!r}")
-        object.__setattr__(self, "ndelta", ndelta)
+        self.__dict__.update(n=n, delta=delta, ndelta=ndelta)  # one write, not three setattr calls
 
     @classmethod
     def from_field_params(cls, fp: FieldParams, max_den: int, n: int = 1) -> "ControlKnob":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,9 +271,24 @@ class TestRegionGrid:
         monkeypatch.setattr(control, "_REGION_CHUNK", chunk)
         assert run() == default
         axis = control._region_axis(gamma, resolution)
-        sizes = [ok.size for _, ok, _, _ in control._region_slabs(gamma, axis)]
+        sizes = []
+        for _, ok, s_squared, ndelta in control._region_slabs(gamma, axis):
+            # A slab carries the solutions of its feasible cells only.
+            assert s_squared.size == ndelta.size == ok.sum()
+            sizes.append(ok.size)
         assert sum(sizes) == resolution**2
         assert max(sizes) <= max(resolution, chunk)
+
+    def test_region_arrays_holds_its_result_once(self):
+        # The arrays were joined from the list of NaN-padded slabs, which held the result
+        # twice at the peak (4.3 MB over it here); filled in place, one slab's work remains.
+        tracemalloc.start()
+        try:
+            scan = region_arrays(0.3, 501)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(part.nbytes for part in scan) < 1_000_000
 
     def test_underflowing_sin_gamma_is_infeasible_not_a_crash(self):
         # sin(1e-200)**2 underflows to 0; the required S^2 is then undetermined.

@@ -816,6 +816,18 @@ class TestNumpyScalars:
         derived = SourceSpec.from_p1_theta1(0.7, np.float32(0.6), np.float32(0.3))
         assert derived.p2 == math.sqrt(1.0 - float(np.float32(0.6)) ** 2)
 
+    def test_a_knob_and_a_region_point_hold_numpy_values_as_python_numbers(self):
+        # Each read its numbers on entry but kept the originals: the knob's repr showed
+        # n=np.int64(2), and feasible returned f11_target=np.float32(0.1).
+        provenance = RationalProvenance(np.float64(0.0), np.int64(0), 1)
+        knob = ControlKnob(np.int64(2), np.float64(0.0), provenance)
+        assert repr(knob) == repr(ControlKnob(2, 0.0, RationalProvenance(0.0, 0, 1)))
+        held = (knob.n, knob.delta, *knob.provenance)
+        assert [type(v) for v in held] == [int, float, float, int, int]
+        point = feasible(np.float64(0.7), np.float64(0.5), np.float32(0.1))
+        assert (type(point.f00_target), type(point.f11_target)) == (float, float)
+        assert point == feasible(0.7, 0.5, float(np.float32(0.1)))
+
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
         # Each raised AttributeError: no as_integer_ratio on numpy.int64.
         assert rational_approx(np.int64(0), 4) == rational_approx(0, 4)
