@@ -190,6 +190,13 @@ class MeasurementRecord:
     probability: float
 
 
+def _record(outcome: tuple[int, int], post_state: PureState, probability: float):
+    """A MeasurementRecord by one ``__dict__`` write, not the frozen ``__init__``'s three."""
+    record = object.__new__(MeasurementRecord)
+    record.__dict__.update(outcome=outcome, post_state=post_state, probability=probability)
+    return record
+
+
 def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> MeasurementRecord:
     """Sample one Bell-basis measurement of the pair (non-destructive).
 
@@ -199,9 +206,7 @@ def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> M
     probs = _bell_weights(state12)
     k = _born_index(probs, rng)
     label = BELL_LABELS[k]
-    return MeasurementRecord(
-        outcome=_RELABEL[label], post_state=bell_state(label), probability=probs[k]
-    )
+    return _record(_RELABEL[label], bell_state(label), probs[k])
 
 
 # Map the pair to its label bits (a, b), copy them onto the ancillas, map back.
@@ -274,7 +279,7 @@ def run_characterization_circuit(
     k = _born_index(probs, rng)
     prob = probs[k]
     pair = _surviving_pair(final, k, prob)
-    return MeasurementRecord(outcome=_RELABEL[BELL_LABELS[k]], post_state=pair, probability=prob)
+    return _record(_RELABEL[BELL_LABELS[k]], pair, prob)
 
 
 def circuit_outcome_distribution(

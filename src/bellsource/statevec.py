@@ -59,8 +59,11 @@ def _is_integer(value: object) -> bool:
 
 
 def _python_number(value: object) -> object:
-    """``value``, or the Python number a numpy scalar holds: no later arithmetic wraps or warns."""
-    return value if type(value) is float or not isinstance(value, np.generic) else value.item()
+    """``value``, or the Python number a numpy scalar or 0-d array holds: no later arithmetic
+    wraps or warns. An array of one or more dimensions passes through unchanged."""
+    if type(value) is float or not isinstance(value, (np.generic, np.ndarray)) or value.ndim:
+        return value
+    return value.item()
 
 
 def _is_finite(value: float) -> bool:
@@ -151,8 +154,7 @@ def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
         )
     amps.setflags(write=False)
     state = object.__new__(PureState) if state is None else state
-    object.__setattr__(state, "amplitudes", amps)
-    object.__setattr__(state, "num_qubits", n)
+    state.__dict__.update(amplitudes=amps, num_qubits=n)  # one write, not two setattr calls
     return state
 
 
@@ -280,6 +282,7 @@ def _layout(targets: tuple[int, ...], n: int) -> np.ndarray:
     The rows read line 0 of a read-only (2, 2**n) block, ``rows.base``, with the strides the
     reshape gave them (a reduction's order follows them); line 1 is their inverse permutation,
     ``_apply_matrix``'s gather, equal to the flat full-register entry of the inverse qubit order.
+    For the whole register in qubit order both lines are the identity, and no gate reads them.
     """
     order = [q - 1 for q in targets] + [i for i in range(n) if i + 1 not in targets]
     rows = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(2 ** len(targets), -1)
@@ -288,19 +291,24 @@ def _layout(targets: tuple[int, ...], n: int) -> np.ndarray:
     return np.ndarray(rows.shape, rows.dtype, block, strides=rows.strides)
 
 
-# The one qubit layout, read-only, keyed by every ordered target tuple (84 entries): every
-# gate, marginal and collapse takes its rows here.
+# The one qubit layout, read-only, keyed by every ordered target tuple (84 entries): every gate,
+# marginal and collapse takes its rows here. _IN_ORDER: the whole register in order, by size.
 _ROWS: dict[tuple[Sequence[int], int], np.ndarray] = {
     (targets, n): _layout(targets, n)
     for n in range(1, MAX_QUBITS + 1)
     for t in range(1, n + 1)
     for targets in itertools.permutations(range(1, n + 1), t)
 }
+_IN_ORDER = {2**n: _ROWS[tuple(range(1, n + 1)), n] for n in range(1, MAX_QUBITS + 1)}
 
 
 def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``matrix`` on ``rows``: one BLAS call (``ndarray.dot``) on the gathered rows, put back in
-    register order by one gather through the layout's inverse permutation (``rows.base[1]``)."""
+    register order by one gather through the layout's inverse permutation (``rows.base[1]``).
+    The whole register in qubit order is ``matrix.dot(amps)`` alone: numpy hands the vector and
+    the gathered ``(2**n, 1)`` column to the same BLAS gemv, so the bytes are the same."""
+    if rows is _IN_ORDER[amps.size]:
+        return matrix.dot(amps)
     return matrix.dot(amps[rows]).ravel()[rows.base[1]]
 
 

@@ -248,6 +248,25 @@ class TestRegionGrid:
                 assert (s_squared, ndelta) == expected
                 assert repr((s_squared, ndelta)) == repr(expected)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-3, 0.3, math.pi / 4, 0.9, 1.2, math.pi / 2])
+    def test_region_is_the_two_triangles_of_the_closed_form(self, gamma):
+        # With a = cos^2 gamma and u = f00 + f11 the bounds reduce to T1 = {f00 <= a,
+        # f11 <= a, a <= u <= 1} and T2 = {f00 >= a, f11 >= a, u <= 1} (README, "Notes on
+        # the math"). A cell within _BOUND_TOL of an edge line may fall either way.
+        resolution = 201
+        scan = region_arrays(gamma, resolution)
+        a = math.cos(gamma) ** 2
+        f00, f11 = scan.axis[:, None], scan.axis[None, :]
+        u = f00 + f11
+        t1 = (f00 <= a) & (f11 <= a) & (u >= a) & (u <= 1.0)
+        t2 = (f00 >= a) & (f11 >= a) & (u <= 1.0)
+        tol = control._BOUND_TOL
+        clear = (np.abs(f00 - a) > tol) & (np.abs(f11 - a) > tol)
+        clear &= (np.abs(u - a) > tol * math.sqrt(2)) & (np.abs(u - 1.0) > tol * math.sqrt(2))
+        np.testing.assert_array_equal(scan.feasible[clear], (t1 | t2)[clear])
+        area = a * a / 2 + (1 - 2 * a) ** 2 / 2 if a <= 0.5 else (1 - a * a) / 2 - (1 - a) ** 2
+        assert abs(scan.feasible.mean() - area) <= 2 / (resolution - 1)
+
     def test_resolution_bound_checked_before_allocating(self):
         # One past the bound; the check runs before any grid array exists.
         message = rf"resolution must be at most {_MAX_RESOLUTION}, got {_MAX_RESOLUTION + 1}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -54,6 +55,7 @@ from bellsource.statevec import (
     _check_targets,
     _fresh,
     _is_finite,
+    _python_number,
 )
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
@@ -708,6 +710,24 @@ class TestLayoutTable:
                 scattered[rows] = matrix @ amps[rows]
                 assert _apply_matrix(amps, matrix, rows).tobytes() == scattered.tobytes()
 
+    def test_an_in_order_whole_register_gate_is_one_product_with_the_gathered_bytes(self):
+        # The whole register in qubit order skips both gathers, which are identities there:
+        # numpy hands the vector and the gathered (2**n, 1) column to the same BLAS gemv.
+        rng = np.random.default_rng(2600)
+        for n in (1, 2, 4):
+            targets = tuple(range(1, n + 1))
+            rows = _ROWS[targets, n]
+            for _ in range(8):
+                state = random_state(rng, n)
+                u = UnitaryMatrix(random_unitary(2**n, rng))
+                amps, m = state.amplitudes, u.entries
+                gathered = m.dot(amps[rows]).ravel()[rows.base[1]]
+                assert _apply_matrix(amps, m, rows).tobytes() == gathered.tobytes()
+                out = apply_unitary(state, u, targets).amplitudes
+                assert out.tobytes() == gathered.tobytes()
+                assert not out.flags.writeable and not np.shares_memory(out, amps)
+                assert expand_unitary(u, targets, n).entries.tobytes() == m.tobytes()
+
 
 # Each raised OverflowError: int too large to convert to float.
 _PAST_FLOAT_RANGE = {
@@ -827,6 +847,40 @@ class TestNumpyScalars:
         point = feasible(np.float64(0.7), np.float64(0.5), np.float32(0.1))
         assert (type(point.f00_target), type(point.f11_target)) == (float, float)
         assert point == feasible(0.7, 0.5, float(np.float32(0.1)))
+
+    def test_a_knob_holds_0d_arrays_as_python_numbers(self):
+        # Held delta=array(0.1), and hash() raised "unhashable type: 'numpy.ndarray'";
+        # an n of array(1) was refused as not an integer.
+        knob = ControlKnob(np.array(1), np.array(0.1))
+        assert [type(v) for v in (knob.n, knob.delta, knob.ndelta)] == [int, float, float]
+        assert knob == ControlKnob(1, 0.1) and hash(knob) == hash(ControlKnob(1, 0.1))
+
+    def test_field_params_hold_0d_arrays_as_python_numbers(self):
+        # Held J=array(1.).
+        fp = FieldParams(np.array(1.0), np.array(0.3, np.float32), 0.1)
+        assert [type(v) for v in (fp.J, fp.B1, fp.B2)] == [float] * 3
+        assert fp == FieldParams(1.0, float(np.float32(0.3)), 0.1)
+
+    def test_a_source_spec_holds_0d_arrays_as_python_numbers(self):
+        # Held gamma=array(0.7), p1=array(1.) and theta1=array(0.3).
+        spec = SourceSpec(np.array(0.7), np.array(1.0), 0.0, np.array(0.3), math.pi / 2 - 0.3)
+        assert [type(v) for v in (spec.gamma, spec.p1, spec.theta1)] == [float] * 3
+        assert spec == SourceSpec(0.7, 1.0, 0.0, 0.3, math.pi / 2 - 0.3)
+
+    def test_feasible_reads_0d_arrays_as_python_numbers(self):
+        # Returned f00_target=array(0.3) and np.float64 solution fields.
+        point = feasible(0.7, np.array(0.3), 0.3)
+        assert point == feasible(0.7, 0.3, 0.3)
+        held = (point.f00_target, *dataclasses.astuple(point.solution))
+        assert [type(v) for v in held] == [float] * 5
+
+    def test_solve_ndelta_reads_0d_arrays_as_python_numbers(self):
+        # Returned np.float64 s_squared and required moments.
+        solution = solve_ndelta(np.array(0.7), np.array(0.3), np.array(0.3))
+        assert solution == solve_ndelta(0.7, 0.3, 0.3)
+        assert [type(v) for v in dataclasses.astuple(solution)] == [float] * 4
+        row = np.array([0.3])
+        assert _python_number(row) is row  # an array of one or more dimensions passes
 
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
         # Each raised AttributeError: no as_integer_ratio on numpy.int64.
