@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from bellsource import (
     BELL_LABELS,
     BellLabel,
     ControlKnob,
+    MeasurementRecord,
     Populations,
     PopulationTable,
     PureState,
@@ -312,6 +314,15 @@ class TestCircuitRealization:
         prob, post = circuit_outcome_distribution(state)[record.outcome]
         assert record.probability.hex() == prob.hex()
         assert record.post_state.amplitudes.tobytes() == post.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("shot", [nonlocal_bell_measurement, run_characterization_circuit])
+    def test_a_shot_record_is_the_frozen_dataclass_of_its_fields(self, shot):
+        # Both routes build their record by one __dict__ write, not the dataclass __init__.
+        record = shot(random_state(np.random.default_rng(4), 2), np.random.default_rng(4))
+        built = MeasurementRecord(record.outcome, record.post_state, record.probability)
+        assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.outcome = (1, 1)
 
     def test_draw_above_the_weight_sum_reports_an_emitted_outcome(self):
         # The last ancilla readout has zero weight: its pair over its root would be NaN.
