@@ -241,8 +241,9 @@ def _region_slabs(gamma: float, axis: np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s_req, denom, numer = _steering_terms(gamma, f00, axis)
             quotient = numer / denom
-        ok = f00 + axis <= 1.0 + _BOUND_TOL
-        ok &= _within01(s_req)
+        # solve_ndelta's f00 + f11 <= 1 bound needs no test here: a grid sum above 1 exceeds
+        # it by at least 1/(resolution - 1), which drives s_req below -1/4095.
+        ok = _within01(s_req)
         ok &= denom != 0.0
         ok &= _within01(quotient)
         picked = quotient[ok]

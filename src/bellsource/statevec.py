@@ -60,9 +60,11 @@ def _is_integer(value: object) -> bool:
 
 def _python_number(value: object) -> object:
     """``value``, or the Python number a numpy scalar or 0-d array holds: no later arithmetic
-    wraps or warns. An array of one or more dimensions passes through unchanged."""
-    if type(value) is float or not isinstance(value, (np.generic, np.ndarray)) or value.ndim:
+    wraps or warns. An array of one or more dimensions is refused with its shape."""
+    if type(value) is float or not isinstance(value, (np.generic, np.ndarray)):
         return value
+    if value.ndim:
+        raise ValueError(f"expected a number, got an array of shape {value.shape}")
     return value.item()
 
 
@@ -101,7 +103,7 @@ def _squared_norm(values: Sequence[complex]) -> float:
     return re + im
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PureState:
     """Normalized amplitude vector over 1..4 qubits.
 
@@ -109,6 +111,10 @@ class PureState:
     rejected unless ``normalize=True`` is passed, which rescales any input
     of finite nonzero norm; silent rescaling would hide unnormalized
     superpositions that callers need to account for explicitly.
+
+    The two fields are slots: an instance has no ``__dict__`` and cannot be
+    weak-referenced. A copy or pickle rebuilds through this constructor, so it
+    holds a new read-only array that passed the norm check.
     """
 
     amplitudes: np.ndarray
@@ -137,16 +143,25 @@ class PureState:
         a = self.amplitudes
         return a.real**2 + a.imag**2
 
+    def __reduce__(self):
+        return PureState, (self.amplitudes,)
+
+
+# _fresh's slot writers, and numpy's C vdot without the __array_function__ dispatch (the same
+# routine, so the same bits): _fresh reads only base-class ndarrays that statevec has just built.
+_set_amplitudes, _set_num_qubits = PureState.amplitudes.__set__, PureState.num_qubits.__set__
+_vdot = np.vdot.__wrapped__
+
 
 def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
-    """The one PureState validator; internal callers pass no state and a new array: no copy."""
+    """The one PureState validator; it fills the two slots with ``amps``, new and not copied."""
     n = _QUBITS_OF_SIZE.get(amps.size)
     if n is None:
         raise ValueError(
             f"amplitude vector of length {amps.size} is not a 1..{MAX_QUBITS} qubit state"
         )
     # Only a check, so one pass suffices; a NaN norm fails it.
-    norm = math.sqrt(np.vdot(amps, amps).real)
+    norm = math.sqrt(_vdot(amps, amps).real)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise ValueError(
             f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
@@ -154,7 +169,8 @@ def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
         )
     amps.setflags(write=False)
     state = object.__new__(PureState) if state is None else state
-    state.__dict__.update(amplitudes=amps, num_qubits=n)  # one write, not two setattr calls
+    _set_amplitudes(state, amps)
+    _set_num_qubits(state, n)
     return state
 
 
@@ -163,9 +179,9 @@ def _check_unitary_dim(dim: int) -> None:
         raise ValueError(f"unitary dim must be 2, 4, or 16, got {dim}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class UnitaryMatrix:
-    """Square complex matrix acting on 1, 2, or 4 qubits; U U+ = I within 1e-12."""
+    """Unitary on 1, 2 or 4 qubits (U U+ = I within 1e-12), slotted and copied as PureState is."""
 
     entries: np.ndarray
     dim: int = field(init=False)
@@ -182,6 +198,9 @@ class UnitaryMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", int(m.shape[0]))
+
+    def __reduce__(self):
+        return UnitaryMatrix, (self.entries,)
 
 
 class BellLabel(NamedTuple):

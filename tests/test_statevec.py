@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -56,6 +59,7 @@ from bellsource.statevec import (
     _fresh,
     _is_finite,
     _python_number,
+    _vdot,
 )
 from conftest import random_state
 from oracles import BELL_VECTORS, binomial_4sigma, random_unitary
@@ -567,6 +571,104 @@ class TestStateValidator:
             PureState(np.zeros(3), normalize=True)
 
 
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestSlottedHolders:
+    """``PureState`` and ``UnitaryMatrix`` hold their fields in slots, and a copy or pickle
+    rebuilds through the validating constructor."""
+
+    def test_instances_have_no_dict_and_slots_name_exactly_the_fields(self):
+        for holder in (bell_state((0, 0)), HADAMARD):
+            cls = type(holder)
+            assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+            assert not hasattr(holder, "__dict__")
+        assert PureState.__slots__ == ("amplitudes", "num_qubits")
+        assert UnitaryMatrix.__slots__ == ("entries", "dim")
+
+    def test_instances_cannot_be_weak_referenced(self):
+        for holder in (bell_state((0, 0)), HADAMARD):
+            with pytest.raises(TypeError, match="cannot create weak reference"):
+                weakref.ref(holder)
+
+    @pytest.mark.parametrize("holder, name", [(bell_state((0, 0)), "amplitudes"),
+                                              (bell_state((0, 0)), "num_qubits"),
+                                              (HADAMARD, "entries"), (HADAMARD, "dim")])
+    def test_setting_a_field_raises_frozen_instance_error(self, holder, name):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(holder, name, None)
+
+    def test_a_name_that_is_not_a_field_cannot_be_set(self):
+        # The frozen __setattr__ raises TypeError for it on CPython 3.10 and 3.11.
+        state = bell_state((0, 0))
+        with pytest.raises((AttributeError, TypeError)):
+            state.label = "phi+"
+        assert not hasattr(state, "label")
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(PureState(np.array([0.6, 0.8j]))) == (
+            "PureState(amplitudes=array([0.6+0.j , 0. +0.8j]), num_qubits=1)")
+        assert repr(HADAMARD) == (
+            "UnitaryMatrix(entries=array([[ 0.70710678+0.j,  0.70710678+0.j],\n"
+            "       [ 0.70710678+0.j, -0.70710678+0.j]]), dim=2)")
+
+    def test_every_state_builder_returns_the_slotted_type(self, rng):
+        four = random_state(rng, 4)
+        built = [apply_unitary(four, CNOT, (4, 2)), tensor(bell_state((0, 1)), bell_state((1, 0))),
+                 measure_qubits(four, (3, 1), rng)[1], PureState(np.array([1.0, 0.0]))]
+        for state in built:
+            assert type(state) is PureState and not hasattr(state, "__dict__")
+            assert state.amplitudes.flags.writeable is False
+
+    def test_the_direct_vdot_equals_np_vdot_bit_for_bit(self):
+        rng = np.random.default_rng(2718)
+        for n in range(1, 5):
+            for _ in range(50):
+                a, b = rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n))
+                assert _vdot(a, a).tobytes() == np.vdot(a, a).tobytes()
+                assert _vdot(a, b).tobytes() == np.vdot(a, b).tobytes()
+
+    @pytest.mark.parametrize("norm, shown", [(1.0 + 2e-9, "1.000000002"), (1.0 - 2e-9, "0.999999998")])
+    def test_fresh_refuses_a_norm_two_tolerances_off(self, norm, shown):
+        with pytest.raises(ValueError) as error:
+            _fresh(np.array([norm, 0.0], dtype=complex))
+        assert str(error.value) == (
+            f"state norm {shown} deviates from 1 by more than 1e-09; pass normalize=True to rescale")
+        assert _fresh(np.array([1.0 + (norm - 1.0) / 4, 0.0], dtype=complex)).num_qubits == 1
+
+    @pytest.mark.parametrize("route", [copy.deepcopy, copy.copy, _pickled],
+                             ids=["deepcopy", "copy", "pickle"])
+    def test_a_copied_state_holds_a_new_read_only_array(self, route, rng):
+        # A deepcopy or pickle gave a writable array, so writing 5 into it made a
+        # state of norm 5.05 with no check run; a copy shared the original's array.
+        for state in (bell_state((0, 0)), random_state(rng, 4)):
+            copied = route(state)
+            assert type(copied) is PureState and copied.num_qubits == state.num_qubits
+            assert copied.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert copied.amplitudes.flags.writeable is False
+            assert not np.shares_memory(copied.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("route", [copy.deepcopy, copy.copy, _pickled],
+                             ids=["deepcopy", "copy", "pickle"])
+    def test_a_copied_unitary_holds_a_new_read_only_array(self, route):
+        # A deepcopy or pickle of HADAMARD gave writable entries; a copy shared them.
+        for gate in (HADAMARD, CNOT, expand_unitary(HADAMARD, (3,), 4)):
+            copied = route(gate)
+            assert type(copied) is UnitaryMatrix and copied.dim == gate.dim
+            assert copied.entries.tobytes() == gate.entries.tobytes()
+            assert copied.entries.flags.writeable is False
+            assert not np.shares_memory(copied.entries, gate.entries)
+
+    def test_a_copy_is_rebuilt_through_the_validating_constructor(self):
+        rebuild, args = bell_state((0, 0)).__reduce__()
+        with pytest.raises(ValueError, match="deviates from 1"):
+            rebuild(5 * args[0])
+        rebuild, args = HADAMARD.__reduce__()
+        with pytest.raises(ValueError, match="not unitary"):
+            rebuild(5 * args[0])
+
+
 class TestTargetTable:
     # A list is unhashable, so it always takes the validating path.
     def test_holds_every_valid_ordered_target_tuple(self):
@@ -879,8 +981,25 @@ class TestNumpyScalars:
         solution = solve_ndelta(np.array(0.7), np.array(0.3), np.array(0.3))
         assert solution == solve_ndelta(0.7, 0.3, 0.3)
         assert [type(v) for v in dataclasses.astuple(solution)] == [float] * 4
-        row = np.array([0.3])
-        assert _python_number(row) is row  # an array of one or more dimensions passes
+        with pytest.raises(ValueError, match=r"^expected a number, got an array of shape \(1,\)$"):
+            _python_number(np.array([0.3]))  # an array of one or more dimensions is refused
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: FieldParams(np.array([1.0]), 0.3, 0.1),
+         lambda: SourceSpec(np.array([0.7]), 1.0, 0.0, 0.3, math.pi / 2 - 0.3),
+         lambda: table_populations(0.7, np.array([0.3]), 0.3, 0.1),
+         lambda: ControlKnob(1, np.array([0.1])),
+         lambda: feasible(0.7, np.array([0.3]), 0.3),
+         lambda: solve_ndelta(0.7, np.array([0.3]), 0.3)],
+        ids=["FieldParams", "SourceSpec", "table_populations", "ControlKnob", "feasible",
+             "solve_ndelta"],
+    )
+    def test_an_array_of_one_or_more_dimensions_is_refused_where_a_number_is_read(self, call):
+        # The first three held or returned arrays; the last three raised numpy's
+        # TypeError "only 0-dimensional arrays can be converted to Python scalars".
+        with pytest.raises(ValueError, match=r"^expected a number, got an array of shape \(1,\)$"):
+            call()
 
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
         # Each raised AttributeError: no as_integer_ratio on numpy.int64.
