@@ -35,6 +35,7 @@ from .statevec import (
     _multinomial,
     _python_number,
     _require_finite,
+    _require_kind,
     bell_coefficients,
     bell_state,
     expand_unitary,
@@ -117,19 +118,22 @@ class PopulationTable:
 
     @classmethod
     def from_raw(cls, raw: Populations) -> "PopulationTable":
-        total = raw.total()
+        weights = f00, f01, f10, f11 = raw.f00, raw.f01, raw.f10, raw.f11
+        total = f00 + f01 + f10 + f11  # raw.total()
         # The total is the emission's raw norm, held to its degenerate bound; NaN fails too.
-        if min(raw.as_tuple()) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
-            raise ValueError(f"invalid population weights {raw.as_tuple()!r}")
-        normalized = Populations(*(f / total for f in raw.as_tuple()))
-        return cls(raw=raw, normalized=normalized)
+        if min(weights) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
+            raise ValueError(f"invalid population weights {weights!r}")
+        return cls(raw, Populations(f00 / total, f01 / total, f10 / total, f11 / total))
+
+
+def _moments(spec: SourceSpec) -> tuple[float, float]:
+    """The moments (C, S) of ``spec``'s second species."""
+    return (spec.p1 * math.cos(spec.theta1) + spec.p2 * math.cos(spec.theta2),
+            spec.p1 * math.sin(spec.theta1) + spec.p2 * math.sin(spec.theta2))
 
 
 def species_moments(spec: SourceSpec) -> SpeciesMoments:
-    return SpeciesMoments(
-        C=spec.p1 * math.cos(spec.theta1) + spec.p2 * math.cos(spec.theta2),
-        S=spec.p1 * math.sin(spec.theta1) + spec.p2 * math.sin(spec.theta2),
-    )
+    return SpeciesMoments(*_moments(spec))
 
 
 def table_populations(
@@ -143,7 +147,12 @@ def table_populations(
     f11 = C^2 sin^2(g) cos^2(x) + cos^2(g) sin^2(x)      with x = 2 pi n delta.
     NaN, an infinity, an int past the float range or an overflowing 2 pi ndelta raises ValueError.
     """
-    gamma, c_squared, s_squared, ndelta = map(_python_number, (gamma, c_squared, s_squared, ndelta))
+    names = ("gamma", "C^2", "S^2", "ndelta")
+    return _closed_form(*map(_python_number, (gamma, c_squared, s_squared, ndelta), names))
+
+
+def _closed_form(gamma: float, c_squared: float, s_squared: float, ndelta: float) -> Populations:
+    """table_populations on Python numbers: the formula's one owner, with its checks."""
     _require_finite("gamma, C^2, S^2 and ndelta", gamma, c_squared, s_squared, ndelta)
     x = 2.0 * math.pi * ndelta
     if not math.isfinite(x):
@@ -152,19 +161,17 @@ def table_populations(
     sin2_g = math.sin(gamma) ** 2
     cos2_x = math.cos(x) ** 2
     sin2_x = math.sin(x) ** 2
-    return Populations(
-        f00=cos2_g * cos2_x + c_squared * sin2_g * sin2_x,
-        f01=s_squared * sin2_g,
-        f10=0.0,
-        f11=c_squared * sin2_g * cos2_x + cos2_g * sin2_x,
-    )
+    f00 = cos2_g * cos2_x + c_squared * sin2_g * sin2_x
+    f11 = c_squared * sin2_g * cos2_x + cos2_g * sin2_x
+    return Populations(f00, s_squared * sin2_g, 0.0, f11)
 
 
 def populations_analytic(spec: SourceSpec, knob: ControlKnob) -> PopulationTable:
-    """Closed-form population table for a controlled emission."""
-    moments = species_moments(spec)
-    raw = table_populations(spec.gamma, moments.C**2, moments.S**2, knob.ndelta)
-    return PopulationTable.from_raw(raw)
+    """Closed-form population table for a controlled emission, with table_populations' checks."""
+    _require_kind("spec", SourceSpec, spec)
+    _require_kind("knob", ControlKnob, knob)
+    c, s = _moments(spec)
+    return PopulationTable.from_raw(_closed_form(spec.gamma, c**2, s**2, knob.ndelta))
 
 
 def _bell_weights(state12: PureState) -> list[float]:
@@ -178,7 +185,7 @@ def populations_exact(state12: PureState) -> PopulationTable:
     Raw and normalized views coincide because the input is already physical.
     """
     pops = Populations(*_READOUT_ORDER(_bell_weights(state12)))
-    return PopulationTable(raw=pops, normalized=pops)
+    return PopulationTable(pops, pops)
 
 
 @dataclass(frozen=True)
@@ -303,7 +310,10 @@ def sample_histogram(
     """Outcome counts of ``shots`` independent Bell measurements of the pair.
 
     Each shot measures a freshly prepared copy; the counts are drawn in one
-    multinomial step. Keys are the readout strings "00".."11".
+    multinomial step. Keys are the readout strings "00".."11". The weights are normalized in
+    Python floats, summed in order as numpy sums four, so the Generator sees the same values.
     """
-    counts = _multinomial(shots, np.array(_READOUT_ORDER(_bell_weights(state12))), rng)
-    return {key: int(c) for key, c in zip(_OUTCOME_KEYS, counts)}
+    w00, w01, w10, w11 = _READOUT_ORDER(_bell_weights(state12))
+    total = w00 + w01 + w10 + w11
+    counts = _multinomial(shots, [w00 / total, w01 / total, w10 / total, w11 / total], rng)
+    return dict(zip(_OUTCOME_KEYS, counts.tolist()))

@@ -147,8 +147,9 @@ def _clamp01(value: float, bound: str) -> float:
 
 
 def _check_gamma(gamma: float) -> None:
+    gamma = _python_number(gamma, "gamma")  # an array is refused before it is compared
     if not 0.0 < gamma <= math.pi / 2:
-        raise ValueError(f"gamma must lie in (0, pi/2], got {_python_number(gamma)!r}")
+        raise ValueError(f"gamma must lie in (0, pi/2], got {gamma!r}")
 
 
 def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
@@ -162,7 +163,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     or sin^2 gamma vanishes. It designs a source with C^2 + S^2 = 1 (raw norm
     N = 1); a given source with N != 1 it steers wrong (README, "Notes on the math").
     """
-    gamma, f00, f11 = map(_python_number, (gamma, f00, f11))  # numpy arithmetic would warn
+    gamma, f00, f11 = map(_python_number, (gamma, f00, f11), ("gamma", "f00", "f11"))
     _check_gamma(gamma)
     _require_finite("target populations", f00, f11)
     if f00 < 0.0 or f11 < 0.0:
@@ -193,7 +194,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
 
 def feasible(gamma: float, f00: float, f11: float) -> RegionPoint:
     """Feasibility of a steering target as a value; never raises for targets."""
-    f00, f11 = _python_number(f00), _python_number(f11)
+    f00, f11 = _python_number(f00, "f00"), _python_number(f11, "f11")
     try:
         return RegionPoint(f00, f11, solve_ndelta(gamma, f00, f11))
     except ControlError:
@@ -284,7 +285,8 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
     non-finite argument, a negative frequency, an ndelta whose 4 pi ndelta
     overflows, or frequencies that do not sum to 1.
     """
-    f00, f01, f11, ndelta = map(_python_number, (f00, f01, f11, ndelta))
+    named = ("f00", "f01", "f11", "ndelta")
+    f00, f01, f11, ndelta = map(_python_number, (f00, f01, f11, ndelta), named)
     _require_finite("frequencies and ndelta", f00, f01, f11, ndelta)
     if min(f00, f01, f11) < 0.0:
         raise ValueError(f"frequencies must be non-negative, got ({f00!r}, {f01!r}, {f11!r})")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .source import SourceSpec, _emission, _species
 from .statevec import (PureState, _complex_array, _fresh, _is_finite, _is_integer, _or_infinity,
-                       _python_number, _require_finite)
+                       _python_number, _require_finite, _require_kind)
 
 __all__ = [
     "BestRational",
@@ -41,6 +41,7 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
+_PROVENANCE_FIELDS = ("provenance j", "provenance q_num", "provenance q_den")
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class FieldParams:
     def __post_init__(self) -> None:
         for name in ("J", "B1", "B2"):
             if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _python_number(value))
+                object.__setattr__(self, name, _python_number(value, name))
 
     @property
     def b_minus(self) -> float:
@@ -103,6 +104,8 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     the X-Z plane with frequency omega = sqrt(B-^2 + 4J^2). Raises ValueError
     for a NaN or infinite J, B1, B2, B1 - B2, t or phase angle (omega or a sector energy, times t).
     """
+    _require_kind("state", PureState, state)
+    _require_kind("fp", FieldParams, fp)
     if state.num_qubits != 2:
         raise ValueError(f"evolution is defined on 2-qubit states, got {state.num_qubits}")
 
@@ -114,7 +117,7 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
     J, bm = fp.J, fp.b_minus
     require(("B1 - B2", bm), ("t", t))
-    t = _python_number(t)  # as a field: Python arithmetic from here
+    t = _python_number(t, "t")  # as a field: Python arithmetic from here
     omega = math.hypot(bm, 2.0 * J)
     e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
     require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
@@ -182,7 +185,7 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     """
     if not _is_integer(max_den) or max_den < 1:
         raise ValueError(f"max_den must be a positive integer, got {max_den!r}")
-    max_den, j = int(max_den), _python_number(j)  # numpy ints have no as_integer_ratio
+    max_den, j = int(max_den), _python_number(j, "j")  # numpy ints have no as_integer_ratio
     if not abs(j) <= 0.5:
         raise ValueError(f"|j| <= 1/2 violated: got {j!r}")
     a, b = j.as_integer_ratio()
@@ -248,14 +251,14 @@ class ControlKnob:
     ndelta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n, delta = _python_number(self.n), _python_number(self.delta)
+        n, delta = _python_number(self.n, "n"), _python_number(self.delta, "delta")
         # The upper bound keeps n * delta a finite float.
         if not _is_integer(n) or not 0 <= n <= sys.float_info.max:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not abs(delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {delta!r}")
         if self.provenance is not None:
-            j, num, den = map(_python_number, self.provenance)
+            j, num, den = map(_python_number, self.provenance, _PROVENANCE_FIELDS)
             self.__dict__["provenance"] = RationalProvenance(j, num, den)
             _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):

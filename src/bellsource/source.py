@@ -60,7 +60,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         for name in ("gamma", "p1", "p2", "theta1", "theta2"):
             if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _python_number(value))
+                object.__setattr__(self, name, _python_number(value, name))
         p1, p2 = self.p1, self.p2
         if not (abs(p1) <= 2 and abs(p2) <= 2 and abs(p1**2 + p2**2 - 1.0) <= _SPEC_TOL):
             weight = math.inf  # kept where a float square leaves the float range and raises
@@ -87,7 +87,8 @@ class SourceSpec:
         cls, gamma: float, p1: float, theta1: float, p2_negative: bool = False
     ) -> "SourceSpec":
         """Complete a spec from (gamma, p1, theta1); p2 and theta2 are derived."""
-        p1, theta1 = _python_number(p1), _python_number(theta1)  # derived in Python floats too
+        # p2 and theta2 are derived in Python floats too.
+        p1, theta1 = _python_number(p1, "p1"), _python_number(theta1, "theta1")
         if not abs(p1) <= 1.0:
             raise ValueError(f"p1^2 + p2^2 = 1 violated: |p1| = {abs(p1)!r} is not at most 1")
         p2 = math.sqrt(max(0.0, 1.0 - p1**2))

@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from collections.abc import Sized
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
@@ -58,14 +58,21 @@ def _is_integer(value: object) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
-def _python_number(value: object) -> object:
+def _python_number(value: object, what: str = "") -> object:
     """``value``, or the Python number a numpy scalar or 0-d array holds: no later arithmetic
-    wraps or warns. An array of one or more dimensions is refused with its shape."""
+    wraps or warns. An array of one or more dimensions is refused, naming ``what`` and its shape."""
     if type(value) is float or not isinstance(value, (np.generic, np.ndarray)):
         return value
     if value.ndim:
-        raise ValueError(f"expected a number, got an array of shape {value.shape}")
+        named = f" for {what}" if what else ""
+        raise ValueError(f"expected a number{named}, got an array of shape {value.shape}")
     return value.item()
+
+
+def _require_kind(what: str, kind: type, value: object) -> None:
+    """The wrong-kind rule's one refusal: ValueError naming ``what``, ``kind`` and the type."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _is_finite(value: float) -> bool:
@@ -203,6 +210,15 @@ class UnitaryMatrix:
         return UnitaryMatrix, (self.entries,)
 
 
+def _frozen(self, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# dataclass's own pair sent a name that is not a field to super(), which slots=True breaks.
+PureState.__setattr__ = PureState.__delattr__ = _frozen
+UnitaryMatrix.__setattr__ = UnitaryMatrix.__delattr__ = _frozen
+
+
 class BellLabel(NamedTuple):
     a: int
     b: int
@@ -332,8 +348,7 @@ def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> np.
 
 
 def _gate_rows(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    if not isinstance(u, UnitaryMatrix):
-        raise ValueError(f"gate must be a UnitaryMatrix, got {type(u).__name__}")
+    _require_kind("gate", UnitaryMatrix, u)
     rows = _check_targets(targets, num_qubits)
     if u.dim != len(rows):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(targets)} qubit(s)")
@@ -383,6 +398,7 @@ def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
 
 def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, complex]:
     """Coefficients (c00, c01, c10, c11) of a 2-qubit state in the Bell basis, by butterflies."""
+    _require_kind("state", PureState, state)
     if state.num_qubits != 2:
         raise ValueError(f"Bell decomposition needs a 2-qubit state, got {state.num_qubits}")
     x00, x01, x10, x11 = state.amplitudes.tolist()
@@ -423,15 +439,15 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return max((k for k, p in enumerate(probs) if p >= _ZERO_PROB), default=len(probs) - 1)
 
 
-def _multinomial(shots: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Counts of ``shots`` Born draws over the weights ``probs``, in one multinomial step.
-
-    Its joint law equals that of ``shots`` independent measurements; the
-    weights are rescaled to sum to 1. ``shots`` must be an integer in [1, 2**63 - 1].
+def _multinomial(shots: int, probs: Sequence[float], rng: np.random.Generator) -> np.ndarray:
+    """Counts of ``shots`` Born draws over the weights ``probs``, rescaled to sum to 1 by the
+    caller, in one multinomial step; its joint law equals that of ``shots`` independent
+    measurements. ``shots`` must be an integer in [1, 2**63 - 1], ``rng`` a Generator.
     """
     if not (_is_integer(shots) and 1 <= shots <= _MAX_SHOTS):
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
-    return rng.multinomial(shots, probs / probs.sum())
+    _require_kind("rng", np.random.Generator, rng)
+    return rng.multinomial(shots, probs)
 
 
 def measure_qubits(
@@ -459,7 +475,8 @@ def sample_measurements(
     order) spell k in binary.
     """
     rows = _check_targets(indices, state.num_qubits)
-    return _multinomial(shots, _marginal_probabilities(state, rows), rng)
+    probs = _marginal_probabilities(state, rows)
+    return _multinomial(shots, probs / probs.sum(), rng)  # numpy's sum: pairwise from 8 entries
 
 
 def collapse_qubits(

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from bellsource import (
     BELL_LABELS,
@@ -38,6 +40,7 @@ from bellsource import (
     ControlKnob,
     DegenerateSourceError,
     FieldParams,
+    PopulationTable,
     SourceSpec,
     UnitaryMatrix,
     apply_unitary,
@@ -55,14 +58,18 @@ from bellsource import (
     feasible,
     measure_qubits,
     nonlocal_bell_measurement,
+    populations_analytic,
     populations_exact,
     psi2,
     run_characterization_circuit,
     sample_histogram,
     sample_measurements,
+    species_moments,
     superpose_species,
+    table_populations,
     tensor,
 )
+from bellsource import characterize
 from conftest import random_knob, random_spec, random_state
 
 
@@ -323,3 +330,93 @@ def emission_digest(count: int, seed: int = 3) -> str:
 
 def test_seeded_emission_bits_are_pinned():
     assert emission_digest(3000) == "79a5d1884b01d68e095d6797990f415da569785bb881d5fd19b900ca82ea4c3e"
+
+
+# The closed form has one owner (characterize._closed_form) and the histogram normalizes its
+# four weights in Python floats; neither may move a bit. The shot digests hash counts, not
+# the normalized weights, so they cannot see a 1-ulp shift there: these tests can.
+
+_NEAR_OVERFLOW = (int(sys.float_info.max / 4), int(sys.float_info.max / 3.2))
+
+
+def _analytic_holders() -> list[tuple[SourceSpec, ControlKnob]]:
+    """Derandomized (spec, knob) pairs over the closed form's edges: gamma 0 and pi/2, p1 = +-1,
+    theta1 = +-pi, n = 0, and n delta with 2 pi n delta at 0.79 and 0.98 of the float range;
+    then seeded pairs."""
+    specs = [
+        SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative)
+        for gamma in (0.0, math.pi / 2, 0.7)
+        for p1 in (1.0, -1.0, 0.0, 0.6)
+        for theta1 in (math.pi, -math.pi, 0.0, 0.7)
+        for p2_negative in (False, True)
+    ]
+    knobs = [ControlKnob(0, 0.0), ControlKnob(0, -0.3), ControlKnob(1, 0.125)]
+    knobs += [ControlKnob(n, delta) for n in _NEAR_OVERFLOW for delta in (0.5, -0.5)]
+    rng = np.random.default_rng(7)
+    seeded = [(random_spec(rng), random_knob(rng)) for _ in range(500)]
+    return [(spec, knob) for spec in specs for knob in knobs] + seeded
+
+
+def _table_hex(build) -> list[str] | str:
+    """The raw then normalized weights of ``build()`` as float hex, or its ValueError text."""
+    try:
+        table = build()
+    except ValueError as exc:
+        return str(exc)
+    return [f.hex() for f in (*table.raw.as_tuple(), *table.normalized.as_tuple())]
+
+
+def test_populations_analytic_is_the_table_of_its_moments_bit_for_bit():
+    for spec, knob in _analytic_holders():
+        m = species_moments(spec)
+        expected = _table_hex(lambda: PopulationTable.from_raw(
+            table_populations(spec.gamma, m.C**2, m.S**2, knob.ndelta)))
+        assert _table_hex(lambda: populations_analytic(spec, knob)) == expected, (spec, knob)
+
+
+def test_populations_analytic_bits_are_pinned():
+    """Pinned before the closed form got its one owner and from_raw its single read."""
+    h = hashlib.sha256()
+    for spec, knob in _analytic_holders():
+        h.update(repr(_table_hex(lambda: populations_analytic(spec, knob))).encode())
+    assert h.hexdigest() == "e425a5cc465ed2e6ca499c109aff3d83ece266d917a459caad158cf9ba405308"
+
+
+def _histogram_pairs() -> list:
+    rng = np.random.default_rng(8)
+    return [bell_state(label) for label in BELL_LABELS] + [_pair_input(rng, i) for i in range(300)]
+
+
+def _numpy_weights(pair) -> np.ndarray:
+    """The four readout weights normalized as numpy does: ``w / w.sum()``."""
+    w = np.array(populations_exact(pair).raw.as_tuple())
+    return w / w.sum()
+
+
+def test_four_weights_sum_in_order_as_numpy_sums_them():
+    rng = np.random.default_rng(9)
+    for _ in range(20000):
+        w = rng.random(4) * 2.0 ** rng.integers(-60, 60, size=4)
+        a, b, c, d = w.tolist()
+        assert (a + b + c + d).hex() == float(w.sum()).hex()
+
+
+def test_sample_histogram_weights_are_numpys_normalization_bit_for_bit(monkeypatch):
+    seen = []
+    draw = characterize._multinomial
+    monkeypatch.setattr(characterize, "_multinomial",
+                        lambda shots, probs, rng: seen.append(probs) or draw(shots, probs, rng))
+    rng = np.random.default_rng(10)
+    for pair in _histogram_pairs():
+        sample_histogram(pair, 10, rng)
+        assert [p.hex() for p in seen.pop()] == [p.hex() for p in _numpy_weights(pair).tolist()]
+
+
+@pytest.mark.parametrize("shots", [1, 10**5, 2**63 - 1])
+def test_sample_histogram_counts_are_the_numpy_routes(shots):
+    for seed, pair in enumerate(_histogram_pairs()):
+        expected = np.random.default_rng(seed).multinomial(shots, _numpy_weights(pair)).tolist()
+        histogram = sample_histogram(pair, shots, np.random.default_rng(seed))
+        assert list(histogram) == ["00", "01", "10", "11"]
+        assert list(histogram.values()) == expected
+        assert {type(count) for count in histogram.values()} == {int}

@@ -432,3 +432,26 @@ class TestSampleHistogram:
         counts = [sample_histogram(state, shots, np.random.default_rng(4))
                   for shots in (7, np.int64(7))]
         assert counts[0] == counts[1]
+
+
+class TestWrongKind:
+    """A wrong kind where a library type is read is a ValueError naming its type (README,
+    "Input rules"); each of these raised AttributeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: populations_analytic(None, WORKED_KNOB), "spec must be a SourceSpec, got NoneType"),
+         (lambda: populations_analytic(WORKED_SPEC, 0.1), "knob must be a ControlKnob, got float"),
+         (lambda: populations_exact(None), "state must be a PureState, got NoneType"),
+         (lambda: populations_exact(np.array([1.0, 0, 0, 0])), "state must be a PureState, got ndarray"),
+         (lambda: sample_histogram(bell_state((0, 0)), 10, None),
+          "rng must be a Generator, got NoneType"),
+         (lambda: sample_histogram(bell_state((0, 0)), 10, 7), "rng must be a Generator, got int"),
+         (lambda: sample_histogram("00", 10, np.random.default_rng(0)),
+          "state must be a PureState, got str")],
+        ids=["analytic-spec", "analytic-knob", "exact-None", "exact-array", "histogram-rng-None",
+             "histogram-rng-int", "histogram-state"],
+    )
+    def test_a_wrong_kind_is_a_value_error_naming_its_type(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

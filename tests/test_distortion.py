@@ -150,6 +150,18 @@ class TestEvolve:
             out = evolve(random_state(rng, 2), FieldParams(*rng.uniform(-2, 2, size=3)), 2.5)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "state, fp, message",
+        [(bell_state((0, 0)), None, "fp must be a FieldParams, got NoneType"),
+         (bell_state((0, 0)), (1.0, 0.3, 0.1), "fp must be a FieldParams, got tuple"),
+         (None, FieldParams(1.0, 0.3, 0.1), "state must be a PureState, got NoneType")],
+        ids=["fp-None", "fp-tuple", "state-None"],
+    )
+    def test_a_wrong_kind_is_a_value_error_naming_its_type(self, state, fp, message):
+        # Each raised AttributeError.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evolve(state, fp, 1.0)
+
     def test_rejects_wrong_size(self, rng):
         with pytest.raises(ValueError):
             evolve(random_state(rng, 3), FieldParams(1.0, 0.0, 0.0), 1.0)

@@ -45,6 +45,7 @@ from bellsource import (
     psi1,
     psi2,
     rational_approx,
+    region_arrays,
     run_characterization_circuit,
     sample_measurements,
     solve_ndelta,
@@ -600,11 +601,22 @@ class TestSlottedHolders:
             setattr(holder, name, None)
 
     def test_a_name_that_is_not_a_field_cannot_be_set(self):
-        # The frozen __setattr__ raises TypeError for it on CPython 3.11, not FrozenInstanceError.
         state = bell_state((0, 0))
         with pytest.raises((AttributeError, TypeError)):
             state.label = "phi+"
         assert not hasattr(state, "label")
+
+    @pytest.mark.parametrize("holder", [bell_state((0, 0)), HADAMARD], ids=["state", "unitary"])
+    def test_a_name_that_is_not_a_field_raises_frozen_instance_error(self, holder):
+        # Setting one raised TypeError "super(type, obj): obj must be an instance or subtype of
+        # type": the generated frozen methods name the class that slots=True replaced.
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'label'$"):
+            holder.label = 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'label'$"):
+            del holder.label
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'dim'$"):
+            del holder.dim
+        assert not hasattr(holder, "label")
 
     def test_repr_is_the_dataclass_repr(self):
         assert repr(PureState(np.array([0.6, 0.8j]))) == (
@@ -982,20 +994,41 @@ class TestNumpyScalars:
             _python_number(np.array([0.3]))  # an array of one or more dimensions is refused
 
     @pytest.mark.parametrize(
-        "call",
-        [lambda: FieldParams(np.array([1.0]), 0.3, 0.1),
-         lambda: SourceSpec(np.array([0.7]), 1.0, 0.0, 0.3, math.pi / 2 - 0.3),
-         lambda: table_populations(0.7, np.array([0.3]), 0.3, 0.1),
-         lambda: ControlKnob(1, np.array([0.1])),
-         lambda: feasible(0.7, np.array([0.3]), 0.3),
-         lambda: solve_ndelta(0.7, np.array([0.3]), 0.3)],
+        "call, name",
+        [(lambda: FieldParams(np.array([1.0]), 0.3, 0.1), "J"),
+         (lambda: SourceSpec(np.array([0.7]), 1.0, 0.0, 0.3, math.pi / 2 - 0.3), "gamma"),
+         (lambda: table_populations(0.7, np.array([0.3]), 0.3, 0.1), "C\\^2"),
+         (lambda: ControlKnob(1, np.array([0.1])), "delta"),
+         (lambda: feasible(0.7, np.array([0.3]), 0.3), "f00"),
+         (lambda: solve_ndelta(0.7, np.array([0.3]), 0.3), "f00")],
         ids=["FieldParams", "SourceSpec", "table_populations", "ControlKnob", "feasible",
              "solve_ndelta"],
     )
-    def test_an_array_of_one_or_more_dimensions_is_refused_where_a_number_is_read(self, call):
+    def test_an_array_of_one_or_more_dimensions_is_refused_where_a_number_is_read(self, call, name):
         # The first three held or returned arrays; the last three raised numpy's
         # TypeError "only 0-dimensional arrays can be converted to Python scalars".
-        with pytest.raises(ValueError, match=r"^expected a number, got an array of shape \(1,\)$"):
+        with pytest.raises(ValueError, match=rf"^expected a number for {name}, got an array of shape \(1,\)$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda: FieldParams(1.0, 0.3, np.array([[0.1]])), "B2"),
+         (lambda: SourceSpec(0.7, 1.0, 0.0, 0.3, np.array([math.pi / 2 - 0.3])), "theta2"),
+         (lambda: SourceSpec.from_p1_theta1(0.7, np.array([1.0]), 0.3), "p1"),
+         (lambda: solve_ndelta(np.array([0.7]), 0.3, 0.3), "gamma"),
+         (lambda: solve_ndelta(0.7, 0.3, np.array([0.3, 0.3])), "f11"),
+         (lambda: ControlKnob(np.array([1]), 0.1), "n"),
+         (lambda: ControlKnob(1, 0.0, RationalProvenance(np.array([0.5]), 1, 2)), "provenance j"),
+         (lambda: rational_approx(np.array([0.3]), 4), "j"),
+         (lambda: infer_parameters(0.3, 0.4, 0.3, np.array([0.1])), "ndelta"),
+         (lambda: region_arrays(np.array([0.5]), 3), "gamma")],
+        ids=["FieldParams-B2", "SourceSpec-theta2", "from_p1_theta1", "solve_ndelta-gamma",
+             "solve_ndelta-f11", "ControlKnob-n", "provenance", "rational_approx",
+             "infer_parameters", "region_arrays"],
+    )
+    def test_the_array_refusal_names_the_field_or_argument(self, call, name):
+        # Each said only "expected a number, got an array of shape ...".
+        with pytest.raises(ValueError, match=rf"^expected a number for {name}, got an array of shape"):
             call()
 
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
