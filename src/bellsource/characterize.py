@@ -102,6 +102,10 @@ class Populations:
     f10: float
     f11: float
 
+    def __init__(self, f00: float, f01: float, f10: float, f11: float) -> None:
+        # dataclass keeps this __init__: one __dict__ write, not four object.__setattr__ calls.
+        self.__dict__.update(f00=f00, f01=f01, f10=f10, f11=f11)
+
     def total(self) -> float:
         return self.f00 + self.f01 + self.f10 + self.f11
 

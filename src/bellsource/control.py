@@ -163,6 +163,7 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
     or sin^2 gamma vanishes. It designs a source with C^2 + S^2 = 1 (raw norm
     N = 1); a given source with N != 1 it steers wrong (README, "Notes on the math").
     """
+    # Python numbers from here: numpy arithmetic would warn.
     gamma, f00, f11 = map(_python_number, (gamma, f00, f11), ("gamma", "f00", "f11"))
     _check_gamma(gamma)
     _require_finite("target populations", f00, f11)

@@ -164,7 +164,7 @@ def _superpose(
     raw_norm = _squared_norm(parts)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return _fresh(np.array(parts) / math.sqrt(raw_norm)), raw_norm
+    return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm  # np.array(parts) / root
 
 
 def superpose_species(
@@ -182,8 +182,10 @@ def superpose_species(
 
 def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
     """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm."""
-    second = (_species(0.0, math.cos(t), math.sin(t), turn) for t in (spec.theta1, spec.theta2))
-    return _superpose(spec, _species(1.0, 0.0, 0.0, turn), *second)
+    t1, t2 = spec.theta1, spec.theta2
+    return _superpose(spec, _species(1.0, 0.0, 0.0, turn),
+                      _species(0.0, math.cos(t1), math.sin(t1), turn),
+                      _species(0.0, math.cos(t2), math.sin(t2), turn))
 
 
 def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:

@@ -120,8 +120,9 @@ class PureState:
     superpositions that callers need to account for explicitly.
 
     The two fields are slots: an instance has no ``__dict__`` and cannot be
-    weak-referenced. A copy or pickle rebuilds through this constructor, so it
-    holds a new read-only array that passed the norm check.
+    weak-referenced, and setting or deleting any name raises FrozenInstanceError. A copy
+    or pickle rebuilds through this constructor, so it holds a new read-only array that
+    passed the norm check.
     """
 
     amplitudes: np.ndarray

@@ -440,10 +440,12 @@ class TestWrongKind:
 
     @pytest.mark.parametrize(
         "call, message",
-        [(lambda: populations_analytic(None, WORKED_KNOB), "spec must be a SourceSpec, got NoneType"),
+        [(lambda: populations_analytic(None, WORKED_KNOB),
+          "spec must be a SourceSpec, got NoneType"),
          (lambda: populations_analytic(WORKED_SPEC, 0.1), "knob must be a ControlKnob, got float"),
          (lambda: populations_exact(None), "state must be a PureState, got NoneType"),
-         (lambda: populations_exact(np.array([1.0, 0, 0, 0])), "state must be a PureState, got ndarray"),
+         (lambda: populations_exact(np.array([1.0, 0, 0, 0])),
+          "state must be a PureState, got ndarray"),
          (lambda: sample_histogram(bell_state((0, 0)), 10, None),
           "rng must be a Generator, got NoneType"),
          (lambda: sample_histogram(bell_state((0, 0)), 10, 7), "rng must be a Generator, got int"),

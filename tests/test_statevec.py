@@ -610,11 +610,12 @@ class TestSlottedHolders:
     def test_a_name_that_is_not_a_field_raises_frozen_instance_error(self, holder):
         # Setting one raised TypeError "super(type, obj): obj must be an instance or subtype of
         # type": the generated frozen methods name the class that slots=True replaced.
-        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'label'$"):
+        frozen = dataclasses.FrozenInstanceError
+        with pytest.raises(frozen, match="^cannot assign to field 'label'$"):
             holder.label = 1
-        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'label'$"):
+        with pytest.raises(frozen, match="^cannot delete field 'label'$"):
             del holder.label
-        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'dim'$"):
+        with pytest.raises(frozen, match="^cannot delete field 'dim'$"):
             del holder.dim
         assert not hasattr(holder, "label")
 
@@ -1007,7 +1008,8 @@ class TestNumpyScalars:
     def test_an_array_of_one_or_more_dimensions_is_refused_where_a_number_is_read(self, call, name):
         # The first three held or returned arrays; the last three raised numpy's
         # TypeError "only 0-dimensional arrays can be converted to Python scalars".
-        with pytest.raises(ValueError, match=rf"^expected a number for {name}, got an array of shape \(1,\)$"):
+        message = rf"^expected a number for {name}, got an array of shape \(1,\)$"
+        with pytest.raises(ValueError, match=message):
             call()
 
     @pytest.mark.parametrize(
@@ -1028,7 +1030,7 @@ class TestNumpyScalars:
     )
     def test_the_array_refusal_names_the_field_or_argument(self, call, name):
         # Each said only "expected a number, got an array of shape ...".
-        with pytest.raises(ValueError, match=rf"^expected a number for {name}, got an array of shape"):
+        with pytest.raises(ValueError, match=rf"^expected a number for {name}, got an array of"):
             call()
 
     def test_a_numpy_integer_j_is_the_equal_python_int(self):
