@@ -123,7 +123,7 @@ class PopulationTable:
     @classmethod
     def from_raw(cls, raw: Populations) -> "PopulationTable":
         weights = f00, f01, f10, f11 = raw.f00, raw.f01, raw.f10, raw.f11
-        total = f00 + f01 + f10 + f11  # raw.total()
+        total = f00 + f01 + f10 + f11  # in raw.total()'s order
         # The total is the emission's raw norm, held to its degenerate bound; NaN fails too.
         if min(weights) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
             raise ValueError(f"invalid population weights {weights!r}")

@@ -164,7 +164,8 @@ def _superpose(
     raw_norm = _squared_norm(parts)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
-    return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm  # np.array(parts) / root
+    # One call, the conversion and the loop of np.array(parts) / root: the same bits.
+    return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm
 
 
 def superpose_species(

@@ -70,7 +70,8 @@ def _python_number(value: object, what: str = "") -> object:
 
 
 def _require_kind(what: str, kind: type, value: object) -> None:
-    """The wrong-kind rule's one refusal: ValueError naming ``what``, ``kind`` and the type."""
+    """The wrong-kind rule's one refusal: ValueError naming ``what``, ``kind`` and the type.
+    A gate or shot path tests the exact type first and calls it only when that fails."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
@@ -349,7 +350,8 @@ def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, rows: np.ndarray) -> np.
 
 
 def _gate_rows(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    _require_kind("gate", UnitaryMatrix, u)
+    if type(u) is not UnitaryMatrix:
+        _require_kind("gate", UnitaryMatrix, u)
     rows = _check_targets(targets, num_qubits)
     if u.dim != len(rows):
         raise ValueError(f"unitary of dim {u.dim} does not act on {len(targets)} qubit(s)")
@@ -399,7 +401,8 @@ def bell_state(label: BellLabel | tuple[int, int]) -> PureState:
 
 def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, complex]:
     """Coefficients (c00, c01, c10, c11) of a 2-qubit state in the Bell basis, by butterflies."""
-    _require_kind("state", PureState, state)
+    if type(state) is not PureState:
+        _require_kind("state", PureState, state)
     if state.num_qubits != 2:
         raise ValueError(f"Bell decomposition needs a 2-qubit state, got {state.num_qubits}")
     x00, x01, x10, x11 = state.amplitudes.tolist()
