@@ -246,6 +246,8 @@ def circuit_realization(
 
 
 def _check_pair(state12: PureState) -> None:
+    if type(state12) is not PureState:
+        _require_kind("state", PureState, state12)
     if state12.num_qubits != 2:
         raise ValueError(f"characterization measures a 2-qubit pair, got {state12.num_qubits}")
 

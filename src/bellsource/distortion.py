@@ -11,7 +11,6 @@ j = J / sqrt(B-^2 + 4 J^2) and its best rational approximation Q(j).
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -20,26 +19,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .source import SourceSpec, _emission, _species
-from .statevec import (PureState, _complex_array, _fresh, _is_finite, _is_integer, _or_infinity,
-                       _python_number, _require_finite, _require_kind)
+from .statevec import (PureState, _fresh, _is_finite, _is_integer, _or_infinity, _python_number,
+                       _require_finite, _require_kind)
 
 __all__ = [
     "BestRational",
     "ControlKnob",
     "FieldParams",
-    "HamiltonianMatrix",
     "RationalProvenance",
-    "hamiltonian",
     "evolve",
     "j_parameter",
     "rational_approx",
-    "small_mismatch_estimate",
     "controlled_psi1",
     "controlled_psi2",
     "controlled_emission",
 ]
 
-_HERMITIAN_TOL = 1e-12
 _PROVENANCE_TOL = 1e-15
 _PROVENANCE_FIELDS = ("provenance j", "provenance q_num", "provenance q_den")
 
@@ -63,39 +58,6 @@ class FieldParams:
         return self.B1 - self.B2
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianMatrix:
-    """4x4 Hermitian matrix, block-diagonal over {|00>,|11>} + {|01>,|10>}."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = _complex_array(self.entries)
-        if m.shape != (4, 4):
-            raise ValueError(f"Hamiltonian must be 4x4, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"Hamiltonian entries must be finite, got {m[~np.isfinite(m)]!r}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
-            raise ValueError("Hamiltonian is not Hermitian")
-        cross = [(0, 1), (0, 2), (3, 1), (3, 2)]
-        for i, j in cross:
-            if abs(m[i, j]) > _HERMITIAN_TOL or abs(m[j, i]) > _HERMITIAN_TOL:
-                raise ValueError("Hamiltonian mixes the {00,11} and {01,10} sectors")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
-def hamiltonian(fp: FieldParams) -> HamiltonianMatrix:
-    """-J(XX + YY + ZZ) + B1 Z1 + B2 Z2 in the computational basis."""
-    J, B1, B2 = map(_or_infinity, (fp.J, fp.B1, fp.B2))  # an int field or sum past the range: inf
-    return HamiltonianMatrix([
-        [_or_infinity(-J + B1 + B2), 0.0, 0.0, 0.0],
-        [0.0, _or_infinity(J + B1 - B2), -2.0 * J, 0.0],
-        [0.0, -2.0 * J, _or_infinity(J - B1 + B2), 0.0],
-        [0.0, 0.0, 0.0, _or_infinity(-J - B1 - B2)],
-    ])
-
-
 def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
     """exp(-iHt) applied exactly through the two 2x2 sector solutions.
 
@@ -114,10 +76,10 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
             if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
 
+    t = _python_number(t, "t")  # as a field: Python arithmetic from here
     require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
     J, bm = fp.J, fp.b_minus
     require(("B1 - B2", bm), ("t", t))
-    t = _python_number(t, "t")  # as a field: Python arithmetic from here
     omega = math.hypot(bm, 2.0 * J)
     e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
     require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
@@ -211,21 +173,6 @@ def rational_approx(j: float, max_den: int) -> BestRational:
     return BestRational(num, den, _gap((a, b), num, den))
 
 
-def small_mismatch_estimate(fp: FieldParams) -> float:
-    """Leading-order mismatch estimate -B-^2 / (4 J^2) for weak inhomogeneity.
-
-    The coarse quoted estimate only: j - 1/2 = -B-^2/(16 J^2) + O(B-^4) is a factor
-    4 smaller; use j_parameter/rational_approx for exact values. Raises j_parameter's
-    ValueError where j is undefined, and ValueError for a non-finite estimate (J = 0 included).
-    """
-    j_parameter(fp)  # the estimate approximates j - 1/2, so it takes j's domain
-    with contextlib.suppress(OverflowError, ZeroDivisionError):  # B-^2, J^2 overflow; J^2 = 0
-        estimate = -(fp.b_minus**2) / (4.0 * fp.J**2)
-        if math.isfinite(estimate):
-            return estimate
-    raise ValueError(f"mismatch estimate is not finite for J = {fp.J!r}, B- = {fp.b_minus!r}")
-
-
 class RationalProvenance(NamedTuple):
     j: float
     q_num: int
@@ -285,6 +232,7 @@ class ControlKnob:
 
 def _turn(knob: ControlKnob) -> complex:
     """e^{4 pi i n delta} on |11>; n delta mod 1/2 is exact, so the angle's rounding stays small."""
+    _require_kind("knob", ControlKnob, knob)
     return cmath.rect(1.0, 4.0 * math.pi * math.fmod(knob.ndelta, 0.5))
 
 

@@ -18,16 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import (_RSQRT2, PureState, _fresh, _is_finite, _or_infinity, _python_number,
-                       _require_finite, _squared_norm, bell_state)
+                       _require_finite, _require_kind, _squared_norm, bell_state)
 
 __all__ = [
-    "ComponentStates",
     "DegenerateSourceError",
     "SourceSpec",
-    "component_states",
     "psi1",
     "psi2",
-    "superpose_species",
     "emitted_state",
 ]
 
@@ -97,24 +94,6 @@ class SourceSpec:
         return cls(gamma, p1, p2, theta1, math.pi / 2 - _or_infinity(theta1))
 
 
-@dataclass(frozen=True)
-class ComponentStates:
-    """The four single-qubit states generating both species at a given angle."""
-
-    phi: PureState
-    eta: PureState
-    varphi: PureState
-    mu: PureState
-
-
-def component_states(theta: float) -> ComponentStates:
-    """Single-qubit generators at angle theta; phi _|_ eta and varphi _|_ mu."""
-    _require_finite("theta", theta)
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    return ComponentStates(*(PureState(v) for v in ([c, s], [s, -c], [s, c], [c, -s])))
-
-
 _PSI1 = bell_state((0, 0))
 
 
@@ -152,7 +131,8 @@ def psi2(theta: float) -> PureState:
 def _superpose(
     spec: SourceSpec, species1: _Amplitudes, species2_first: _Amplitudes, species2_second: _Amplitudes
 ) -> tuple[PureState, float]:
-    """superpose_species on raw species amplitudes (Python float or complex).
+    """alpha1 species1 + alpha2 (p1 first + p2 second) of Python amplitudes, normalized, and
+    the raw squared norm 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
 
     Real and imaginary parts are combined apart, so a real amplitude and the
     same value held as a complex give the same bits.
@@ -168,21 +148,9 @@ def _superpose(
     return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm
 
 
-def superpose_species(
-    spec: SourceSpec, species1: PureState, species2_first: PureState, species2_second: PureState
-) -> tuple[PureState, float]:
-    """alpha1*species1 + alpha2*(p1*first + p2*second), normalized.
-
-    Returns the physical state together with the raw squared norm of the
-    unnormalized combination, which equals
-    1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
-    """
-    species = (species1, species2_first, species2_second)
-    return _superpose(spec, *(state.amplitudes.tolist() for state in species))
-
-
 def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
     """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm."""
+    _require_kind("spec", SourceSpec, spec)
     t1, t2 = spec.theta1, spec.theta2
     return _superpose(spec, _species(1.0, 0.0, 0.0, turn),
                       _species(0.0, math.cos(t1), math.sin(t1), turn),

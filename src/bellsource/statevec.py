@@ -83,9 +83,13 @@ def _is_finite(value: float) -> bool:
 
 def _require_finite(what: str, *values: float) -> None:
     """The finite rule's one refusal: ValueError naming ``what`` and the value (or values),
-    each numpy scalar shown as the Python number it holds."""
-    if not all(map(_is_finite, values)):
-        shown = tuple(map(_python_number, values))
+    each numpy scalar shown as the Python number it holds, and an array refused naming ``what``."""
+    try:
+        finite = all(map(_is_finite, values))
+    except ValueError:  # an array: the read below refuses it by name
+        finite = False
+    if not finite:
+        shown = tuple(_python_number(value, what) for value in values)
         raise ValueError(f"{what} must be finite, got {(shown[0] if len(shown) == 1 else shown)!r}")
 
 
@@ -284,6 +288,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
     The result is a new state even when a factor is a shared constant such
     as ``basis_state(bits)``, ``bell_state(l)`` or ``psi1()``.
     """
+    if type(a) is not PureState or type(b) is not PureState:
+        _require_kind("a", PureState, a)
+        _require_kind("b", PureState, b)
     total = a.num_qubits + b.num_qubits
     if total > MAX_QUBITS:
         raise ValueError(f"tensor product would have {total} qubits (max {MAX_QUBITS})")
@@ -434,6 +441,8 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     A u in the rounding gap above it gets the last index of weight at least
     ``_ZERO_PROB``, an outcome ``collapse_qubits`` accepts, or the last index if none is.
     """
+    if type(rng) is not np.random.Generator:
+        _require_kind("rng", np.random.Generator, rng)
     u = rng.random()
     total = 0.0
     for k, p in enumerate(probs):
@@ -463,6 +472,8 @@ def measure_qubits(
     state), collapses and renormalizes. Returns (outcome bits in the order
     of ``indices``, collapsed state, outcome probability).
     """
+    if type(state) is not PureState:
+        _require_kind("state", PureState, state)
     rows = _check_targets(indices, state.num_qubits)
     probs = _marginal_probabilities(state, rows).tolist()
     k = _born_index(probs, rng)  # the measured bits spell k

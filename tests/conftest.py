@@ -33,10 +33,11 @@ def random_knob(rng: np.random.Generator) -> ControlKnob:
     return ControlKnob(n=int(rng.integers(0, 12)), delta=rng.uniform(-0.5, 0.5))
 
 
-class FixedDraw:
-    """Stand-in generator whose ``random()`` returns a chosen draw."""
+class FixedDraw(np.random.Generator):
+    """Generator whose ``random()`` returns a chosen draw: a Generator to the kind check."""
 
     def __init__(self, u: float) -> None:
+        super().__init__(np.random.PCG64(0))
         self.u = u
 
     def random(self) -> float:

@@ -35,6 +35,12 @@ def pauli_hamiltonian(J: float, B1: float, B2: float) -> np.ndarray:
     return -J * exchange + B1 * np.kron(PAULI_Z, EYE2) + B2 * np.kron(EYE2, PAULI_Z)
 
 
+def expm_eigh(hermitian: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H from its eigendecomposition (``numpy.linalg.eigh``)."""
+    energies, vectors = np.linalg.eigh(hermitian)
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
 def expm_taylor(matrix: np.ndarray, terms: int = 40) -> np.ndarray:
     """exp(matrix) by scaled-and-squared truncated Taylor series."""
     norm = float(np.linalg.norm(matrix, 2))

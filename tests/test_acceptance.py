@@ -26,7 +26,6 @@ from bellsource import (
     controlled_psi2,
     evolve,
     fidelity_up_to_phase,
-    hamiltonian,
     infer_parameters,
     populations_analytic,
     populations_exact,
@@ -40,7 +39,8 @@ from bellsource.characterize import outcome_to_label
 from bellsource.cli import main as cli_main
 from bellsource.distortion import FieldParams
 from conftest import random_knob, random_spec, random_state
-from oracles import binomial_4sigma, bruteforce_error_by_denominator, expm_taylor
+from oracles import (binomial_4sigma, bruteforce_error_by_denominator, expm_taylor,
+                     pauli_hamiltonian)
 
 
 class _Criterion:
@@ -173,7 +173,7 @@ def test_criterion_07_evolution_correctness():
         rng = np.random.default_rng(707)
         for _ in range(100):
             fp = FieldParams(*rng.uniform(-2.0, 2.0, size=3))
-            h = hamiltonian(fp).entries
+            h = pauli_hamiltonian(fp.J, fp.B1, fp.B2)
             h_norm = float(np.linalg.norm(h, 2))
             t = rng.uniform(0.0, 10.0 / h_norm) if h_norm > 1e-9 else rng.uniform(0.0, 1.0)
             state = random_state(rng, 2)

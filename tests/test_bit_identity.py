@@ -65,11 +65,11 @@ from bellsource import (
     sample_histogram,
     sample_measurements,
     species_moments,
-    superpose_species,
     table_populations,
     tensor,
 )
 from bellsource import characterize
+from bellsource.source import _superpose
 from conftest import random_knob, random_spec, random_state
 
 
@@ -287,8 +287,8 @@ def emission_digest(count: int, seed: int = 3) -> str:
     Per input: ``emitted_state`` and ``controlled_emission`` of a spec and
     knob drawn from the domain edges or at random, with both signs of p2;
     ``psi2``, ``controlled_psi1`` and ``controlled_psi2`` at its angles;
-    ``superpose_species`` on three random pairs; and ``evolve`` of the
-    emitted state. States go in as amplitude bytes, raw norms as hex, and a
+    ``source._superpose`` on the amplitudes of three random pairs; and
+    ``evolve`` of the emitted state. States go in as amplitude bytes, raw norms as hex, and a
     degenerate superposition as its ``DegenerateSourceError`` text.
     """
     rng = np.random.default_rng(seed)
@@ -319,7 +319,8 @@ def emission_digest(count: int, seed: int = 3) -> str:
         feed(controlled_psi1, knob)
         feed(controlled_psi2, spec.theta1, knob)
         feed(controlled_psi2, spec.theta2, knob)
-        feed(superpose_species, spec, *(random_state(rng, 2) for _ in range(3)))
+        states = [random_state(rng, 2) for _ in range(3)]
+        feed(_superpose, spec, *(s.amplitudes.tolist() for s in states))
         fields = FieldParams(*(float(v) for v in rng.uniform(-2.0, 2.0, size=3)))
         if i % 5 == 0:  # J = 0 and B1 = B2: the mixing frequency omega is 0
             fields = FieldParams(0.0, fields.B1, fields.B1)

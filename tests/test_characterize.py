@@ -22,7 +22,11 @@ from bellsource import (
     circuit_outcome_distribution,
     circuit_realization,
     controlled_emission,
+    controlled_psi1,
+    controlled_psi2,
+    emitted_state,
     fidelity_up_to_phase,
+    measure_qubits,
     nonlocal_bell_measurement,
     populations_analytic,
     populations_exact,
@@ -455,5 +459,36 @@ class TestWrongKind:
              "histogram-rng-int", "histogram-state"],
     )
     def test_a_wrong_kind_is_a_value_error_naming_its_type(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: tensor(bell_state((0, 0)), 1), "b must be a PureState, got int"),
+         (lambda: tensor(None, bell_state((0, 0))), "a must be a PureState, got NoneType"),
+         (lambda: measure_qubits(None, (1,), np.random.default_rng(0)),
+          "state must be a PureState, got NoneType"),
+         (lambda: measure_qubits(bell_state((0, 0)), (1,), 7), "rng must be a Generator, got int"),
+         (lambda: run_characterization_circuit(None, np.random.default_rng(0)),
+          "state must be a PureState, got NoneType"),
+         (lambda: run_characterization_circuit(bell_state((0, 0)), None),
+          "rng must be a Generator, got NoneType"),
+         (lambda: circuit_outcome_distribution("00"), "state must be a PureState, got str"),
+         (lambda: circuit_realization(None), "state must be a PureState, got NoneType"),
+         (lambda: nonlocal_bell_measurement(bell_state((0, 0)), None),
+          "rng must be a Generator, got NoneType"),
+         (lambda: controlled_emission(None, WORKED_KNOB),
+          "spec must be a SourceSpec, got NoneType"),
+         (lambda: controlled_emission(WORKED_SPEC, 0.1), "knob must be a ControlKnob, got float"),
+         (lambda: controlled_psi1((1, 0.1)), "knob must be a ControlKnob, got tuple"),
+         (lambda: controlled_psi2(0.3, None), "knob must be a ControlKnob, got NoneType"),
+         (lambda: emitted_state(None), "spec must be a SourceSpec, got NoneType")],
+        ids=["tensor-b", "tensor-a", "measure-state", "measure-rng", "circuit-state",
+             "circuit-rng", "distribution-state", "realization-state", "direct-rng",
+             "controlled-spec", "controlled-knob", "controlled_psi1", "controlled_psi2",
+             "emitted"],
+    )
+    def test_a_wrong_kind_on_a_shot_or_emission_path_is_a_value_error(self, call, message):
+        # Each raised AttributeError.
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()

@@ -1,4 +1,4 @@
-"""Distortion machinery: Hamiltonian, exact evolution, mismatch, controlled states."""
+"""Distortion machinery: exact evolution, mismatch, controlled states."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ import pytest
 from bellsource import (
     ControlKnob,
     FieldParams,
-    HamiltonianMatrix,
+    PureState,
     RationalProvenance,
     SourceSpec,
+    basis_state,
     bell_coefficients,
     bell_state,
     controlled_emission,
@@ -22,84 +23,59 @@ from bellsource import (
     emitted_state,
     evolve,
     fidelity_up_to_phase,
-    hamiltonian,
     j_parameter,
     psi1,
     psi2,
     rational_approx,
-    small_mismatch_estimate,
-    superpose_species,
 )
+from bellsource.source import _superpose
 from conftest import edge_knobs, edge_specs, random_knob, random_spec, random_state
 from oracles import (
     BELL_VECTORS,
     best_rational_bruteforce,
     controlled_emission_reference,
+    expm_eigh,
     expm_taylor,
     pauli_hamiltonian,
 )
 
 
-class TestHamiltonian:
-    def test_pure_exchange(self):
-        h = hamiltonian(FieldParams(J=1.0, B1=0.0, B2=0.0)).entries
-        assert h[0, 0] == -1.0
-        assert h[1, 1] == 1.0
-        assert h[1, 2] == -2.0
-        assert h[3, 3] == -1.0
+class TestEvolveIsTheExponentialOfThePauliHamiltonian:
+    """evolve against exp(-iHt), H the Pauli-product oracle, exponentiated by eigh."""
 
-    def test_pure_field(self):
-        h = hamiltonian(FieldParams(J=0.0, B1=1.0, B2=-1.0)).entries
-        np.testing.assert_allclose(np.diag(h), [0.0, 2.0, -2.0, 0.0], atol=1e-15)
+    def test_matches_the_eigh_exponential(self, rng):
+        named = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.3, 0.4, 0.4)]  # exchange, field, B1 = B2
+        for J, B1, B2 in named + rng.uniform(-3, 3, size=(50, 3)).tolist():
+            t = rng.uniform(0.0, 5.0)
+            state = random_state(rng, 2)
+            expected = expm_eigh(pauli_hamiltonian(J, B1, B2), t) @ state.amplitudes
+            out = evolve(state, FieldParams(J=J, B1=B1, B2=B2), t)
+            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-11)
 
-    def test_matches_pauli_oracle(self, rng):
-        for _ in range(50):
-            J, B1, B2 = rng.uniform(-3, 3, size=3)
-            h = hamiltonian(FieldParams(J=J, B1=B1, B2=B2)).entries
-            np.testing.assert_allclose(h, pauli_hamiltonian(J, B1, B2), atol=1e-12)
+    def test_pure_field_turns_each_basis_state_by_its_energy(self):
+        # At J = 0, B1 = 1, B2 = -1, H is diag(0, 2, -2, 0).
+        fp = FieldParams(J=0.0, B1=1.0, B2=-1.0)
+        for bits, energy in zip(("00", "01", "10", "11"), (0.0, 2.0, -2.0, 0.0)):
+            start = basis_state(bits).amplitudes
+            out = evolve(basis_state(bits), fp, 0.7)
+            np.testing.assert_allclose(out.amplitudes, np.exp(-0.7j * energy) * start, atol=1e-15)
 
     def test_singlet_eigenvector_for_homogeneous_field(self):
         # With B1 = B2 the (|01>-|10>)/sqrt2 state has exchange eigenvalue 3J.
-        h = hamiltonian(FieldParams(J=1.3, B1=0.4, B2=0.4)).entries
         singlet = BELL_VECTORS[(1, 1)]
-        np.testing.assert_allclose(h @ singlet, 3 * 1.3 * singlet, atol=1e-12)
+        for t in (0.1, 1.7, 4.0):
+            out = evolve(PureState(singlet), FieldParams(J=1.3, B1=0.4, B2=0.4), t)
+            np.testing.assert_allclose(out.amplitudes, np.exp(-3j * 1.3 * t) * singlet, atol=1e-12)
 
-    def test_hermitian_and_block_diagonal(self, rng):
+    def test_the_two_sectors_stay_closed(self, rng):
+        # H is block-diagonal over {|00>,|11>} + {|01>,|10>}: |00> and |11> only turn,
+        # and |01>, |10> stay in their span.
+        outside = {"00": [1, 2, 3], "11": [0, 1, 2], "01": [0, 3], "10": [0, 3]}
         for _ in range(50):
-            J, B1, B2 = rng.uniform(-3, 3, size=3)
-            h = hamiltonian(FieldParams(J=J, B1=B1, B2=B2)).entries
-            assert np.max(np.abs(h - h.conj().T)) < 1e-12
-            for i, j in [(0, 1), (0, 2), (3, 1), (3, 2)]:
-                assert abs(h[i, j]) < 1e-12
-
-    def test_constructor_rejects_non_hermitian(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 3] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            HamiltonianMatrix(m)
-
-    def test_constructor_rejects_sector_mixing(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = m[1, 0] = 1.0
-        with pytest.raises(ValueError, match="sector"):
-            HamiltonianMatrix(m)
-
-    def test_rejects_overflowing_fields(self):
-        # -J - B1 - B2 overflows to -inf; the Hermitian check saw inf - inf = nan.
-        with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
-            hamiltonian(FieldParams(1e308, 1e308, 1e308))
-
-    @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (16,)])
-    def test_constructor_rejects_a_matrix_that_is_not_4x4(self, shape):
-        with pytest.raises(ValueError, match=r"Hamiltonian must be 4x4, got \("):
-            HamiltonianMatrix(np.zeros(shape))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-    def test_constructor_rejects_non_finite_entry(self, bad):
-        m = np.eye(4, dtype=complex)
-        m[2, 2] = bad
-        with pytest.raises(ValueError, match="Hamiltonian entries must be finite"):
-            HamiltonianMatrix(m)
+            fp = FieldParams(*rng.uniform(-3, 3, size=3))
+            t = rng.uniform(0.0, 5.0)
+            for bits, zeros in outside.items():
+                assert (evolve(basis_state(bits), fp, t).amplitudes[zeros] == 0).all()
 
 
 class TestEvolve:
@@ -128,7 +104,7 @@ class TestEvolve:
         for _ in range(100):
             J, B1, B2 = rng.uniform(-2, 2, size=3)
             fp = FieldParams(J=J, B1=B1, B2=B2)
-            h = hamiltonian(fp).entries
+            h = pauli_hamiltonian(J, B1, B2)
             h_norm = float(np.linalg.norm(h, 2))
             t = rng.uniform(0.0, 10.0 / h_norm) if h_norm > 1e-9 else rng.uniform(0.0, 1.0)
             state = random_state(rng, 2)
@@ -221,6 +197,14 @@ class TestInteractionRatio:
         assert j_parameter(FieldParams(J=1.0, B1=2 * math.sqrt(3), B2=0.0)) == pytest.approx(
             0.25, abs=1e-15
         )
+
+    def test_weak_inhomogeneity_leading_order(self):
+        # j - 1/2 = -B-^2/(16 J^2) + O(B-^4); the exact value for J = 1, B- = 0.2 is
+        # frozen from direct evaluation.
+        fp = FieldParams(J=1.0, B1=0.2, B2=0.0)
+        exact = j_parameter(fp) - 0.5
+        assert exact == pytest.approx(-0.002481404895005368, abs=1e-15)
+        assert exact == pytest.approx(-fp.b_minus**2 / 16.0, abs=2e-5)
 
     def test_scale_invariance(self, rng):
         for _ in range(25):
@@ -358,45 +342,6 @@ class TestRationalApprox:
     def test_numpy_integer_max_den_equals_python_int(self, j):
         for max_den in (np.int64(10**6), np.uint32(10**6), np.int8(100)):
             assert rational_approx(j, max_den) == rational_approx(j, int(max_den))
-
-
-class TestSmallMismatchEstimate:
-    def test_homogeneous_field_is_zero(self):
-        assert small_mismatch_estimate(FieldParams(J=1.0, B1=0.4, B2=0.4)) == 0.0
-
-    def test_quoted_estimate(self):
-        assert small_mismatch_estimate(FieldParams(J=1.0, B1=0.2, B2=0.0)) == pytest.approx(
-            -0.01, abs=1e-15
-        )
-
-    def test_versus_exact_mismatch(self):
-        # Exact j - 1/2 for J=1, B- = 0.2 (frozen from direct evaluation); the
-        # quoted estimate overshoots it by roughly a factor of four.
-        fp = FieldParams(J=1.0, B1=0.2, B2=0.0)
-        exact = j_parameter(fp) - 0.5
-        assert exact == pytest.approx(-0.002481404895005368, abs=1e-15)
-        estimate = small_mismatch_estimate(fp)
-        assert exact == pytest.approx(-fp.b_minus**2 / 16.0, abs=2e-5)
-        assert 3.5 < estimate / exact < 4.5
-
-    def test_zero_coupling(self):
-        with pytest.raises(ValueError, match="J = 0"):
-            small_mismatch_estimate(FieldParams(J=0.0, B1=0.2, B2=0.0))
-
-    @pytest.mark.parametrize("field", ["J", "B1", "B2"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_field(self, field, bad):
-        fields = {"J": 1.0, "B1": 0.2, "B2": 0.0, field: bad}
-        with pytest.raises(ValueError, match="J, B1 and B2 must be finite"):
-            small_mismatch_estimate(FieldParams(**fields))
-
-    @pytest.mark.parametrize(
-        "J, B1", [(1e200, 0.2), (1.0, 1e200), (1e-200, 0.2), (1e-60, 1e100)]
-    )
-    def test_rejects_an_estimate_past_the_float_range(self, J, B1):
-        # B-^2 or J^2 overflows, J^2 underflows to 0, or the quotient overflows.
-        with pytest.raises(ValueError, match="mismatch estimate is not finite"):
-            small_mismatch_estimate(FieldParams(J=J, B1=B1, B2=0.0))
 
 
 class TestControlKnob:
@@ -584,12 +529,9 @@ class TestControlledEmission:
         for spec in edge_specs():
             for knob in knobs:
                 state, raw_norm = controlled_emission(spec, knob)
-                ref, ref_norm = superpose_species(
-                    spec,
-                    controlled_psi1(knob),
-                    controlled_psi2(spec.theta1, knob),
-                    controlled_psi2(spec.theta2, knob),
-                )
+                species = (controlled_psi1(knob), controlled_psi2(spec.theta1, knob),
+                           controlled_psi2(spec.theta2, knob))
+                ref, ref_norm = _superpose(spec, *(s.amplitudes.tolist() for s in species))
                 assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
                 assert raw_norm.hex() == ref_norm.hex()
 

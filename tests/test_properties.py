@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -463,11 +464,6 @@ NUMERIC_ARGUMENTS = {
     "ControlKnob.from_field_params": (
         _fields(ControlKnob.from_field_params), (1.0, 0.3, 0.1, 16, 2)
     ),
-    "HamiltonianMatrix": (
-        lambda *d: bellsource.HamiltonianMatrix([[d[i] if i == k else 0.0 for k in range(4)]
-                                                 for i in range(4)]),
-        (1.0, -1.0, 0.5, 0.0),
-    ),
     "PureState": (lambda a, b: bellsource.PureState([a, b]), (0.6, 0.8)),
     "PureState+normalize": (lambda a, b: bellsource.PureState([a, b], normalize=True), (3.0, 4.0)),
     "SourceSpec": (SourceSpec, (0.7, 0.6, 0.8, 0.3, math.pi / 2 - 0.3)),
@@ -477,12 +473,10 @@ NUMERIC_ARGUMENTS = {
     "basis_state": (lambda a, b: bellsource.basis_state((a, b)), (0, 1)),
     "bell_state": (lambda a, b: bellsource.bell_state((a, b)), (1, 0)),
     "collapse_qubits": (lambda q, b: bellsource.collapse_qubits(_PSI, (q,), (b,)), (1, 0)),
-    "component_states": (bellsource.component_states, (0.3,)),
     "controlled_psi2": (lambda theta: bellsource.controlled_psi2(theta, _KNOB), (0.3,)),
     "evolve": (_fields(lambda fp, t: bellsource.evolve(_PSI, fp, t)), (1.0, 0.3, 0.1, 2.5)),
     "expand_unitary": (lambda n: bellsource.expand_unitary(bellsource.HADAMARD, (1,), n), (2,)),
     "feasible": (feasible, (0.7, 0.3, 0.3)),
-    "hamiltonian": (_fields(bellsource.hamiltonian), (1.0, 0.3, 0.1)),
     "infer_parameters": (infer_parameters, (0.3, 0.4, 0.3, 0.1)),
     "j_parameter": (_fields(j_parameter), (1.0, 0.3, 0.1)),
     "label_to_outcome": (lambda a, b: bellsource.label_to_outcome((a, b)), (1, 1)),
@@ -502,7 +496,6 @@ NUMERIC_ARGUMENTS = {
             _PSI, (q,), shots, np.random.default_rng(0)),
         (1, 10),
     ),
-    "small_mismatch_estimate": (_fields(bellsource.small_mismatch_estimate), (1.0, 0.3, 0.1)),
     "solve_ndelta": (bellsource.solve_ndelta, (0.7, 0.3, 0.3)),
     "table_populations": (table_populations, (0.7, 0.5, 0.5, 0.1)),
 }
@@ -510,14 +503,44 @@ NUMERIC_ARGUMENTS = {
 # nothing (their numbers reach the checks through the calls above), and calls
 # on states, specs and knobs only.
 NO_NUMERIC_ARGUMENT = {
-    "BellLabel", "BestRational", "ComponentStates", "EmissionEstimate", "FieldParams",
-    "MeasurementRecord", "PopulationTable", "Populations", "RationalProvenance", "RegionArrays",
-    "RegionPoint", "SpeciesMoments", "SteeringSolution", "bell_coefficients",
-    "circuit_outcome_distribution", "circuit_realization", "controlled_emission",
-    "controlled_psi1", "emitted_state", "fidelity_up_to_phase", "nonlocal_bell_measurement",
-    "populations_analytic", "populations_exact", "run_characterization_circuit",
-    "species_moments", "superpose_species", "tensor",
+    "BellLabel", "BestRational", "EmissionEstimate", "FieldParams", "MeasurementRecord",
+    "PopulationTable", "Populations", "RationalProvenance", "RegionArrays", "RegionPoint",
+    "SpeciesMoments", "SteeringSolution", "bell_coefficients", "circuit_outcome_distribution",
+    "circuit_realization", "controlled_emission", "controlled_psi1", "emitted_state",
+    "fidelity_up_to_phase", "nonlocal_bell_measurement", "populations_analytic",
+    "populations_exact", "run_characterization_circuit", "species_moments", "tensor",
 }
+# Every argument the wrong-kind rule covers (README, "Input rules"): a call with one
+# parameter per such argument, and a valid value for each. The property puts a wrong
+# kind at each position in turn; it must be refused with a ValueError.
+_SPEC = SourceSpec.from_p1_theta1(0.7, 0.6, 0.3)
+_RNG = np.random.default_rng(0)
+KIND_ARGUMENTS = {
+    "apply_unitary": (lambda u: bellsource.apply_unitary(_PSI, u, (1,)), (bellsource.HADAMARD,)),
+    "expand_unitary": (lambda u: bellsource.expand_unitary(u, (1,), 2), (bellsource.HADAMARD,)),
+    "tensor": (bellsource.tensor, (_PSI, _PSI)),
+    "bell_coefficients": (bellsource.bell_coefficients, (_PSI,)),
+    "measure_qubits": (lambda s, rng: bellsource.measure_qubits(s, (1,), rng), (_PSI, _RNG)),
+    "sample_measurements": (
+        lambda rng: bellsource.sample_measurements(_PSI, (1,), 10, rng), (_RNG,)
+    ),
+    "evolve": (lambda s, fp: bellsource.evolve(s, fp, 1.0), (_PSI, FieldParams(1.0, 0.3, 0.1))),
+    "emitted_state": (bellsource.emitted_state, (_SPEC,)),
+    "controlled_emission": (controlled_emission, (_SPEC, _KNOB)),
+    "controlled_psi1": (bellsource.controlled_psi1, (_KNOB,)),
+    "controlled_psi2": (lambda knob: bellsource.controlled_psi2(0.3, knob), (_KNOB,)),
+    "populations_analytic": (populations_analytic, (_SPEC, _KNOB)),
+    "populations_exact": (populations_exact, (_PSI,)),
+    "sample_histogram": (lambda s, rng: sample_histogram(s, 10, rng), (_PSI, _RNG)),
+    "nonlocal_bell_measurement": (bellsource.nonlocal_bell_measurement, (_PSI, _RNG)),
+    "run_characterization_circuit": (run_characterization_circuit, (_PSI, _RNG)),
+    "circuit_outcome_distribution": (bellsource.circuit_outcome_distribution, (_PSI,)),
+    "circuit_realization": (bellsource.circuit_realization, (_PSI,)),
+}
+# Plain values and the other library types; a draw of the position's own type is skipped.
+_WRONG_KINDS = (None, 0.5, 3, np.float64(0.5), "00", (1, 0), [0.6, 0.8],
+                np.array([1.0, 0.0, 0.0, 0.0]), _PSI, _SPEC, _KNOB, _RNG, bellsource.HADAMARD,
+                FieldParams(1.0, 0.3, 0.1))
 _HOSTILE = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
             10**400, -(10**400), True, False)
 
@@ -560,11 +583,22 @@ def _refused_only_by_value_error(name, args):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(first=st.sampled_from(_HOSTILE_KINDS), second=st.sampled_from(_HOSTILE_KINDS),
-       kind=st.integers(0, 3))
-def test_a_hostile_number_of_an_accepted_kind_is_refused_with_a_value_error(first, second, kind):
+       kind=st.integers(0, 3), wrong=st.sampled_from(_WRONG_KINDS))
+def test_a_hostile_number_of_an_accepted_kind_is_refused_with_a_value_error(
+        first, second, kind, wrong):
     """At each numeric position of each table entry: ``first`` with every other number
     valid (as the drawn kind, or the last of its kinds that holds it), then ``second``
-    at the next position too."""
+    at the next position too. At each library-type position: ``wrong``, refused."""
+    for name, (call, valid) in KIND_ARGUMENTS.items():
+        for i, value in enumerate(valid):
+            if type(wrong) is not type(value):
+                args = list(valid)
+                args[i] = wrong
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValueError, match=r" must be a \w+, got \w+$"):
+                        call(*args)
+                assert not caught, (name, args, [str(w.message) for w in caught])
     for name, (_, valid) in NUMERIC_ARGUMENTS.items():
         base = [_kinds(value)[min(kind, len(_kinds(value)) - 1)] for value in valid]
         for i in range(len(base)):

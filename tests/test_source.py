@@ -1,4 +1,4 @@
-"""Source states: component generators, the two species, weighted emission."""
+"""Source states: the two species from their component generators, weighted emission."""
 
 from __future__ import annotations
 
@@ -14,14 +14,13 @@ from bellsource import (
     basis_state,
     bell_coefficients,
     bell_state,
-    component_states,
     controlled_psi2,
     emitted_state,
     fidelity_up_to_phase,
     psi1,
     psi2,
-    superpose_species,
 )
+from bellsource.source import _superpose
 from conftest import edge_specs
 
 
@@ -77,28 +76,19 @@ class TestSourceSpec:
             SourceSpec(**params)
 
 
-class TestComponentStates:
-    def test_theta_zero_endpoints(self):
-        parts = component_states(0.0)
-        np.testing.assert_allclose(parts.phi.amplitudes, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(parts.eta.amplitudes, [0, -1], atol=1e-15)
-        np.testing.assert_allclose(parts.varphi.amplitudes, [0, 1], atol=1e-15)
-        np.testing.assert_allclose(parts.mu.amplitudes, [1, 0], atol=1e-15)
-
-    def test_theta_half_pi(self):
-        parts = component_states(math.pi / 2)
-        inv = 1 / math.sqrt(2)
-        np.testing.assert_allclose(parts.phi.amplitudes, [inv, inv], atol=1e-15)
-        np.testing.assert_allclose(parts.mu.amplitudes, [inv, -inv], atol=1e-15)
-
-    def test_pairwise_orthogonality_100_random(self, rng):
-        for _ in range(100):
-            parts = component_states(rng.uniform(-math.pi, math.pi))
-            assert abs(parts.phi.inner(parts.eta)) < 1e-12
-            assert abs(parts.varphi.inner(parts.mu)) < 1e-12
-
-
 class TestSpecies:
+    def test_species_are_built_from_the_four_component_states(self, rng):
+        # The generators at angle theta, with c = cos(theta/2), s = sin(theta/2):
+        # phi = (c, s), eta = (s, -c), varphi = (s, c), mu = (c, -s).
+        # psi1 = (phi phi + eta eta)/sqrt2 and psi2 = (varphi varphi - mu mu)/sqrt2.
+        for theta in (0.0, math.pi / 2, *rng.uniform(-math.pi, math.pi, size=25)):
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            phi, eta, varphi, mu = map(np.array, ([c, s], [s, -c], [s, c], [c, -s]))
+            first = (np.kron(phi, phi) + np.kron(eta, eta)) / math.sqrt(2)
+            second = (np.kron(varphi, varphi) - np.kron(mu, mu)) / math.sqrt(2)
+            np.testing.assert_allclose(psi1(theta).amplitudes, first, atol=1e-15)
+            np.testing.assert_allclose(psi2(theta).amplitudes, second, atol=1e-15)
+
     def test_psi1_is_b00_at_any_theta(self):
         assert fidelity_up_to_phase(psi1(0.3), bell_state((0, 0))) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(psi1(0.0).amplitudes, bell_state((0, 0)).amplitudes, atol=1e-15)
@@ -126,8 +116,8 @@ class TestSpecies:
     )
     @pytest.mark.parametrize(
         "builder",
-        [psi1, psi2, component_states, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
-        ids=["psi1", "psi2", "component_states", "controlled_psi2"],
+        [psi1, psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi1", "psi2", "controlled_psi2"],
     )
     def test_species_builders_reject_non_finite_angle(self, builder, theta):
         with pytest.raises(ValueError, match=f"^theta must be finite, got {float(theta)!r}$"):
@@ -136,8 +126,8 @@ class TestSpecies:
     # Raised OverflowError: int too large to convert to float.
     @pytest.mark.parametrize(
         "builder",
-        [psi1, psi2, component_states, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
-        ids=["psi1", "psi2", "component_states", "controlled_psi2"],
+        [psi1, psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi1", "psi2", "controlled_psi2"],
     )
     def test_species_builders_reject_an_int_past_the_float_range(self, builder):
         for theta in (10**400, -(10**400)):
@@ -195,9 +185,8 @@ class TestEmittedState:
     def test_bits_equal_superposed_public_species(self):
         for spec in edge_specs():
             state, raw_norm = emitted_state(spec)
-            ref, ref_norm = superpose_species(
-                spec, psi1(), psi2(spec.theta1), psi2(spec.theta2)
-            )
+            species = (psi1(), psi2(spec.theta1), psi2(spec.theta2))
+            ref, ref_norm = _superpose(spec, *(s.amplitudes.tolist() for s in species))
             assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
             assert raw_norm.hex() == ref_norm.hex()
 

@@ -20,7 +20,6 @@ from bellsource import (
     BellLabel,
     ControlKnob,
     FieldParams,
-    HamiltonianMatrix,
     PureState,
     RationalProvenance,
     SourceSpec,
@@ -33,12 +32,12 @@ from bellsource import (
     circuit_outcome_distribution,
     collapse_qubits,
     controlled_emission,
+    controlled_psi2,
     emitted_state,
     evolve,
     expand_unitary,
     feasible,
     fidelity_up_to_phase,
-    hamiltonian,
     infer_parameters,
     j_parameter,
     measure_qubits,
@@ -1011,11 +1010,15 @@ class TestNumpyScalars:
          (lambda: ControlKnob(1, 0.0, RationalProvenance(np.array([0.5]), 1, 2)), "provenance j"),
          (lambda: rational_approx(np.array([0.3]), 4), "j"),
          (lambda: infer_parameters(0.3, 0.4, 0.3, np.array([0.1])), "ndelta"),
-         (lambda: region_arrays(np.array([0.5]), 3), "gamma")],
+         (lambda: region_arrays(np.array([0.5]), 3), "gamma"),
+         (lambda: evolve(psi1(), FieldParams(1.0, 0.3, 0.1), np.array([1.0])), "t"),
+         (lambda: psi2(np.array([0.3])), "theta"),
+         (lambda: controlled_psi2(np.array([0.3]), ControlKnob(1, 0.1)), "theta")],
         ids=["FieldParams", "SourceSpec", "table_populations", "ControlKnob", "feasible",
              "solve_ndelta", "FieldParams-B2", "SourceSpec-theta2", "from_p1_theta1",
              "solve_ndelta-gamma", "solve_ndelta-f11", "ControlKnob-n", "provenance",
-             "rational_approx", "infer_parameters", "region_arrays"],
+             "rational_approx", "infer_parameters", "region_arrays", "evolve-t", "psi2",
+             "controlled_psi2"],
     )
     def test_an_array_of_one_or_more_dimensions_is_refused_where_a_number_is_read(self, call, name):
         # Each said "expected a number, got an array of shape ..." without the name, but
@@ -1048,11 +1051,6 @@ class TestPastTheFloatRange:
         with pytest.raises(ValueError, match=rf"^p1\^2 \+ p2\^2 = 1 violated: got {weight}$"):
             no_warning(lambda: SourceSpec(0.5, p1, p2, 0.3, math.pi / 2 - 0.3))
 
-    def test_an_int_hamiltonian_entry_past_the_float_range(self):
-        # Raised the conversion's "an int past the float range": the exact sum J + B1 - B2.
-        with pytest.raises(ValueError, match=r"^Hamiltonian entries must be finite, got "):
-            hamiltonian(FieldParams(10**308, 10**308, 0))
-
     def test_from_p1_theta1_with_an_int_angle_past_the_float_range(self):
         # Raised OverflowError at pi/2 - theta1; a float inf already read nan.
         for theta1 in (10**400, math.inf):
@@ -1061,14 +1059,12 @@ class TestPastTheFloatRange:
 
 
 class TestEntryConversion:
-    """PureState, UnitaryMatrix and HamiltonianMatrix share one checked entry conversion."""
+    """PureState and UnitaryMatrix share one checked entry conversion."""
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: PureState([10**400, 0]), lambda: UnitaryMatrix([[10**400, 0], [0, 1]]),
-         lambda: HamiltonianMatrix(np.diag([10**400, 0, 0, 0])),
-         lambda: hamiltonian(FieldParams(10**400, 0, 0))],
-        ids=["PureState", "UnitaryMatrix", "HamiltonianMatrix", "hamiltonian"],
+        [lambda: PureState([10**400, 0]), lambda: UnitaryMatrix([[10**400, 0], [0, 1]])],
+        ids=["PureState", "UnitaryMatrix"],
     )
     def test_an_int_past_the_float_range_is_a_value_error(self, call):
         # Each raised OverflowError: int too large to convert to float.
