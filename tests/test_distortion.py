@@ -43,9 +43,14 @@ from oracles import (
 class TestEvolveIsTheExponentialOfThePauliHamiltonian:
     """evolve against exp(-iHt), H the Pauli-product oracle, exponentiated by eigh."""
 
-    def test_matches_the_eigh_exponential(self, rng):
-        named = [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.3, 0.4, 0.4)]  # exchange, field, B1 = B2
-        for J, B1, B2 in named + rng.uniform(-3, 3, size=(50, 3)).tolist():
+    @pytest.mark.parametrize(
+        "fields",
+        [(1.0, 0.0, 0.0), (0.0, 1.0, -1.0), (1.3, 0.4, 0.4), None],
+        ids=["exchange", "field", "homogeneous", "random"],
+    )
+    def test_matches_the_eigh_exponential(self, rng, fields):
+        cases = [fields] * 10 if fields else rng.uniform(-3, 3, size=(50, 3)).tolist()
+        for J, B1, B2 in cases:
             t = rng.uniform(0.0, 5.0)
             state = random_state(rng, 2)
             expected = expm_eigh(pauli_hamiltonian(J, B1, B2), t) @ state.amplitudes
@@ -171,8 +176,12 @@ class TestEvolve:
             (FieldParams(0.0, 1e308, 1e308), r"E00 \* t must be finite, got inf"),
             # omega * t is finite, but -J - B1 - B2 overflows.
             (FieldParams(8e307, 6e307, 6e307), r"E11 \* t must be finite, got -inf"),
+            # The same with int fields: each sector energy is an exact int past the float range.
+            (FieldParams(0, 10**308, 10**308), r"E00 \* t must be finite, got inf"),
+            (FieldParams(8 * 10**307, 6 * 10**307, 6 * 10**307),
+             r"E11 \* t must be finite, got -inf"),
         ],
-        ids=["E00", "E11"],
+        ids=["E00", "E11", "E00-int", "E11-int"],
     )
     def test_rejects_sector_energy_overflow(self, fp, message):
         with pytest.raises(ValueError, match=message):
@@ -243,11 +252,26 @@ class TestInteractionRatio:
             (-1e308, 0.0, 1e308, -1 / math.sqrt(5)),
             (8.98846567431158e307, 0.0, 0.0, 0.5),
             (1.0, 1.5e308, 0.0, 1.0 / 1.5e308),
+            (10**308, 10**308, 0, 1 / math.sqrt(5)),
         ],
     )
     def test_overflowing_root_gives_the_true_ratio(self, J, B1, B2, expected):
         # 2 J or sqrt(B-^2 + 4 J^2) past the float range used to give j = 0.0.
         assert j_parameter(FieldParams(J=J, B1=B1, B2=B2)) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "J, B1, expected",
+        [(1e200, 0.2, 0.5), (1.0, 1e200, 1e-200), (1e-200, 0.2, 5e-200), (1e-60, 1e100, 1e-160)],
+    )
+    def test_the_mismatch_stays_finite_where_b_minus_or_j_squared_leaves_the_float_range(
+        self, J, B1, expected
+    ):
+        # B-^2 or J^2 overflows, J^2 underflows to 0, or B-^2 / J^2 overflows; the
+        # ratio and the mismatch it gives are read without squaring either.
+        fp = FieldParams(J=J, B1=B1, B2=0.0)
+        assert j_parameter(fp) == pytest.approx(expected, rel=1e-15)
+        knob = ControlKnob.from_field_params(fp, max_den=10)
+        assert math.isfinite(knob.delta) and abs(knob.delta) <= 0.5
 
 
 class TestRationalApprox:
@@ -441,6 +465,18 @@ class TestControlKnob:
         j = j_parameter(fp)
         assert knob.provenance.j == pytest.approx(j)
         assert knob.delta == pytest.approx(j - knob.provenance.q_num / knob.provenance.q_den)
+
+    @pytest.mark.parametrize(
+        "J", [1.0, -0.7, 1e308, 10**308], ids=["unit", "negative", "1e308", "int-1e308"]
+    )
+    def test_a_homogeneous_field_has_no_mismatch(self, J):
+        # B1 = B2 gives j = +-1/2, a rational, so delta is exactly zero.
+        knob = ControlKnob.from_field_params(FieldParams(J=J, B1=0.3, B2=0.3), max_den=10)
+        assert knob.delta == 0.0 and knob.provenance.j == math.copysign(0.5, J)
+
+    def test_from_field_params_refuses_zero_coupling_in_a_homogeneous_field(self):
+        with pytest.raises(ValueError, match=r"^j is undefined for J = 0 and B1 = B2"):
+            ControlKnob.from_field_params(FieldParams(J=0.0, B1=0.3, B2=0.3), max_den=10)
 
 
 class TestControlledStates:

@@ -77,11 +77,12 @@ class TestSourceSpec:
 
 
 class TestSpecies:
-    def test_species_are_built_from_the_four_component_states(self, rng):
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 2, None], ids=["zero", "half_pi", "random"])
+    def test_species_are_built_from_the_four_component_states(self, rng, angle):
         # The generators at angle theta, with c = cos(theta/2), s = sin(theta/2):
         # phi = (c, s), eta = (s, -c), varphi = (s, c), mu = (c, -s).
         # psi1 = (phi phi + eta eta)/sqrt2 and psi2 = (varphi varphi - mu mu)/sqrt2.
-        for theta in (0.0, math.pi / 2, *rng.uniform(-math.pi, math.pi, size=25)):
+        for theta in [angle] if angle is not None else rng.uniform(-math.pi, math.pi, size=25):
             c, s = math.cos(theta / 2), math.sin(theta / 2)
             phi, eta, varphi, mu = map(np.array, ([c, s], [s, -c], [s, c], [c, -s]))
             first = (np.kron(phi, phi) + np.kron(eta, eta)) / math.sqrt(2)

@@ -852,6 +852,7 @@ _PAST_FLOAT_RANGE = {
         lambda x: infer_parameters(0.4, 0.3, 0.3, x), "frequencies and ndelta must be finite"
     ),
     "j_parameter-J": (lambda x: j_parameter(FieldParams(x, 0.5, 0.1)), "J, B1 and B2 must be finite"),
+    "j_parameter-B1": (lambda x: j_parameter(FieldParams(1.0, x, 0.1)), "J, B1 and B2 must be finite"),
     "from_field_params-B2": (
         lambda x: ControlKnob.from_field_params(FieldParams(1.0, 0.5, x), 10),
         "J, B1 and B2 must be finite",
@@ -861,6 +862,8 @@ _PAST_FLOAT_RANGE = {
     ),
     "evolve-J": (lambda x: evolve(psi1(), FieldParams(x, 0.5, 0.1), 1.0), "^J must be finite"),
     "evolve-B1": (lambda x: evolve(psi1(), FieldParams(1.0, x, 0.1), 1.0), "^B1 must be finite"),
+    "evolve-B2": (lambda x: evolve(psi1(), FieldParams(1.0, 0.5, x), 1.0), "^B2 must be finite"),
+    "evolve-t": (lambda x: evolve(psi1(), FieldParams(1.0, 0.5, 0.1), x), "^t must be finite"),
     "table_populations-gamma": (
         lambda x: table_populations(x, 0.5, 0.5, 0.1), "gamma, C.2, S.2 and ndelta must be finite"
     ),
