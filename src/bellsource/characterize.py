@@ -31,6 +31,7 @@ from .statevec import (
     UnitaryMatrix,
     _bell_lookup,
     _born_index,
+    _build,
     _fresh,
     _multinomial,
     _python_number,
@@ -46,7 +47,6 @@ __all__ = [
     "PopulationTable",
     "Populations",
     "SpeciesMoments",
-    "label_to_outcome",
     "outcome_to_label",
     "species_moments",
     "table_populations",
@@ -63,11 +63,6 @@ __all__ = [
 # Raw ancilla bits (the copied label bits) to the readout they report: Bell label
 # (a, b) is announced as (a, a XOR b), the only spelling of the readout order.
 _RELABEL = {label: (label.a, label.a ^ label.b) for label in BELL_LABELS}
-
-
-def label_to_outcome(label: BellLabel | tuple[int, int]) -> tuple[int, int]:
-    """Readout bits (i3, j4) announced for Bell label (a, b): (a, a XOR b)."""
-    return _bell_lookup(_RELABEL, label)
 
 
 def outcome_to_label(outcome: tuple[int, int]) -> BellLabel:
@@ -122,16 +117,20 @@ class PopulationTable:
 
     @classmethod
     def from_raw(cls, raw: Populations) -> "PopulationTable":
+        if type(raw) is not Populations:
+            _require_kind("raw", Populations, raw)
         weights = f00, f01, f10, f11 = raw.f00, raw.f01, raw.f10, raw.f11
         total = f00 + f01 + f10 + f11  # in raw.total()'s order
         # The total is the emission's raw norm, held to its degenerate bound; NaN fails too.
         if min(weights) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
             raise ValueError(f"invalid population weights {weights!r}")
-        return cls(raw, Populations(f00 / total, f01 / total, f10 / total, f11 / total))
+        normalized = Populations(f00 / total, f01 / total, f10 / total, f11 / total)
+        return _build(cls, raw=raw, normalized=normalized)
 
 
 def _moments(spec: SourceSpec) -> tuple[float, float]:
-    """The moments (C, S) of ``spec``'s second species."""
+    """The moments (C, S) of ``spec``'s second species, after the wrong-kind rule on it."""
+    _require_kind("spec", SourceSpec, spec)
     return (spec.p1 * math.cos(spec.theta1) + spec.p2 * math.cos(spec.theta2),
             spec.p1 * math.sin(spec.theta1) + spec.p2 * math.sin(spec.theta2))
 
@@ -172,9 +171,8 @@ def _closed_form(gamma: float, c_squared: float, s_squared: float, ndelta: float
 
 def populations_analytic(spec: SourceSpec, knob: ControlKnob) -> PopulationTable:
     """Closed-form population table for a controlled emission, with table_populations' checks."""
-    _require_kind("spec", SourceSpec, spec)
-    _require_kind("knob", ControlKnob, knob)
     c, s = _moments(spec)
+    _require_kind("knob", ControlKnob, knob)
     return PopulationTable.from_raw(_closed_form(spec.gamma, c**2, s**2, knob.ndelta))
 
 
@@ -189,7 +187,7 @@ def populations_exact(state12: PureState) -> PopulationTable:
     Raw and normalized views coincide because the input is already physical.
     """
     pops = Populations(*_READOUT_ORDER(_bell_weights(state12)))
-    return PopulationTable(pops, pops)
+    return _build(PopulationTable, raw=pops, normalized=pops)
 
 
 @dataclass(frozen=True)
@@ -201,13 +199,6 @@ class MeasurementRecord:
     probability: float
 
 
-def _record(outcome: tuple[int, int], post_state: PureState, probability: float):
-    """A MeasurementRecord by one ``__dict__`` write, not the frozen ``__init__``'s three."""
-    record = object.__new__(MeasurementRecord)
-    record.__dict__.update(outcome=outcome, post_state=post_state, probability=probability)
-    return record
-
-
 def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> MeasurementRecord:
     """Sample one Bell-basis measurement of the pair (non-destructive).
 
@@ -217,7 +208,8 @@ def nonlocal_bell_measurement(state12: PureState, rng: np.random.Generator) -> M
     probs = _bell_weights(state12)
     k = _born_index(probs, rng)
     label = BELL_LABELS[k]
-    return _record(_RELABEL[label], bell_state(label), probs[k])
+    return _build(MeasurementRecord, outcome=_RELABEL[label], post_state=bell_state(label),
+                  probability=probs[k])
 
 
 # Map the pair to its label bits (a, b), copy them onto the ancillas, map back.
@@ -292,7 +284,8 @@ def run_characterization_circuit(
     k = _born_index(probs, rng)
     prob = probs[k]
     pair = _surviving_pair(final, k, prob)
-    return _record(_RELABEL[BELL_LABELS[k]], pair, prob)
+    return _build(MeasurementRecord, outcome=_RELABEL[BELL_LABELS[k]], post_state=pair,
+                  probability=prob)
 
 
 def circuit_outcome_distribution(

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevec import _is_integer, _python_number, _require_finite
+from .statevec import _build, _is_integer, _python_number, _require_finite
 
 __all__ = [
     "ControlError",
@@ -185,12 +185,9 @@ def solve_ndelta(gamma: float, f00: float, f11: float) -> SteeringSolution:
         )
     s_squared = _clamp01(numer / denom, "sin^2(2 pi n delta) in [0, 1]")
 
-    return SteeringSolution(
-        s_squared=s_squared,
-        ndelta_principal=math.asin(math.sqrt(s_squared)) / (2.0 * math.pi),
-        required_C_squared=1.0 - s_req,
-        required_S_squared=s_req,
-    )
+    return _build(SteeringSolution, s_squared=s_squared,
+                  ndelta_principal=math.asin(math.sqrt(s_squared)) / (2.0 * math.pi),
+                  required_C_squared=1.0 - s_req, required_S_squared=s_req)
 
 
 def feasible(gamma: float, f00: float, f11: float) -> RegionPoint:
@@ -316,9 +313,5 @@ def infer_parameters(f00: float, f01: float, f11: float, ndelta: float) -> Emiss
         )
     c_squared = b / (1.0 - a)
     s_squared = f01 / (1.0 - a)
-    return EmissionEstimate(
-        sin2_gamma=1.0 - a,
-        C_squared=c_squared,
-        S_squared=s_squared,
-        residual=abs(c_squared + s_squared - 1.0),
-    )
+    return _build(EmissionEstimate, sin2_gamma=1.0 - a, C_squared=c_squared,
+                  S_squared=s_squared, residual=abs(c_squared + s_squared - 1.0))

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .source import SourceSpec, _emission, _species
-from .statevec import (PureState, _fresh, _is_finite, _is_integer, _or_infinity, _python_number,
-                       _require_finite, _require_kind)
+from .statevec import (_FLOAT_MAX, PureState, _fresh, _is_finite, _is_integer, _or_infinity,
+                       _python_number, _require_finite, _require_kind)
 
 __all__ = [
     "BestRational",
@@ -48,10 +47,11 @@ class FieldParams:
     B1: float
     B2: float
 
-    def __post_init__(self) -> None:
-        for name in ("J", "B1", "B2"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _python_number(value, name))
+    def __init__(self, J: float, B1: float, B2: float) -> None:
+        # dataclass keeps this __init__: the reads, then one __dict__ write of the three fields.
+        if not (type(J) is type(B1) is type(B2) is float):
+            J, B1, B2 = map(_python_number, (J, B1, B2), ("J", "B1", "B2"))
+        self.__dict__.update(J=J, B1=B1, B2=B2)
 
     @property
     def b_minus(self) -> float:
@@ -76,13 +76,18 @@ def evolve(state: PureState, fp: FieldParams, t: float) -> PureState:
             if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r} for {fp!r}, t={t!r}")
 
+    # Each group is tested in one expression; require names the first failure, in this order.
     t = _python_number(t, "t")  # as a field: Python arithmetic from here
-    require(("J", fp.J), ("B1", fp.B1), ("B2", fp.B2))
-    J, bm = fp.J, fp.b_minus
-    require(("B1 - B2", bm), ("t", t))
+    J, B1, B2 = fp.J, fp.B1, fp.B2
+    if not (_is_finite(J) and _is_finite(B1) and _is_finite(B2)):
+        require(("J", J), ("B1", B1), ("B2", B2))
+    bm = B1 - B2
+    if not (_is_finite(bm) and _is_finite(t)):
+        require(("B1 - B2", bm), ("t", t))
     omega = math.hypot(bm, 2.0 * J)
-    e00, e11 = _or_infinity(-J + fp.B1 + fp.B2), _or_infinity(-J - fp.B1 - fp.B2)  # ints stay exact
-    require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
+    e00, e11 = _or_infinity(-J + B1 + B2), _or_infinity(-J - B1 - B2)  # ints stay exact
+    if not (_is_finite(omega * t) and _is_finite(e00 * t) and _is_finite(e11 * t)):
+        require(("omega * t", omega * t), ("E00 * t", e00 * t), ("E11 * t", e11 * t))
     a0, a1, a2, a3 = state.amplitudes.tolist()
     if omega != 0.0:
         phase = cmath.exp(-1j * J * t)
@@ -100,6 +105,8 @@ def j_parameter(fp: FieldParams) -> float:
 
     Raises ValueError for a NaN or infinite J, B1, B2 or B1 - B2, or a zero denominator.
     """
+    if type(fp) is not FieldParams:
+        _require_kind("fp", FieldParams, fp)
     if not (_is_finite(fp.J) and _is_finite(fp.B1) and _is_finite(fp.B2)):
         raise ValueError(
             f"J, B1 and B2 must be finite, got J={fp.J!r}, B1={fp.B1!r}, B2={fp.B2!r}"
@@ -197,16 +204,17 @@ class ControlKnob:
     provenance: RationalProvenance | None = None
     ndelta: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        n, delta = _python_number(self.n, "n"), _python_number(self.delta, "delta")
+    def __init__(self, n: int, delta: float, provenance: RationalProvenance | None = None) -> None:
+        # dataclass keeps this __init__: the checks, then one __dict__ write of the four fields.
+        n, delta = _python_number(n, "n"), _python_number(delta, "delta")
         # The upper bound keeps n * delta a finite float.
-        if not _is_integer(n) or not 0 <= n <= sys.float_info.max:
+        if not _is_integer(n) or not 0 <= n <= _FLOAT_MAX:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not abs(delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {delta!r}")
-        if self.provenance is not None:
-            j, num, den = map(_python_number, self.provenance, _PROVENANCE_FIELDS)
-            self.__dict__["provenance"] = RationalProvenance(j, num, den)
+        if provenance is not None:
+            j, num, den = map(_python_number, provenance, _PROVENANCE_FIELDS)
+            provenance = RationalProvenance(j, num, den)
             _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):
                 raise ValueError(f"provenance Q(j) must be integers, got {num!r}/{den!r}")
@@ -220,7 +228,7 @@ class ControlKnob:
         ndelta = n * delta
         if not math.isfinite(2.0 * math.pi * ndelta):
             raise ValueError(f"2 pi n delta overflows: n * delta = {ndelta!r}")
-        self.__dict__.update(n=n, delta=delta, ndelta=ndelta)  # one write, not three setattr calls
+        self.__dict__.update(n=n, delta=delta, provenance=provenance, ndelta=ndelta)
 
     @classmethod
     def from_field_params(cls, fp: FieldParams, max_den: int, n: int = 1) -> "ControlKnob":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 _SPEC_TOL = 1e-9
-_Amplitudes = Sequence[complex]  # the four amplitudes of a pair, Python float or complex
+_SPEC_FIELDS = ("gamma", "p1", "p2", "theta1", "theta2")
 _DEGENERATE_NORM = 1e-12
 
 
@@ -54,22 +53,23 @@ class SourceSpec:
     theta1: float
     theta2: float
 
-    def __post_init__(self) -> None:
-        for name in ("gamma", "p1", "p2", "theta1", "theta2"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _python_number(value, name))
-        p1, p2 = self.p1, self.p2
+    def __init__(self, gamma: float, p1: float, p2: float, theta1: float, theta2: float) -> None:
+        # dataclass keeps this __init__: the checks, then one __dict__ write of the five fields.
+        if not (type(gamma) is type(p1) is type(p2) is type(theta1) is type(theta2) is float):
+            gamma, p1, p2, theta1, theta2 = map(
+                _python_number, (gamma, p1, p2, theta1, theta2), _SPEC_FIELDS)
         if not (abs(p1) <= 2 and abs(p2) <= 2 and abs(p1**2 + p2**2 - 1.0) <= _SPEC_TOL):
             weight = math.inf  # kept where a float square leaves the float range and raises
             with contextlib.suppress(OverflowError):
                 weight = _or_infinity(p1**2 + p2**2)  # an int sum past the range reads inf too
             raise ValueError(f"p1^2 + p2^2 = 1 violated: got {weight!r}")
-        finite = _is_finite(self.theta1) and _is_finite(self.theta2)  # no sum past the float range
-        angle_sum = self.theta1 + self.theta2 if finite else math.nan
+        finite = _is_finite(theta1) and _is_finite(theta2)  # no sum past the float range
+        angle_sum = theta1 + theta2 if finite else math.nan
         if not abs(angle_sum - math.pi / 2) <= _SPEC_TOL:
             raise ValueError(f"theta1 + theta2 = pi/2 violated: got {angle_sum!r}")
-        if not 0.0 <= self.gamma <= math.pi / 2:
-            raise ValueError(f"gamma in [0, pi/2] violated: got {self.gamma!r}")
+        if not 0.0 <= gamma <= math.pi / 2:
+            raise ValueError(f"gamma in [0, pi/2] violated: got {gamma!r}")
+        self.__dict__.update(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
 
     @property
     def alpha1(self) -> float:
@@ -128,33 +128,29 @@ def psi2(theta: float) -> PureState:
     return PureState(_species(0.0, math.cos(theta), math.sin(theta)))
 
 
-def _superpose(
-    spec: SourceSpec, species1: _Amplitudes, species2_first: _Amplitudes, species2_second: _Amplitudes
-) -> tuple[PureState, float]:
-    """alpha1 species1 + alpha2 (p1 first + p2 second) of Python amplitudes, normalized, and
-    the raw squared norm 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
+def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
+    """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm.
 
-    Real and imaginary parts are combined apart, so a real amplitude and the
-    same value held as a complex give the same bits.
+    The closed form of alpha1 psi1 + alpha2 (p1 psi2(theta1) + p2 psi2(theta2)), each species
+    ``_species``' amplitudes, combined part by part: real and imaginary parts apart, in the order
+    ``tests/oracles._superpose`` combines any three pairs, so every bit and signed zero agrees.
+    A float part's imaginary zero is +0.0 (alpha1 > 0); ``turn`` times a float is CPython's.
     """
-    a1, a2, p1, p2 = spec.alpha1, spec.alpha2, spec.p1, spec.p2
-    parts = [complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
-                     a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
-             for e, f, g in zip(species1, species2_first, species2_second)]
+    if type(spec) is not SourceSpec:
+        _require_kind("spec", SourceSpec, spec)
+    a1, a2, p1, p2 = math.cos(spec.gamma), math.sin(spec.gamma), spec.p1, spec.p2
+    t1, t2, r = spec.theta1, spec.theta2, _RSQRT2
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    side = complex(0.0 + a2 * (p1 * (r * s1) + p2 * (r * s2)), 0.0)  # components 1 and 2
+    e, f, g = turn * r, turn * (r * (0.0 + c1)), turn * (r * (0.0 + c2))
+    parts = [complex(a1 * r + a2 * (p1 * (r * (0.0 - c1)) + p2 * (r * (0.0 - c2))), 0.0),
+             side, side, complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
+                                 a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))]
     raw_norm = _squared_norm(parts)
     if raw_norm < _DEGENERATE_NORM:
         raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
     # One call, the conversion and the loop of np.array(parts) / root: the same bits.
     return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm
-
-
-def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
-    """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm."""
-    _require_kind("spec", SourceSpec, spec)
-    t1, t2 = spec.theta1, spec.theta2
-    return _superpose(spec, _species(1.0, 0.0, 0.0, turn),
-                      _species(0.0, math.cos(t1), math.sin(t1), turn),
-                      _species(0.0, math.cos(t2), math.sin(t2), turn))
 
 
 def emitted_state(spec: SourceSpec) -> tuple[PureState, float]:

@@ -47,6 +47,7 @@ _UNITARY_TOL = 1e-12
 _ZERO_PROB = 1e-12
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 _QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
+_FLOAT_MAX = sys.float_info.max
 
 
 class ZeroProbabilityError(ValueError):
@@ -78,7 +79,7 @@ def _require_kind(what: str, kind: type, value: object) -> None:
 
 def _is_finite(value: float) -> bool:
     """A finite real: NaN, the infinities and an int past the float range fail, compared exactly."""
-    return abs(value if type(value) is float else _python_number(value)) <= sys.float_info.max
+    return abs(value if type(value) is float else _python_number(value)) <= _FLOAT_MAX
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -91,6 +92,14 @@ def _require_finite(what: str, *values: float) -> None:
     if not finite:
         shown = tuple(_python_number(value, what) for value in values)
         raise ValueError(f"{what} must be finite, got {(shown[0] if len(shown) == 1 else shown)!r}")
+
+
+def _build(cls: type, **fields: object):
+    """A frozen ``cls`` holding values the library has already computed and checked: one
+    ``__dict__`` write in place of the dataclass ``__init__``'s ``object.__setattr__`` each."""
+    holder = object.__new__(cls)
+    holder.__dict__.update(fields)
+    return holder
 
 
 def _or_infinity(value: float) -> float:
@@ -180,7 +189,7 @@ def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
             f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
             "pass normalize=True to rescale"
         )
-    amps.setflags(write=False)
+    amps.setflags(False)  # write=False, passed by position: no keyword parsing
     state = object.__new__(PureState) if state is None else state
     _set_amplitudes(state, amps)
     _set_num_qubits(state, n)
@@ -367,6 +376,8 @@ def _gate_rows(u: UnitaryMatrix, targets: Sequence[int], num_qubits: int) -> np.
 
 def apply_unitary(state: PureState, u: UnitaryMatrix, targets: Sequence[int]) -> PureState:
     """Apply ``u`` to the ordered target qubits, identity elsewhere."""
+    if type(state) is not PureState:
+        _require_kind("state", PureState, state)
     rows = _gate_rows(u, targets, state.num_qubits)
     return _fresh(_apply_matrix(state.amplitudes, u.entries, rows))
 
@@ -419,6 +430,8 @@ def bell_coefficients(state: PureState) -> tuple[complex, complex, complex, comp
 
 def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
     """|<a|b>|: equals 1 iff the states agree up to a global phase."""
+    _require_kind("a", PureState, a)
+    _require_kind("b", PureState, b)
     return min(abs(a.inner(b)), 1.0)
 
 
@@ -489,6 +502,7 @@ def sample_measurements(
     multinomial step. Entry k counts the outcome whose bits (in ``indices``
     order) spell k in binary.
     """
+    _require_kind("state", PureState, state)
     rows = _check_targets(indices, state.num_qubits)
     probs = _marginal_probabilities(state, rows)
     return _multinomial(shots, probs / probs.sum(), rng)  # numpy's sum: pairwise from 8 entries
@@ -502,6 +516,7 @@ def collapse_qubits(
     Raises ZeroProbabilityError when the requested outcome has no Born
     weight, which signals inconsistent input rather than valid physics.
     """
+    _require_kind("state", PureState, state)
     rows = _check_targets(indices, state.num_qubits)
     sized = isinstance(outcome, Sized)
     if not sized or len(outcome) != len(indices) or any(b not in (0, 1) for b in outcome):

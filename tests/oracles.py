@@ -3,11 +3,16 @@
 Everything here is built from first principles (hand-frozen Bell vectors,
 Pauli tensor products, brute-force searches, truncated series) and never
 calls into the package, so agreement is evidence rather than tautology.
+The one exception is ``_superpose``, the part-by-part superposition the
+emission's closed form (``source._emission``) was derived from: it combines
+any three pairs with the package's own norm and state checks, so the two
+builders can be compared bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -130,3 +135,29 @@ def controlled_emission_reference(
         raw = [sum(w * state[i] for w, state in zip(weights, species)) for i in range(4)]
         raw_norm = sum(a.real**2 + a.imag**2 for a in raw)
         return [a / mpmath.sqrt(raw_norm) for a in raw], raw_norm
+
+
+_Amplitudes = Sequence[complex]  # the four amplitudes of a pair, Python float or complex
+
+
+def _superpose(
+    spec: SourceSpec, species1: _Amplitudes, species2_first: _Amplitudes, species2_second: _Amplitudes
+) -> tuple[PureState, float]:
+    """alpha1 species1 + alpha2 (p1 first + p2 second) of Python amplitudes, normalized, and
+    the raw squared norm 1 + sin(gamma)^2 * 2 p1 p2 * sin(2 theta1).
+
+    Real and imaginary parts are combined apart, so a real amplitude and the
+    same value held as a complex give the same bits.
+    """
+    from bellsource.source import _DEGENERATE_NORM, DegenerateSourceError
+    from bellsource.statevec import _fresh, _squared_norm
+
+    a1, a2, p1, p2 = spec.alpha1, spec.alpha2, spec.p1, spec.p2
+    parts = [complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
+                     a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
+             for e, f, g in zip(species1, species2_first, species2_second)]
+    raw_norm = _squared_norm(parts)
+    if raw_norm < _DEGENERATE_NORM:
+        raise DegenerateSourceError(f"raw squared norm {raw_norm!r} below {_DEGENERATE_NORM}")
+    # One call, the conversion and the loop of np.array(parts) / root: the same bits.
+    return _fresh(np.divide(parts, math.sqrt(raw_norm))), raw_norm

@@ -69,8 +69,8 @@ from bellsource import (
     tensor,
 )
 from bellsource import characterize
-from bellsource.source import _superpose
 from conftest import random_knob, random_spec, random_state
+from oracles import _superpose
 
 
 def _pair_input(rng: np.random.Generator, i: int):
@@ -287,7 +287,8 @@ def emission_digest(count: int, seed: int = 3) -> str:
     Per input: ``emitted_state`` and ``controlled_emission`` of a spec and
     knob drawn from the domain edges or at random, with both signs of p2;
     ``psi2``, ``controlled_psi1`` and ``controlled_psi2`` at its angles;
-    ``source._superpose`` on the amplitudes of three random pairs; and
+    ``oracles._superpose``, the part-by-part superposition the closed form was derived
+    from, on the amplitudes of three random pairs; and
     ``evolve`` of the emitted state. States go in as amplitude bytes, raw norms as hex, and a
     degenerate superposition as its ``DegenerateSourceError`` text.
     """

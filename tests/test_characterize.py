@@ -10,6 +10,7 @@ import pytest
 
 from bellsource import (
     BELL_LABELS,
+    HADAMARD,
     BellLabel,
     ControlKnob,
     MeasurementRecord,
@@ -17,15 +18,18 @@ from bellsource import (
     PopulationTable,
     PureState,
     SourceSpec,
+    apply_unitary,
     basis_state,
     bell_state,
     circuit_outcome_distribution,
     circuit_realization,
+    collapse_qubits,
     controlled_emission,
     controlled_psi1,
     controlled_psi2,
     emitted_state,
     fidelity_up_to_phase,
+    j_parameter,
     measure_qubits,
     nonlocal_bell_measurement,
     populations_analytic,
@@ -33,11 +37,12 @@ from bellsource import (
     psi2,
     run_characterization_circuit,
     sample_histogram,
+    sample_measurements,
     species_moments,
     table_populations,
     tensor,
 )
-from bellsource.characterize import _ANCILLA_ROWS, _run_gates, label_to_outcome, outcome_to_label
+from bellsource.characterize import _ANCILLA_ROWS, _run_gates, outcome_to_label
 from bellsource.statevec import _marginal_probabilities
 from conftest import FixedDraw, random_knob, random_spec, random_state
 from oracles import binomial_4sigma
@@ -52,27 +57,28 @@ DRAW_ABOVE_SUM = 1 - 1e-10
 
 class TestLabeling:
     def test_table_assignments(self):
-        assert label_to_outcome((0, 0)) == (0, 0)
-        assert label_to_outcome((0, 1)) == (0, 1)
-        assert label_to_outcome((1, 0)) == (1, 1)
-        assert label_to_outcome((1, 1)) == (1, 0)
+        # Label (a, b) is read out as (a, a XOR b); the map is its own inverse.
+        assert outcome_to_label((0, 0)) == (0, 0)
+        assert outcome_to_label((0, 1)) == (0, 1)
+        assert outcome_to_label((1, 1)) == (1, 0)
+        assert outcome_to_label((1, 0)) == (1, 1)
 
     def test_involution(self):
         for label in BELL_LABELS:
-            assert outcome_to_label(label_to_outcome(label)) == label
+            assert outcome_to_label(outcome_to_label(label)) == label
 
     def test_non_bell_labels_are_refused(self):
         # (2, 0) used to map to (2, 2), and (0, 2) to BellLabel(0, 2).
         for label in ((2, 0), (0, 2), (0, 1, 1), 5, ([1], 0)):
             with pytest.raises(ValueError, match="Bell label bits must be 0/1"):
-                label_to_outcome(label)
+                bell_state(label)
             with pytest.raises(ValueError, match="readout bits must be 0/1"):
                 outcome_to_label(label)
 
     @pytest.mark.parametrize("label", [(1.0, 0), (True, False), (np.int64(1), np.int32(0))])
     def test_equal_bits_count_as_0_and_1(self, label):
         # (1.0, 0) used to raise TypeError from the XOR.
-        assert label_to_outcome(label) == (1, 1)
+        assert bell_state(label) is bell_state((1, 0))
         assert outcome_to_label(label) == BellLabel(1, 1)
 
 
@@ -490,5 +496,31 @@ class TestWrongKind:
     )
     def test_a_wrong_kind_on_a_shot_or_emission_path_is_a_value_error(self, call, message):
         # Each raised AttributeError.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: apply_unitary(None, HADAMARD, (1,)), "state must be a PureState, got NoneType"),
+         (lambda: sample_measurements(None, (1,), 10, np.random.default_rng(0)),
+          "state must be a PureState, got NoneType"),
+         (lambda: collapse_qubits(None, (1,), (0,)), "state must be a PureState, got NoneType"),
+         (lambda: fidelity_up_to_phase(None, bell_state((0, 0))),
+          "a must be a PureState, got NoneType"),
+         (lambda: fidelity_up_to_phase(bell_state((0, 0)), None),
+          "b must be a PureState, got NoneType"),
+         (lambda: j_parameter(None), "fp must be a FieldParams, got NoneType"),
+         (lambda: ControlKnob.from_field_params(None, 16),
+          "fp must be a FieldParams, got NoneType"),
+         (lambda: species_moments(None), "spec must be a SourceSpec, got NoneType"),
+         (lambda: PopulationTable.from_raw(None), "raw must be a Populations, got NoneType"),
+         (lambda: PopulationTable.from_raw((0.5, 0.5, 0.0, 0.0)),
+          "raw must be a Populations, got tuple")],
+        ids=["apply_unitary-state", "sample_measurements-state", "collapse_qubits-state",
+             "fidelity-a", "fidelity-b", "j_parameter-fp", "from_field_params-fp",
+             "species_moments-spec", "from_raw-None", "from_raw-tuple"],
+    )
+    def test_a_wrong_kind_off_the_covered_paths_is_a_value_error(self, call, message):
+        # Each raised AttributeError: every one reads an attribute of the argument first.
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()

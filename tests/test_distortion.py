@@ -28,10 +28,10 @@ from bellsource import (
     psi2,
     rational_approx,
 )
-from bellsource.source import _superpose
 from conftest import edge_knobs, edge_specs, random_knob, random_spec, random_state
 from oracles import (
     BELL_VECTORS,
+    _superpose,
     best_rational_bruteforce,
     controlled_emission_reference,
     expm_eigh,

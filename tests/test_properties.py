@@ -479,7 +479,6 @@ NUMERIC_ARGUMENTS = {
     "feasible": (feasible, (0.7, 0.3, 0.3)),
     "infer_parameters": (infer_parameters, (0.3, 0.4, 0.3, 0.1)),
     "j_parameter": (_fields(j_parameter), (1.0, 0.3, 0.1)),
-    "label_to_outcome": (lambda a, b: bellsource.label_to_outcome((a, b)), (1, 1)),
     "measure_qubits": (
         lambda q: bellsource.measure_qubits(_PSI, (q,), np.random.default_rng(0)), (1,)
     ),
@@ -516,13 +515,25 @@ NO_NUMERIC_ARGUMENT = {
 _SPEC = SourceSpec.from_p1_theta1(0.7, 0.6, 0.3)
 _RNG = np.random.default_rng(0)
 KIND_ARGUMENTS = {
-    "apply_unitary": (lambda u: bellsource.apply_unitary(_PSI, u, (1,)), (bellsource.HADAMARD,)),
+    "apply_unitary": (
+        lambda s, u: bellsource.apply_unitary(s, u, (1,)), (_PSI, bellsource.HADAMARD)
+    ),
     "expand_unitary": (lambda u: bellsource.expand_unitary(u, (1,), 2), (bellsource.HADAMARD,)),
     "tensor": (bellsource.tensor, (_PSI, _PSI)),
     "bell_coefficients": (bellsource.bell_coefficients, (_PSI,)),
     "measure_qubits": (lambda s, rng: bellsource.measure_qubits(s, (1,), rng), (_PSI, _RNG)),
     "sample_measurements": (
-        lambda rng: bellsource.sample_measurements(_PSI, (1,), 10, rng), (_RNG,)
+        lambda s, rng: bellsource.sample_measurements(s, (1,), 10, rng), (_PSI, _RNG)
+    ),
+    "collapse_qubits": (lambda s: bellsource.collapse_qubits(s, (1,), (0,)), (_PSI,)),
+    "fidelity_up_to_phase": (bellsource.fidelity_up_to_phase, (_PSI, _PSI)),
+    "j_parameter": (j_parameter, (FieldParams(1.0, 0.3, 0.1),)),
+    "ControlKnob.from_field_params": (
+        lambda fp: ControlKnob.from_field_params(fp, 16), (FieldParams(1.0, 0.3, 0.1),)
+    ),
+    "species_moments": (bellsource.species_moments, (_SPEC,)),
+    "PopulationTable.from_raw": (
+        bellsource.PopulationTable.from_raw, (bellsource.Populations(0.5, 0.5, 0.0, 0.0),)
     ),
     "evolve": (lambda s, fp: bellsource.evolve(s, fp, 1.0), (_PSI, FieldParams(1.0, 0.3, 0.1))),
     "emitted_state": (bellsource.emitted_state, (_SPEC,)),

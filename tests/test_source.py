@@ -14,14 +14,16 @@ from bellsource import (
     basis_state,
     bell_coefficients,
     bell_state,
+    controlled_emission,
+    controlled_psi1,
     controlled_psi2,
     emitted_state,
     fidelity_up_to_phase,
     psi1,
     psi2,
 )
-from bellsource.source import _superpose
 from conftest import edge_specs
+from oracles import _superpose
 
 
 class TestSourceSpec:
@@ -190,6 +192,25 @@ class TestEmittedState:
             ref, ref_norm = _superpose(spec, *(s.amplitudes.tolist() for s in species))
             assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
             assert raw_norm.hex() == ref_norm.hex()
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-324, math.pi / 4, math.pi / 2])
+    @pytest.mark.parametrize("p1", [0.0, -0.0, 1.0, -1.0, 0.6])
+    def test_the_closed_form_keeps_every_signed_zero_of_the_superposition(self, gamma, p1):
+        """The closed form equals the part-by-part superposition of the public species byte
+        for byte, the sign of every zero part included, at the edges where zeros show."""
+        for theta1 in (0.0, -0.0, math.pi / 2, math.pi, -math.pi):
+            for p2_negative in (False, True):
+                spec = SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative)
+                built = [(emitted_state(spec), (psi1(), psi2(spec.theta1), psi2(spec.theta2)))]
+                for ndelta in (0.0, 0.125, -0.125, 0.25):
+                    knob = ControlKnob(1, ndelta)
+                    species = (controlled_psi1(knob), controlled_psi2(spec.theta1, knob),
+                               controlled_psi2(spec.theta2, knob))
+                    built.append((controlled_emission(spec, knob), species))
+                for (state, raw_norm), species in built:
+                    ref, ref_norm = _superpose(spec, *(s.amplitudes.tolist() for s in species))
+                    assert state.amplitudes.tobytes() == ref.amplitudes.tobytes(), (spec, species)
+                    assert raw_norm.hex() == ref_norm.hex()
 
     def test_raw_norm_formula_1000_random(self):
         rng = np.random.default_rng(99)
