@@ -133,7 +133,8 @@ def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
 
     The closed form of alpha1 psi1 + alpha2 (p1 psi2(theta1) + p2 psi2(theta2)), each species
     ``_species``' amplitudes, combined part by part: real and imaginary parts apart, in the order
-    ``tests/oracles._superpose`` combines any three pairs, so every bit and signed zero agrees.
+    ``tests/oracles._superpose`` combines any three pairs, so every output bit and signed zero
+    agrees; its ``0.0 +`` and ``0.0 -`` terms move no output byte (README, the emission note).
     A float part's imaginary zero is +0.0 (alpha1 > 0); ``turn`` times a float is CPython's.
     """
     if type(spec) is not SourceSpec:
@@ -141,9 +142,9 @@ def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
     a1, a2, p1, p2 = math.cos(spec.gamma), math.sin(spec.gamma), spec.p1, spec.p2
     t1, t2, r = spec.theta1, spec.theta2, _RSQRT2
     c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
-    side = complex(0.0 + a2 * (p1 * (r * s1) + p2 * (r * s2)), 0.0)  # components 1 and 2
-    e, f, g = turn * r, turn * (r * (0.0 + c1)), turn * (r * (0.0 + c2))
-    parts = [complex(a1 * r + a2 * (p1 * (r * (0.0 - c1)) + p2 * (r * (0.0 - c2))), 0.0),
+    side = complex(a2 * (p1 * (r * s1) + p2 * (r * s2)), 0.0)  # components 1 and 2
+    e, f, g = turn * r, turn * (r * c1), turn * (r * c2)
+    parts = [complex(a1 * r + a2 * (p1 * (r * -c1) + p2 * (r * -c2)), 0.0),
              side, side, complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
                                  a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))]
     raw_norm = _squared_norm(parts)

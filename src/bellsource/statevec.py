@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Sized
 from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -25,7 +24,6 @@ __all__ = [
     "BellLabel",
     "PureState",
     "UnitaryMatrix",
-    "ZeroProbabilityError",
     "HADAMARD",
     "CNOT",
     "basis_state",
@@ -36,8 +34,6 @@ __all__ = [
     "bell_coefficients",
     "fidelity_up_to_phase",
     "measure_qubits",
-    "collapse_qubits",
-    "sample_measurements",
 ]
 
 MAX_QUBITS = 4
@@ -48,10 +44,6 @@ _ZERO_PROB = 1e-12
 _MAX_SHOTS = 2**63 - 1  # numpy draws the shot counts as int64
 _QUBITS_OF_SIZE = {2**n: n for n in range(1, MAX_QUBITS + 1)}
 _FLOAT_MAX = sys.float_info.max
-
-
-class ZeroProbabilityError(ValueError):
-    """Requested collapse onto an outcome with (numerically) zero Born weight."""
 
 
 def _is_integer(value: object) -> bool:
@@ -452,7 +444,7 @@ def _born_index(probs: Sequence[float], rng: np.random.Generator) -> int:
 
     Equals ``searchsorted(cumsum(probs), u, side="right")`` for u below the sum.
     A u in the rounding gap above it gets the last index of weight at least
-    ``_ZERO_PROB``, an outcome ``collapse_qubits`` accepts, or the last index if none is.
+    ``_ZERO_PROB``, or the last index if none is.
     """
     if type(rng) is not np.random.Generator:
         _require_kind("rng", np.random.Generator, rng)
@@ -492,40 +484,3 @@ def measure_qubits(
     k = _born_index(probs, rng)  # the measured bits spell k
     return _OUTCOME_BITS[len(indices)][k], _collapse(state, rows[k], probs[k]), probs[k]
 
-
-def sample_measurements(
-    state: PureState, indices: Sequence[int], shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Outcome counts of ``shots`` independent measurements of the given qubits.
-
-    The marginal Born weights of :func:`measure_qubits`, drawn by one
-    multinomial step. Entry k counts the outcome whose bits (in ``indices``
-    order) spell k in binary.
-    """
-    _require_kind("state", PureState, state)
-    rows = _check_targets(indices, state.num_qubits)
-    probs = _marginal_probabilities(state, rows)
-    return _multinomial(shots, probs / probs.sum(), rng)  # numpy's sum: pairwise from 8 entries
-
-
-def collapse_qubits(
-    state: PureState, indices: Sequence[int], outcome: Sequence[int]
-) -> tuple[PureState, float]:
-    """Deterministic-outcome variant of :func:`measure_qubits`.
-
-    Raises ZeroProbabilityError when the requested outcome has no Born
-    weight, which signals inconsistent input rather than valid physics.
-    """
-    _require_kind("state", PureState, state)
-    rows = _check_targets(indices, state.num_qubits)
-    sized = isinstance(outcome, Sized)
-    if not sized or len(outcome) != len(indices) or any(b not in (0, 1) for b in outcome):
-        raise ValueError(f"outcome {outcome!r} does not match {len(indices)} measured qubit(s)")
-    bits = tuple(1 if b == 1 else 0 for b in outcome)
-    k = int("".join(map(str, bits)), 2)
-    prob = float(_marginal_probabilities(state, rows)[k])
-    if prob < _ZERO_PROB:
-        raise ZeroProbabilityError(
-            f"outcome {bits} has probability {prob!r}; collapse is undefined"
-        )
-    return _collapse(state, rows[k], prob), prob

@@ -48,7 +48,6 @@ from bellsource import (
     bell_state,
     circuit_outcome_distribution,
     circuit_realization,
-    collapse_qubits,
     controlled_emission,
     controlled_psi1,
     controlled_psi2,
@@ -63,12 +62,11 @@ from bellsource import (
     psi2,
     run_characterization_circuit,
     sample_histogram,
-    sample_measurements,
     species_moments,
     table_populations,
     tensor,
 )
-from bellsource import characterize
+from bellsource import characterize, statevec
 from conftest import random_knob, random_spec, random_state
 from oracles import _superpose
 
@@ -81,6 +79,21 @@ def _pair_input(rng: np.random.Generator, i: int):
     if kind == 1:
         return controlled_emission(random_spec(rng), random_knob(rng))[0]
     return bell_state(BELL_LABELS[(i // 3) % 4])
+
+
+def _collapse_onto(state, indices, bits):
+    """The post-state and weight of outcome ``bits`` (valid, of nonzero weight) of ``indices``."""
+    rows = statevec._check_targets(indices, state.num_qubits)
+    k = int("".join(map(str, bits)), 2)
+    prob = float(statevec._marginal_probabilities(state, rows)[k])
+    return statevec._collapse(state, rows[k], prob), prob
+
+
+def _outcome_counts(state, indices, shots, rng):
+    """Counts of ``shots`` measurements of ``indices``: numpy's ``w / w.sum()``, one multinomial."""
+    rows = statevec._check_targets(indices, state.num_qubits)
+    probs = statevec._marginal_probabilities(state, rows)
+    return statevec._multinomial(shots, probs / probs.sum(), rng)
 
 
 def bit_digest(count: int, seed: int = 0) -> str:
@@ -105,10 +118,10 @@ def bit_digest(count: int, seed: int = 0) -> str:
         indices = (rng.permutation(n)[: rng.integers(1, n + 1)] + 1).tolist()
         bits, post, prob = measure_qubits(state, indices, rng)
         feed(bits, prob, post)
-        post, prob = collapse_qubits(state, indices, bits)
+        post, prob = _collapse_onto(state, indices, bits)
         feed(bits, prob, post)
         other = tuple(rng.integers(0, 2, size=len(indices)).tolist())
-        post, prob = collapse_qubits(state, indices, other)
+        post, prob = _collapse_onto(state, indices, other)
         feed(other, prob, post)
 
         width = int(rng.integers(1, 4))
@@ -162,7 +175,7 @@ def readout_digest(count: int, seed: int = 1) -> str:
         n = 1 + i % 4
         state = random_state(rng, n)
         indices = (rng.permutation(n)[: rng.integers(1, n + 1)] + 1).tolist()
-        feed(sample_measurements(state, indices, int(rng.integers(1, 10**6)), rng).tolist())
+        feed(_outcome_counts(state, indices, int(rng.integers(1, 10**6)), rng).tolist())
 
         gamma = float(rng.uniform(0.0, np.pi / 2))
         f00, f11 = (float(v) for v in rng.uniform(-0.05, 1.05, size=2))

@@ -23,7 +23,6 @@ from bellsource import (
     bell_state,
     circuit_outcome_distribution,
     circuit_realization,
-    collapse_qubits,
     controlled_emission,
     controlled_psi1,
     controlled_psi2,
@@ -37,7 +36,6 @@ from bellsource import (
     psi2,
     run_characterization_circuit,
     sample_histogram,
-    sample_measurements,
     species_moments,
     table_populations,
     tensor,
@@ -502,9 +500,6 @@ class TestWrongKind:
     @pytest.mark.parametrize(
         "call, message",
         [(lambda: apply_unitary(None, HADAMARD, (1,)), "state must be a PureState, got NoneType"),
-         (lambda: sample_measurements(None, (1,), 10, np.random.default_rng(0)),
-          "state must be a PureState, got NoneType"),
-         (lambda: collapse_qubits(None, (1,), (0,)), "state must be a PureState, got NoneType"),
          (lambda: fidelity_up_to_phase(None, bell_state((0, 0))),
           "a must be a PureState, got NoneType"),
          (lambda: fidelity_up_to_phase(bell_state((0, 0)), None),
@@ -516,9 +511,8 @@ class TestWrongKind:
          (lambda: PopulationTable.from_raw(None), "raw must be a Populations, got NoneType"),
          (lambda: PopulationTable.from_raw((0.5, 0.5, 0.0, 0.0)),
           "raw must be a Populations, got tuple")],
-        ids=["apply_unitary-state", "sample_measurements-state", "collapse_qubits-state",
-             "fidelity-a", "fidelity-b", "j_parameter-fp", "from_field_params-fp",
-             "species_moments-spec", "from_raw-None", "from_raw-tuple"],
+        ids=["apply_unitary-state", "fidelity-a", "fidelity-b", "j_parameter-fp",
+             "from_field_params-fp", "species_moments-spec", "from_raw-None", "from_raw-tuple"],
     )
     def test_a_wrong_kind_off_the_covered_paths_is_a_value_error(self, call, message):
         # Each raised AttributeError: every one reads an attribute of the argument first.

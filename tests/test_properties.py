@@ -99,7 +99,7 @@ def weights_and_draw(draw):
 def test_born_index_is_clamped_searchsorted(case):
     probs, u = case
     expected = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    if expected == len(probs):  # u in the gap above the sum: the last weight a collapse accepts
+    if expected == len(probs):  # u in the gap above the sum: the last weight at least _ZERO_PROB
         accepted = [k for k, p in enumerate(probs) if p >= _ZERO_PROB]
         expected = accepted[-1] if accepted else len(probs) - 1
     assert _born_index(probs, FixedDraw(u)) == expected
@@ -472,7 +472,6 @@ NUMERIC_ARGUMENTS = {
     "apply_unitary": (lambda q: bellsource.apply_unitary(_PSI, bellsource.HADAMARD, (q,)), (2,)),
     "basis_state": (lambda a, b: bellsource.basis_state((a, b)), (0, 1)),
     "bell_state": (lambda a, b: bellsource.bell_state((a, b)), (1, 0)),
-    "collapse_qubits": (lambda q, b: bellsource.collapse_qubits(_PSI, (q,), (b,)), (1, 0)),
     "controlled_psi2": (lambda theta: bellsource.controlled_psi2(theta, _KNOB), (0.3,)),
     "evolve": (_fields(lambda fp, t: bellsource.evolve(_PSI, fp, t)), (1.0, 0.3, 0.1, 2.5)),
     "expand_unitary": (lambda n: bellsource.expand_unitary(bellsource.HADAMARD, (1,), n), (2,)),
@@ -489,11 +488,6 @@ NUMERIC_ARGUMENTS = {
     "region_arrays": (bellsource.region_arrays, (0.7, 3)),
     "sample_histogram": (
         lambda shots: sample_histogram(_PSI, shots, np.random.default_rng(0)), (10,)
-    ),
-    "sample_measurements": (
-        lambda q, shots: bellsource.sample_measurements(
-            _PSI, (q,), shots, np.random.default_rng(0)),
-        (1, 10),
     ),
     "solve_ndelta": (bellsource.solve_ndelta, (0.7, 0.3, 0.3)),
     "table_populations": (table_populations, (0.7, 0.5, 0.5, 0.1)),
@@ -522,10 +516,6 @@ KIND_ARGUMENTS = {
     "tensor": (bellsource.tensor, (_PSI, _PSI)),
     "bell_coefficients": (bellsource.bell_coefficients, (_PSI,)),
     "measure_qubits": (lambda s, rng: bellsource.measure_qubits(s, (1,), rng), (_PSI, _RNG)),
-    "sample_measurements": (
-        lambda s, rng: bellsource.sample_measurements(s, (1,), 10, rng), (_PSI, _RNG)
-    ),
-    "collapse_qubits": (lambda s: bellsource.collapse_qubits(s, (1,), (0,)), (_PSI,)),
     "fidelity_up_to_phase": (bellsource.fidelity_up_to_phase, (_PSI, _PSI)),
     "j_parameter": (j_parameter, (FieldParams(1.0, 0.3, 0.1),)),
     "ControlKnob.from_field_params": (
