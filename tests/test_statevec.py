@@ -455,8 +455,9 @@ class TestMeasurement:
     @pytest.mark.parametrize(
         "call",
         [lambda state, rng: measure_qubits(state, (), rng),
-         lambda state, rng: apply_unitary(state, HADAMARD, [])],
-        ids=["measure", "apply"],
+         lambda state, rng: apply_unitary(state, HADAMARD, []),
+         lambda state, rng: expand_unitary(HADAMARD, (), 2)],
+        ids=["measure", "apply", "expand"],
     )
     def test_every_target_taker_requires_an_index(self, call, rng):
         with pytest.raises(ValueError, match="need at least one qubit index"):
@@ -468,6 +469,40 @@ class TestMeasurement:
         by_tuple = measure_qubits(state, (3, 1), np.random.default_rng(8))
         assert by_array[0] == by_tuple[0] and by_array[2] == by_tuple[2]
         assert by_array[1].amplitudes.tobytes() == by_tuple[1].amplitudes.tobytes()
+
+    # Seven of the eight weights are zero: every draw lands on the one the state holds.
+    @pytest.mark.parametrize("bits", ["000", "001", "010", "011", "100", "101", "110", "111"])
+    def test_a_basis_state_reads_its_own_bits_and_never_a_zero_weight(self, bits):
+        state = basis_state(bits)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            outcome, collapsed, prob = measure_qubits(state, (3, 1, 2), rng)
+            assert outcome == (int(bits[2]), int(bits[0]), int(bits[1]))
+            assert prob == 1.0
+            assert collapsed.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    @pytest.mark.parametrize(
+        "targets", [(1,), (4,), (2, 3), (3, 2), (1, 4), (4, 2, 1), (1, 2, 3, 4), (3, 1, 4, 2)]
+    )
+    def test_the_collapse_is_the_outcome_projection_over_the_root_of_its_weight(self, targets):
+        # Reference: the register entries whose target bits (qubit 1 most significant) spell
+        # the outcome, and the sum of their squared moduli.
+        state = random_state(np.random.default_rng(17), 4)
+        rng = np.random.default_rng(18)
+        seen = set()
+        for _ in range(32):
+            outcome, collapsed, prob = measure_qubits(state, targets, rng)
+            keep = np.array([all((i >> (4 - q)) & 1 == b for q, b in zip(targets, outcome))
+                             for i in range(16)])
+            weight = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+            assert prob == pytest.approx(weight, rel=0, abs=1e-15)
+            assert not collapsed.amplitudes[~keep].any()
+            np.testing.assert_allclose(
+                collapsed.amplitudes[keep], state.amplitudes[keep] / math.sqrt(weight),
+                rtol=0, atol=1e-15,
+            )
+            seen.add(outcome)
+        assert len(seen) > 1
 
     def test_fractional_index_is_rejected(self, rng):
         # Measured qubit 2 and returned (1,).
