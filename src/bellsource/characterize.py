@@ -101,9 +101,6 @@ class Populations:
         # dataclass keeps this __init__: one __dict__ write, not four object.__setattr__ calls.
         self.__dict__.update(f00=f00, f01=f01, f10=f10, f11=f11)
 
-    def total(self) -> float:
-        return self.f00 + self.f01 + self.f10 + self.f11
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f00, self.f01, self.f10, self.f11)
 
@@ -120,7 +117,7 @@ class PopulationTable:
         if type(raw) is not Populations:
             _require_kind("raw", Populations, raw)
         weights = f00, f01, f10, f11 = raw.f00, raw.f01, raw.f10, raw.f11
-        total = f00 + f01 + f10 + f11  # in raw.total()'s order
+        total = f00 + f01 + f10 + f11
         # The total is the emission's raw norm, held to its degenerate bound; NaN fails too.
         if min(weights) < -1e-12 or not _DEGENERATE_NORM <= total < math.inf:
             raise ValueError(f"invalid population weights {weights!r}")

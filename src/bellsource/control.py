@@ -117,10 +117,6 @@ class RegionPoint:
     f11_target: float
     solution: SteeringSolution | None
 
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None
-
 
 def _steering_terms(gamma, f00, f11):
     """(required S^2, denominator, numerator) of the steering closed form.

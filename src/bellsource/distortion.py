@@ -195,8 +195,9 @@ class ControlKnob:
     mismatch was derived from. A numpy n, delta or provenance entry is held as
     the Python number it equals. An ``n`` that is not an integer (bool and 3.0
     included), an ``n`` beyond the float range, an ``n * delta`` whose control
-    angle 2 pi n delta overflows, a NaN or infinite ``delta`` or provenance
-    ``j``, and a provenance ``q_num`` or ``q_den`` that is not an integer are rejected.
+    angle 2 pi n delta overflows, a provenance that is not three values, a NaN or
+    infinite ``delta`` or provenance ``j``, and a provenance ``q_num`` or ``q_den``
+    that is not an integer are rejected.
     """
 
     n: int
@@ -213,7 +214,12 @@ class ControlKnob:
         if not abs(delta) <= 0.5:
             raise ValueError(f"|delta| <= 1/2 violated: got {delta!r}")
         if provenance is not None:
-            j, num, den = map(_python_number, provenance, _PROVENANCE_FIELDS)
+            try:
+                j, num, den = provenance
+            except (TypeError, ValueError):  # not iterable, or not three values
+                raise ValueError(
+                    f"provenance must be (j, q_num, q_den), got {provenance!r}") from None
+            j, num, den = map(_python_number, (j, num, den), _PROVENANCE_FIELDS)
             provenance = RationalProvenance(j, num, den)
             _require_finite("provenance j", j)
             if not (_is_integer(num) and _is_integer(den)):

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import (_RSQRT2, PureState, _fresh, _is_finite, _or_infinity, _python_number,
-                       _require_finite, _require_kind, _squared_norm, bell_state)
+                       _require_finite, _require_kind, _squared_norm)
 
 __all__ = [
     "DegenerateSourceError",
     "SourceSpec",
-    "psi1",
     "psi2",
     "emitted_state",
 ]
@@ -44,7 +43,7 @@ class SourceSpec:
     theta1 + theta2 = pi/2 (both within 1e-9), gamma in [0, pi/2]; a NaN or
     infinite parameter, an int angle past the float range (its sum reads nan),
     or a weight whose square overflows fails them. numpy fields are held as Python numbers.
-    The state amplitudes are alpha1 = cos(gamma), alpha2 = sin(gamma).
+    The emission weighs the species by alpha1 = cos(gamma) and alpha2 = sin(gamma).
     """
 
     gamma: float
@@ -71,14 +70,6 @@ class SourceSpec:
             raise ValueError(f"gamma in [0, pi/2] violated: got {gamma!r}")
         self.__dict__.update(gamma=gamma, p1=p1, p2=p2, theta1=theta1, theta2=theta2)
 
-    @property
-    def alpha1(self) -> float:
-        return math.cos(self.gamma)
-
-    @property
-    def alpha2(self) -> float:
-        return math.sin(self.gamma)
-
     @classmethod
     def from_p1_theta1(
         cls, gamma: float, p1: float, theta1: float, p2_negative: bool = False
@@ -94,24 +85,11 @@ class SourceSpec:
         return cls(gamma, p1, p2, theta1, math.pi / 2 - _or_infinity(theta1))
 
 
-_PSI1 = bell_state((0, 0))
-
-
-def psi1(theta: float = 0.0) -> PureState:
-    """First species (phi phi + eta eta)/sqrt2, which is b00 for every theta.
-
-    Every call with a finite theta returns the shared immutable
-    ``bell_state((0, 0))``, so ``psi1(theta) is psi1()``.
-    """
-    _require_finite("theta", theta)
-    return _PSI1
-
-
 def _species(keep: float, flip: float, side: float, turn: complex = 1.0) -> list:
     """Amplitudes r (keep - flip, side, side, turn (keep + flip)), r = 1/sqrt2.
 
     That is keep b00 - flip b10 + side b01 with its |11> amplitude turned by
-    ``turn``. Every species has this form: psi1 is (1, 0, 0) and psi2(theta)
+    ``turn``. Every species has this form: b00 is (1, 0, 0) and psi2(theta)
     is (0, cos theta, sin theta); the control turns by e^{4 pi i n delta}.
     """
     r_side = _RSQRT2 * side
@@ -122,7 +100,7 @@ def psi2(theta: float) -> PureState:
     """Second species (varphi varphi - mu mu)/sqrt2.
 
     Its Bell coefficients are (0, sin theta, -cos theta, 0), so it is
-    orthogonal to psi1 for every theta.
+    orthogonal to the first species, b00, for every theta.
     """
     _require_finite("theta", theta)
     return PureState(_species(0.0, math.cos(theta), math.sin(theta)))
@@ -131,7 +109,7 @@ def psi2(theta: float) -> PureState:
 def _emission(spec: SourceSpec, turn: complex = 1.0) -> tuple[PureState, float]:
     """The source output with every |11> amplitude turned by ``turn``, and its raw squared norm.
 
-    The closed form of alpha1 psi1 + alpha2 (p1 psi2(theta1) + p2 psi2(theta2)), each species
+    The closed form of alpha1 b00 + alpha2 (p1 psi2(theta1) + p2 psi2(theta2)), each species
     ``_species``' amplitudes, combined part by part: real and imaginary parts apart, in the order
     ``tests/oracles._superpose`` combines any three pairs, so every output bit and signed zero
     agrees; its ``0.0 +`` and ``0.0 -`` terms move no output byte (README, the emission note).

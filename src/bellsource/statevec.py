@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
@@ -121,9 +121,8 @@ class PureState:
     """Normalized amplitude vector over 1..4 qubits.
 
     Input whose norm deviates from 1 by more than 1e-9, or is NaN, is
-    rejected unless ``normalize=True`` is passed, which rescales any input
-    of finite nonzero norm; silent rescaling would hide unnormalized
-    superpositions that callers need to account for explicitly.
+    rejected: silent rescaling would hide unnormalized superpositions that
+    callers need to account for explicitly.
 
     The two fields are slots: an instance has no ``__dict__`` and cannot be
     weak-referenced, and setting or deleting any name raises FrozenInstanceError. A copy
@@ -132,22 +131,15 @@ class PureState:
     """
 
     amplitudes: np.ndarray
-    normalize: InitVar[bool] = False
     num_qubits: int = field(init=False)
 
-    def __post_init__(self, normalize: bool) -> None:
-        amps = _complex_array(self.amplitudes).reshape(-1)
-        if normalize and amps.size in _QUBITS_OF_SIZE:  # a bad length fails in _fresh
-            norm = math.sqrt(_squared_norm(amps.tolist()))
-            if not math.isfinite(norm):
-                raise ValueError(f"cannot normalize a vector of non-finite norm {norm!r}")
-            if norm < 1e-12:
-                raise ValueError("cannot normalize a zero vector")
-            amps = amps / norm
-        _fresh(amps, self)
+    def __post_init__(self) -> None:
+        _fresh(_complex_array(self.amplitudes).reshape(-1), self)
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>."""
+        if type(other) is not PureState:
+            _require_kind("other", PureState, other)
         if self.num_qubits != other.num_qubits:
             raise ValueError("inner product requires equal qubit counts")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -177,10 +169,7 @@ def _fresh(amps: np.ndarray, state: PureState | None = None) -> PureState:
     # Only a check, so one pass suffices; a NaN norm fails it.
     norm = math.sqrt(_vdot(amps, amps).real)
     if not abs(norm - 1.0) <= _NORM_TOL:
-        raise ValueError(
-            f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}; "
-            "pass normalize=True to rescale"
-        )
+        raise ValueError(f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
     amps.setflags(False)  # write=False, passed by position: no keyword parsing
     state = object.__new__(PureState) if state is None else state
     _set_amplitudes(state, amps)
@@ -287,7 +276,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product with a's qubits first; at most 4 qubits total.
 
     The result is a new state even when a factor is a shared constant such
-    as ``basis_state(bits)``, ``bell_state(l)`` or ``psi1()``.
+    as ``basis_state(bits)`` or ``bell_state(l)``.
     """
     if type(a) is not PureState or type(b) is not PureState:
         _require_kind("a", PureState, a)

@@ -10,12 +10,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bellsource import ControlKnob, PureState, SourceSpec
+from bellsource.statevec import _squared_norm
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> PureState:
     dim = 2**num_qubits
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(amps, normalize=True)
+    return PureState(amps / math.sqrt(_squared_norm(amps.tolist())))
 
 
 def random_spec(rng: np.random.Generator) -> SourceSpec:

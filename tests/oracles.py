@@ -152,7 +152,7 @@ def _superpose(
     from bellsource.source import _DEGENERATE_NORM, DegenerateSourceError
     from bellsource.statevec import _fresh, _squared_norm
 
-    a1, a2, p1, p2 = spec.alpha1, spec.alpha2, spec.p1, spec.p2
+    a1, a2, p1, p2 = math.cos(spec.gamma), math.sin(spec.gamma), spec.p1, spec.p2
     parts = [complex(a1 * e.real + a2 * (p1 * f.real + p2 * g.real),
                      a1 * e.imag + a2 * (p1 * f.imag + p2 * g.imag))
              for e, f, g in zip(species1, species2_first, species2_second)]

@@ -29,7 +29,6 @@ from bellsource import (
     infer_parameters,
     populations_analytic,
     populations_exact,
-    psi1,
     psi2,
     rational_approx,
     solve_ndelta,
@@ -198,7 +197,8 @@ def test_criterion_08_controlled_state_structure():
             assert abs(np.linalg.norm(second.amplitudes) - 1.0) < 1e-12
             assert abs(first.inner(second)) < 1e-12
         zero = ControlKnob(n=0, delta=0.3)
-        assert np.max(np.abs(controlled_psi1(zero).amplitudes - psi1().amplitudes)) < 1e-12
+        b00 = bell_state((0, 0)).amplitudes
+        assert np.max(np.abs(controlled_psi1(zero).amplitudes - b00)) < 1e-12
         for theta in (-1.0, 0.2, 1.4):
             gap = controlled_psi2(theta, zero).amplitudes - psi2(theta).amplitudes
             assert np.max(np.abs(gap)) < 1e-12

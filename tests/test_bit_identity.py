@@ -5,15 +5,16 @@ outcomes, probabilities (as float hex) and amplitude buffers. All draws come
 from one seeded generator, so a change to the number or order of draws moves
 every later byte as well. All four digests were last pinned when
 ``bell_coefficients`` came to compute the Bell basis change by butterflies and
-``PureState(normalize=True)`` its norm by ``statevec._squared_norm`` (README,
-"Byte-identical output"); an optimisation must keep them.
+the random test states (``conftest.random_state``) their norm by
+``statevec._squared_norm`` (README, "Byte-identical output"); an optimisation
+must keep them.
 
 ``emission_digest`` covers the emission builders at the domain edges, where
 signed zeros show: it pins the bytes of the closed form, its part-by-part
 superposition and its fixed-order raw norm.
 
 Every report byte is computed in Python arithmetic or elementwise numpy, with
-no BLAS call: the Bell coefficients, the normalize norm, the circuit register
+no BLAS call: the Bell coefficients, the test states' norm, the circuit register
 and the emission. Only the gate-by-gate route of ``evolution_digest`` still
 multiplies by 16 x 16 gates through numpy's matmul, with ``apply_unitary``'s
 user matrices, so that digest pins the BLAS matrix-vector kernel of the
@@ -185,7 +186,7 @@ def readout_digest(count: int, seed: int = 1) -> str:
             feed("ValueError", str(exc))
             continue
         solution = point.solution
-        feed(point.f00_target.hex(), point.f11_target.hex(), point.feasible)
+        feed(point.f00_target.hex(), point.f11_target.hex(), solution is not None)
         if solution is not None:
             feed(
                 solution.s_squared.hex(),

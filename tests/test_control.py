@@ -131,15 +131,15 @@ class TestSolveNdelta:
 class TestFeasible:
     def test_feasible_point_embeds_solution(self):
         point = feasible(math.pi / 4, 0.3, 0.3)
-        assert point.feasible and point.solution is not None
+        assert point.solution is not None
         assert point.solution.s_squared == pytest.approx(0.5, abs=1e-12)
 
     def test_infeasible_is_a_value(self):
         point = feasible(math.pi / 4, 0.9, 0.9)
-        assert not point.feasible and point.solution is None
+        assert point.solution is None
 
     def test_small_gamma_infeasible(self):
-        assert not feasible(0.01, 0.1, 0.1).feasible
+        assert feasible(0.01, 0.1, 0.1).solution is None
 
     def test_steering_only_redistributes(self, rng):
         # cos^2 g + sin^2 g * required_C_squared = f00 + f11 on feasible points.
@@ -148,7 +148,7 @@ class TestFeasible:
             gamma = rng.uniform(0.1, math.pi / 2)
             f00, f11 = rng.uniform(0, 1, size=2)
             point = feasible(gamma, f00, f11)
-            if not point.feasible:
+            if point.solution is None:
                 continue
             hits += 1
             sol = point.solution
@@ -161,7 +161,7 @@ class TestFeasible:
             gamma = rng.uniform(0.1, math.pi / 2)
             f00, f11 = rng.uniform(0, 1, size=2)
             point = feasible(gamma, f00, f11)
-            if not point.feasible:
+            if point.solution is None:
                 continue
             pops = forward_populations(gamma, point.solution)
             assert pops.f00 == pytest.approx(f00, abs=1e-12)
@@ -202,8 +202,8 @@ class TestRegionGrid:
         axis = scan.axis.tolist()
         assert axis == [0.0, 0.5, 1.0]
         points = [feasible(math.pi / 4, f00, f11) for f00 in axis for f11 in axis]
-        assert scan.feasible.ravel().tolist() == [p.feasible for p in points]
-        expected = [p.solution.s_squared if p.feasible else math.nan for p in points]
+        assert scan.feasible.ravel().tolist() == [p.solution is not None for p in points]
+        expected = [p.solution.s_squared if p.solution is not None else math.nan for p in points]
         np.testing.assert_array_equal(scan.s_squared.ravel(), expected)
         assert scan.s_squared[0, 1] == 1.0  # not symmetric: about 2e-16 at [1, 0]
 
@@ -223,8 +223,9 @@ class TestRegionGrid:
         scan = region_arrays(1.0, 11)
         values = [i / 10 for i in range(11)]
         direct = [feasible(1.0, f00, f11) for f00 in values for f11 in values]
-        assert scan.feasible.ravel().tolist() == [p.feasible for p in direct]
-        expected = [p.solution.ndelta_principal if p.feasible else math.nan for p in direct]
+        assert scan.feasible.ravel().tolist() == [p.solution is not None for p in direct]
+        expected = [p.solution.ndelta_principal if p.solution is not None else math.nan
+                    for p in direct]
         np.testing.assert_array_equal(scan.ndelta.ravel(), expected)
 
     @pytest.mark.parametrize("resolution", [2, 3, 51, 101])
@@ -239,7 +240,7 @@ class TestRegionGrid:
         for f00, (oks, s_row, nd_row) in zip(values, rows):
             for f11, ok, s_squared, ndelta in zip(values, oks, s_row, nd_row):
                 point = feasible(gamma, f00, f11)
-                assert ok == point.feasible
+                assert ok == (point.solution is not None)
                 if not ok:
                     assert math.isnan(s_squared) and math.isnan(ndelta)
                     continue
@@ -317,7 +318,7 @@ class TestRegionGrid:
         assert not scan.feasible.any()
         assert np.isnan(scan.s_squared).all() and np.isnan(scan.ndelta).all()
         values = scan.axis.tolist()
-        assert not any(feasible(1e-200, f00, f11).feasible for f00 in values for f11 in values)
+        assert all(feasible(1e-200, f00, f11).solution is None for f00 in values for f11 in values)
 
 
 class TestInferParameters:

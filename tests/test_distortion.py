@@ -24,7 +24,6 @@ from bellsource import (
     evolve,
     fidelity_up_to_phase,
     j_parameter,
-    psi1,
     psi2,
     rational_approx,
 )
@@ -151,23 +150,23 @@ class TestEvolve:
     # "state norm nan deviates from 1".
     def test_rejects_rotation_angle_overflow(self):
         with pytest.raises(ValueError, match=r"omega \* t must be finite, got inf"):
-            evolve(psi1(), FieldParams(1.0, 0.3, 0.1), 1e308)
+            evolve(bell_state((0, 0)), FieldParams(1.0, 0.3, 0.1), 1e308)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
-            evolve(psi1(), FieldParams(1.0, 0.3, 0.1), t)
+            evolve(bell_state((0, 0)), FieldParams(1.0, 0.3, 0.1), t)
 
     def test_rejects_field_difference_past_float_range(self):
         with pytest.raises(ValueError, match="B1 - B2 must be finite, got inf"):
-            evolve(psi1(), FieldParams(1e308, 1e308, -1e308), 1.0)
+            evolve(bell_state((0, 0)), FieldParams(1e308, 1e308, -1e308), 1.0)
 
     @pytest.mark.parametrize("field", ["J", "B1", "B2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_field(self, field, bad):
         values = {"J": 1.0, "B1": 0.5, "B2": 0.1, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be finite, got {bad!r}"):
-            evolve(psi1(), FieldParams(**values), 1.0)
+            evolve(bell_state((0, 0)), FieldParams(**values), 1.0)
 
     @pytest.mark.parametrize(
         "fp, message",
@@ -185,7 +184,7 @@ class TestEvolve:
     )
     def test_rejects_sector_energy_overflow(self, fp, message):
         with pytest.raises(ValueError, match=message):
-            evolve(psi1(), fp, 1.0)
+            evolve(bell_state((0, 0)), fp, 1.0)
 
     def test_numpy_integer_fields_evolve_as_the_equal_python_ints(self):
         # B1 - B2 = 2**63 wrapped to -2**63 in int64 (a RuntimeWarning), and the
@@ -450,6 +449,35 @@ class TestControlKnob:
     def test_rejects_non_integer_provenance_ratio(self, num, den):
         with pytest.raises(ValueError, match=r"provenance Q\(j\) must be integers"):
             ControlKnob(1, 0.5 - 1 / 3, RationalProvenance(0.5, num, den))
+
+    def test_rejects_a_provenance_that_is_not_a_sequence(self):
+        # Raised TypeError: cannot unpack non-iterable int object.
+        with pytest.raises(ValueError) as error:
+            ControlKnob(1, 0.1, provenance=5)
+        assert str(error.value) == "provenance must be (j, q_num, q_den), got 5"
+
+    def test_rejects_a_provenance_of_two_values(self):
+        # Raised ValueError: not enough values to unpack, naming no argument.
+        with pytest.raises(ValueError) as error:
+            ControlKnob(1, 0.1, provenance=(0.3, 1))
+        assert str(error.value) == "provenance must be (j, q_num, q_den), got (0.3, 1)"
+
+    def test_rejects_an_empty_provenance(self):
+        with pytest.raises(ValueError) as error:
+            ControlKnob(1, 0.1, provenance=())
+        assert str(error.value) == "provenance must be (j, q_num, q_den), got ()"
+
+    def test_rejects_a_provenance_of_four_values(self):
+        # Was accepted: the first three agree with delta, and the fourth was dropped.
+        with pytest.raises(ValueError) as error:
+            ControlKnob(1, 0.5 - 1 / 3, provenance=(0.5, 1, 3, 99))
+        assert str(error.value) == "provenance must be (j, q_num, q_den), got (0.5, 1, 3, 99)"
+
+    def test_a_provenance_of_three_values_is_held_as_a_rational_provenance(self):
+        for provenance in ([0.5, 1, 3], (value for value in (0.5, 1, 3))):
+            knob = ControlKnob(1, 0.5 - 1 / 3, provenance=provenance)
+            assert type(knob.provenance) is RationalProvenance
+            assert knob.provenance == RationalProvenance(0.5, 1, 3)
 
     def test_accepts_numpy_integer_provenance_ratio(self):
         # The gap is taken over Python ints: j = 1e-300 has a 2**1049 denominator,

@@ -1,7 +1,8 @@
 """The package's public names: exactly the union of its library modules' ``__all__``,
-each function with a caller or a paper quantity; the finite rule's refusal spelled by
-its owner and the sites it cannot serve; the runtime dependencies the CLI loads; the
-contract every exported frozen holder keeps, however the library builds it."""
+each function with a caller or a paper quantity and each class member with a reader; the
+finite rule's refusal spelled by its owner and the sites it cannot serve; the runtime
+dependencies the CLI loads; the contract every exported frozen holder keeps, however the
+library builds it."""
 
 from __future__ import annotations
 
@@ -45,11 +46,11 @@ def test_the_package_has_no_other_public_name():
 
 # README's rule for a public name: it stays if the CLI, another module or perfbench calls
 # it, or if it is the only library path to a paper quantity README names. These functions
-# stay by the second clause.
+# stay by the second clause. A public member of an exported class stays only if code in
+# the package or perfbench reads it as an attribute.
 PAPER_QUANTITIES = {
     "j_parameter": "the interaction ratio j",
     "rational_approx": "the best rational approximation Q(j) and the mismatch delta",
-    "psi1": "the first species",
     "psi2": "the second species at an angle",
     "controlled_psi1": "the first species after the correction cycle",
     "controlled_psi2": "the second species after the correction cycle",
@@ -71,10 +72,32 @@ def _identifiers(path: Path) -> set[str]:
     return used
 
 
-def test_every_public_function_has_a_caller_or_a_paper_quantity():
-    package = Path(bellsource.__file__).parent
+def _attributes(path: Path) -> set[str]:
+    """The attribute names a module's code reads: ``name`` of every ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def _members(module: types.ModuleType) -> dict[str, str]:
+    """``Class.member`` to ``member`` for each public property, method, classmethod and
+    staticmethod that an exported class of ``module`` defines itself."""
+    kinds = (property, classmethod, staticmethod, types.FunctionType)
+    return {f"{name}.{member}": member
+            for name in module.__all__ if isinstance(cls := getattr(module, name), type)
+            for member, value in vars(cls).items()
+            if not member.startswith("_") and isinstance(value, kinds)}
+
+
+def _sources() -> tuple[Path, list[Path]]:
+    """The package directory and perfbench's scripts, the code a public name needs a
+    caller in."""
     perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
     assert perfbench, "perfbench/ not found next to tests/"
+    return Path(bellsource.__file__).parent, perfbench
+
+
+def test_every_public_function_has_a_caller_or_a_paper_quantity():
+    package, perfbench = _sources()
     uncalled = set()
     for module in MODULES:
         others = [path for path in package.glob("*.py") if path != Path(module.__file__)]
@@ -86,6 +109,24 @@ def test_every_public_function_has_a_caller_or_a_paper_quantity():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     unnamed = [name for name in sorted(keep) if f"`{name}`" not in readme]
     assert not unnamed, f"README's rule paragraph does not name {unnamed}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_public_member_has_a_reader(module):
+    """A public member of an exported class stays only if package or perfbench code reads
+    it as an attribute, so a member that only tests read fails here by its qualified name."""
+    package, perfbench = _sources()
+    read = set().union(*map(_attributes, [*package.glob("*.py"), *perfbench]))
+    unread = sorted(name for name, member in _members(module).items() if member not in read)
+    assert not unread, f"no reader in the package or perfbench: {unread}"
+
+
+def test_the_member_rule_sees_each_kind_of_member():
+    """A method, a slotted class's method, a classmethod and a property, so the member rule
+    cannot pass by reading no member at all."""
+    members = set().union(*(_members(module) for module in MODULES))
+    assert {"Populations.as_tuple", "PureState.inner", "SourceSpec.from_p1_theta1",
+            "FieldParams.b_minus"} <= members
 
 
 def test_the_finite_refusal_is_written_only_by_its_owner_and_two_sites():

@@ -175,7 +175,7 @@ def test_paper_identities_over_spec_and_knob(spec, knob):
 
     if spec.gamma > 0.0:
         point = feasible(spec.gamma, born.f00, born.f11)
-        if point.feasible:
+        if point.solution is not None:
             solution = point.solution
             back = table_populations(
                 spec.gamma,
@@ -465,7 +465,6 @@ NUMERIC_ARGUMENTS = {
         _fields(ControlKnob.from_field_params), (1.0, 0.3, 0.1, 16, 2)
     ),
     "PureState": (lambda a, b: bellsource.PureState([a, b]), (0.6, 0.8)),
-    "PureState+normalize": (lambda a, b: bellsource.PureState([a, b], normalize=True), (3.0, 4.0)),
     "SourceSpec": (SourceSpec, (0.7, 0.6, 0.8, 0.3, math.pi / 2 - 0.3)),
     "SourceSpec.from_p1_theta1": (SourceSpec.from_p1_theta1, (0.7, 0.6, 0.3)),
     "UnitaryMatrix": (lambda a, b, c, d: bellsource.UnitaryMatrix([[a, b], [c, d]]), (0, 1, 1, 0)),
@@ -482,7 +481,6 @@ NUMERIC_ARGUMENTS = {
         lambda q: bellsource.measure_qubits(_PSI, (q,), np.random.default_rng(0)), (1,)
     ),
     "outcome_to_label": (lambda a, b: bellsource.outcome_to_label((a, b)), (0, 1)),
-    "psi1": (bellsource.psi1, (0.3,)),
     "psi2": (bellsource.psi2, (0.3,)),
     "rational_approx": (rational_approx, (0.3, 8)),
     "region_arrays": (bellsource.region_arrays, (0.7, 3)),
@@ -514,6 +512,7 @@ KIND_ARGUMENTS = {
     ),
     "expand_unitary": (lambda u: bellsource.expand_unitary(u, (1,), 2), (bellsource.HADAMARD,)),
     "tensor": (bellsource.tensor, (_PSI, _PSI)),
+    "PureState.inner": (_PSI.inner, (_PSI,)),
     "bell_coefficients": (bellsource.bell_coefficients, (_PSI,)),
     "measure_qubits": (lambda s, rng: bellsource.measure_qubits(s, (1,), rng), (_PSI, _RNG)),
     "fidelity_up_to_phase": (bellsource.fidelity_up_to_phase, (_PSI, _PSI)),

@@ -19,7 +19,6 @@ from bellsource import (
     controlled_psi2,
     emitted_state,
     fidelity_up_to_phase,
-    psi1,
     psi2,
 )
 from conftest import edge_specs
@@ -29,8 +28,8 @@ from oracles import _superpose
 class TestSourceSpec:
     def test_valid_spec(self):
         spec = SourceSpec(gamma=0.3, p1=0.6, p2=0.8, theta1=0.2, theta2=math.pi / 2 - 0.2)
-        assert spec.alpha1 == pytest.approx(math.cos(0.3))
-        assert spec.alpha2 == pytest.approx(math.sin(0.3))
+        assert (spec.gamma, spec.p1, spec.p2, spec.theta1) == (0.3, 0.6, 0.8, 0.2)
+        assert spec.theta2 == math.pi / 2 - 0.2
 
     def test_weight_invariant(self):
         with pytest.raises(ValueError, match=r"p1\^2 \+ p2\^2 = 1"):
@@ -83,32 +82,15 @@ class TestSpecies:
     def test_species_are_built_from_the_four_component_states(self, rng, angle):
         # The generators at angle theta, with c = cos(theta/2), s = sin(theta/2):
         # phi = (c, s), eta = (s, -c), varphi = (s, c), mu = (c, -s).
-        # psi1 = (phi phi + eta eta)/sqrt2 and psi2 = (varphi varphi - mu mu)/sqrt2.
+        # The first species (phi phi + eta eta)/sqrt2 is b00 at every theta, and
+        # psi2 = (varphi varphi - mu mu)/sqrt2.
         for theta in [angle] if angle is not None else rng.uniform(-math.pi, math.pi, size=25):
             c, s = math.cos(theta / 2), math.sin(theta / 2)
             phi, eta, varphi, mu = map(np.array, ([c, s], [s, -c], [s, c], [c, -s]))
             first = (np.kron(phi, phi) + np.kron(eta, eta)) / math.sqrt(2)
             second = (np.kron(varphi, varphi) - np.kron(mu, mu)) / math.sqrt(2)
-            np.testing.assert_allclose(psi1(theta).amplitudes, first, atol=1e-15)
+            np.testing.assert_allclose(bell_state((0, 0)).amplitudes, first, atol=1e-15)
             np.testing.assert_allclose(psi2(theta).amplitudes, second, atol=1e-15)
-
-    def test_psi1_is_b00_at_any_theta(self):
-        assert fidelity_up_to_phase(psi1(0.3), bell_state((0, 0))) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(psi1(0.0).amplitudes, bell_state((0, 0)).amplitudes, atol=1e-15)
-
-    def test_psi1_theta_independent(self, rng):
-        reference = psi1(0.1).amplitudes
-        np.testing.assert_allclose(psi1(1.2345).amplitudes, reference, atol=1e-12)
-        for _ in range(50):
-            np.testing.assert_allclose(psi1(rng.uniform(-5, 5)).amplitudes, reference, atol=1e-12)
-
-    def test_psi1_default_is_shared_instance(self):
-        assert psi1() is psi1()
-        assert psi1(0.0) is psi1()
-
-    def test_psi1_is_shared_b00_at_every_angle(self):
-        for theta in (0.0, -0.0, 0.3, -5.0, 1e300):
-            assert psi1(theta) is bell_state((0, 0))
 
     # A numpy scalar is shown as the Python number it holds, not as np.float64(nan).
     @pytest.mark.parametrize(
@@ -119,8 +101,8 @@ class TestSpecies:
     )
     @pytest.mark.parametrize(
         "builder",
-        [psi1, psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
-        ids=["psi1", "psi2", "controlled_psi2"],
+        [psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi2", "controlled_psi2"],
     )
     def test_species_builders_reject_non_finite_angle(self, builder, theta):
         with pytest.raises(ValueError, match=f"^theta must be finite, got {float(theta)!r}$"):
@@ -129,8 +111,8 @@ class TestSpecies:
     # Raised OverflowError: int too large to convert to float.
     @pytest.mark.parametrize(
         "builder",
-        [psi1, psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
-        ids=["psi1", "psi2", "controlled_psi2"],
+        [psi2, lambda theta: controlled_psi2(theta, ControlKnob(1, 0.1))],
+        ids=["psi2", "controlled_psi2"],
     )
     def test_species_builders_reject_an_int_past_the_float_range(self, builder):
         for theta in (10**400, -(10**400)):
@@ -155,7 +137,7 @@ class TestSpecies:
     def test_species_orthogonal(self, rng):
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi)
-            assert abs(psi1().inner(psi2(theta))) < 1e-12
+            assert abs(bell_state((0, 0)).inner(psi2(theta))) < 1e-12
 
     def test_psi2_complementary_overlap(self, rng):
         # <psi2(t1)|psi2(t2)> = cos(t1 - t2) = sin(2 t1) when t1 + t2 = pi/2.
@@ -188,7 +170,7 @@ class TestEmittedState:
     def test_bits_equal_superposed_public_species(self):
         for spec in edge_specs():
             state, raw_norm = emitted_state(spec)
-            species = (psi1(), psi2(spec.theta1), psi2(spec.theta2))
+            species = (bell_state((0, 0)), psi2(spec.theta1), psi2(spec.theta2))
             ref, ref_norm = _superpose(spec, *(s.amplitudes.tolist() for s in species))
             assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
             assert raw_norm.hex() == ref_norm.hex()
@@ -201,7 +183,8 @@ class TestEmittedState:
         for theta1 in (0.0, -0.0, math.pi / 2, math.pi, -math.pi):
             for p2_negative in (False, True):
                 spec = SourceSpec.from_p1_theta1(gamma, p1, theta1, p2_negative)
-                built = [(emitted_state(spec), (psi1(), psi2(spec.theta1), psi2(spec.theta2)))]
+                species = (bell_state((0, 0)), psi2(spec.theta1), psi2(spec.theta2))
+                built = [(emitted_state(spec), species)]
                 for ndelta in (0.0, 0.125, -0.125, 0.25):
                     knob = ControlKnob(1, ndelta)
                     species = (controlled_psi1(knob), controlled_psi2(spec.theta1, knob),

@@ -39,7 +39,6 @@ from bellsource import (
     infer_parameters,
     j_parameter,
     measure_qubits,
-    psi1,
     psi2,
     rational_approx,
     region_arrays,
@@ -78,16 +77,17 @@ def reference_apply(amps: np.ndarray, matrix: np.ndarray, targets, n: int) -> np
 
 class TestPureState:
     def test_rejects_non_normalized(self):
-        with pytest.raises(ValueError, match="normalize=True"):
+        with pytest.raises(ValueError, match="^state norm 1.4142135623730951 deviates from 1"):
             PureState(np.array([1.0, 1.0]))
 
-    def test_normalize_flag_rescales(self):
-        state = PureState(np.array([1.0, 1.0]), normalize=True)
-        np.testing.assert_allclose(state.amplitudes, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
+    def test_rejects_a_zero_vector(self):
+        with pytest.raises(ValueError, match="^state norm 0.0 deviates from 1"):
+            PureState(np.zeros(4))
 
-    def test_rejects_zero_vector_even_with_flag(self):
-        with pytest.raises(ValueError):
-            PureState(np.zeros(4), normalize=True)
+    def test_takes_no_normalize_option(self):
+        # The rescaling option is gone: an unnormalized vector is the caller's to scale.
+        with pytest.raises(TypeError, match="normalize"):
+            PureState(np.array([1.0, 1.0]), normalize=True)
 
     @pytest.mark.parametrize("length", [1, 3, 6, 32])
     def test_rejects_bad_lengths(self, length):
@@ -114,10 +114,20 @@ class TestPureState:
         with pytest.raises(ValueError, match="deviates from 1"):
             PureState(np.array([bad, 0.0]))
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_normalize_rejects_non_finite_norm(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            PureState(np.array([bad, 0.0]), normalize=True)
+    @pytest.mark.parametrize(
+        "other, kind",
+        [(None, "NoneType"), (np.array([1.0, 0.0]), "ndarray"), ((1, 0), "tuple"),
+         (HADAMARD, "UnitaryMatrix")],
+        ids=["None", "ndarray", "tuple", "UnitaryMatrix"],
+    )
+    def test_inner_refuses_a_wrong_kind_naming_its_type(self, other, kind):
+        # Each raised AttributeError: inner read other.num_qubits first.
+        with pytest.raises(ValueError, match=f"^other must be a PureState, got {kind}$"):
+            basis_state("0").inner(other)
+
+    def test_inner_refuses_unequal_qubit_counts(self):
+        with pytest.raises(ValueError, match="^inner product requires equal qubit counts$"):
+            basis_state("0").inner(bell_state((0, 0)))
 
 
 class TestUnitaryMatrix:
@@ -546,20 +556,13 @@ class TestStateValidator:
         assert amps.flags.writeable
 
     def test_both_entry_points_reject_with_the_same_text(self):
-        text = (
-            "state norm 1.4142135623730951 deviates from 1 by more than 1e-09; "
-            "pass normalize=True to rescale"
-        )
+        text = "state norm 1.4142135623730951 deviates from 1 by more than 1e-09"
         for build in (PureState, _fresh):
             with pytest.raises(ValueError) as error:
                 build(np.array([1.0, 1.0], dtype=complex))
             assert str(error.value) == text
             with pytest.raises(ValueError, match="length 32 is not a 1..4 qubit state"):
                 build(np.zeros(32, dtype=complex))
-
-    def test_normalize_flag_still_checks_the_length_first(self):
-        with pytest.raises(ValueError, match="length 3 is not a 1..4 qubit state"):
-            PureState(np.zeros(3), normalize=True)
 
 
 def _pickled(value):
@@ -633,8 +636,7 @@ class TestSlottedHolders:
     def test_fresh_refuses_a_norm_two_tolerances_off(self, norm, shown):
         with pytest.raises(ValueError) as error:
             _fresh(np.array([norm, 0.0], dtype=complex))
-        assert str(error.value) == (
-            f"state norm {shown} deviates from 1 by more than 1e-09; pass normalize=True to rescale")
+        assert str(error.value) == f"state norm {shown} deviates from 1 by more than 1e-09"
         assert _fresh(np.array([1.0 + (norm - 1.0) / 4, 0.0], dtype=complex)).num_qubits == 1
 
     @pytest.mark.parametrize("route", [copy.deepcopy, copy.copy, _pickled],
@@ -847,10 +849,18 @@ _PAST_FLOAT_RANGE = {
     "ControlKnob-provenance-j": (
         lambda x: ControlKnob(1, 0.1, RationalProvenance(x, 1, 2)), "provenance j must be finite"
     ),
-    "evolve-J": (lambda x: evolve(psi1(), FieldParams(x, 0.5, 0.1), 1.0), "^J must be finite"),
-    "evolve-B1": (lambda x: evolve(psi1(), FieldParams(1.0, x, 0.1), 1.0), "^B1 must be finite"),
-    "evolve-B2": (lambda x: evolve(psi1(), FieldParams(1.0, 0.5, x), 1.0), "^B2 must be finite"),
-    "evolve-t": (lambda x: evolve(psi1(), FieldParams(1.0, 0.5, 0.1), x), "^t must be finite"),
+    "evolve-J": (
+        lambda x: evolve(bell_state((0, 0)), FieldParams(x, 0.5, 0.1), 1.0), "^J must be finite"
+    ),
+    "evolve-B1": (
+        lambda x: evolve(bell_state((0, 0)), FieldParams(1.0, x, 0.1), 1.0), "^B1 must be finite"
+    ),
+    "evolve-B2": (
+        lambda x: evolve(bell_state((0, 0)), FieldParams(1.0, 0.5, x), 1.0), "^B2 must be finite"
+    ),
+    "evolve-t": (
+        lambda x: evolve(bell_state((0, 0)), FieldParams(1.0, 0.5, 0.1), x), "^t must be finite"
+    ),
     "table_populations-gamma": (
         lambda x: table_populations(x, 0.5, 0.5, 0.1), "gamma, C.2, S.2 and ndelta must be finite"
     ),
@@ -1001,7 +1011,7 @@ class TestNumpyScalars:
          (lambda: rational_approx(np.array([0.3]), 4), "j"),
          (lambda: infer_parameters(0.3, 0.4, 0.3, np.array([0.1])), "ndelta"),
          (lambda: region_arrays(np.array([0.5]), 3), "gamma"),
-         (lambda: evolve(psi1(), FieldParams(1.0, 0.3, 0.1), np.array([1.0])), "t"),
+         (lambda: evolve(bell_state((0, 0)), FieldParams(1.0, 0.3, 0.1), np.array([1.0])), "t"),
          (lambda: psi2(np.array([0.3])), "theta"),
          (lambda: controlled_psi2(np.array([0.3]), ControlKnob(1, 0.1)), "theta")],
         ids=["FieldParams", "SourceSpec", "table_populations", "ControlKnob", "feasible",
@@ -1030,7 +1040,7 @@ class TestPastTheFloatRange:
     def test_an_int_sector_energy_past_the_float_range(self):
         # Raised OverflowError: the exact int energy -J + B1 + B2 met the float t.
         with pytest.raises(ValueError, match=r"^E00 \* t must be finite, got inf for "):
-            evolve(psi1(), FieldParams(0, 10**308, 10**308), 1.0)
+            evolve(bell_state((0, 0)), FieldParams(0, 10**308, 10**308), 1.0)
 
     @pytest.mark.parametrize("p1, p2, weight", [(10**200, 0, "inf"),
                                                 (np.float32(1e38), 0.0, r"9\.999999360571395e\+75")],
@@ -1065,16 +1075,17 @@ class TestEntryConversion:
         "call, message",
         [(lambda: UnitaryMatrix([[math.inf, 0], [0, 1]]), r"deviates from I by nan"),
          (lambda: UnitaryMatrix([[1e200, 0], [0, 1]]), r"deviates from I by inf"),
-         (lambda: PureState([1e308, 1e308], normalize=True), "non-finite norm inf"),
-         (lambda: PureState([math.inf, 0], normalize=True), "non-finite norm inf"),
-         (lambda: PureState([math.nan, 0], normalize=True), "non-finite norm nan"),
-         (lambda: PureState([math.inf, math.nan], normalize=True), "non-finite norm nan"),
-         (lambda: PureState([1e200, 1e200], normalize=True), "non-finite norm inf"),
-         (lambda: PureState([1e-200, 1e-200], normalize=True), "normalize a zero vector")],
-        ids=["unitary-inf", "unitary-1e200", "normalize-1e308", "normalize-inf",
-             "normalize-nan", "normalize-inf-nan", "normalize-1e200", "normalize-1e-200"],
+         (lambda: PureState([1e308, 1e308]), "^state norm inf deviates"),
+         (lambda: PureState([math.inf, 0]), "^state norm nan deviates"),
+         (lambda: PureState([math.nan, 0]), "^state norm nan deviates"),
+         (lambda: PureState([math.inf, math.nan]), "^state norm nan deviates"),
+         (lambda: PureState([1e200, 1e200]), "^state norm inf deviates"),
+         (lambda: PureState([1e-200, 1e-200]), "^state norm 0.0 deviates")],
+        ids=["unitary-inf", "unitary-1e200", "state-1e308", "state-inf",
+             "state-nan", "state-inf-nan", "state-1e200", "state-1e-200"],
     )
     def test_an_overflowing_check_raises_no_warning(self, call, message):
-        # Each warned first: invalid value or overflow in matmul, overflow in dot.
+        # The unitary rows warned first (invalid value or overflow in matmul); the state rows
+        # keep _fresh's norm read, numpy's C vdot, free of a warning.
         with pytest.raises(ValueError, match=message):
             no_warning(call)
